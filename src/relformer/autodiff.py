@@ -4,7 +4,8 @@ A Tensor wraps a numpy array plus an optional gradient buffer. Operations
 build a computation graph of closures; ``backward`` walks it once in reverse
 topological order. Only the ops this package actually needs are provided:
 broadcasting arithmetic, (batched) matmul, reshape/transpose/concat/stack,
-indexing, reductions, and the elementwise functions used by the model.
+indexing, reductions, the elementwise functions used by the model, and the
+fused pool-and-project node of the decoder value matrix.
 
 All graph construction is single-threaded per training step; concurrent
 read-only forward passes are safe because parameters are never mutated
@@ -45,9 +46,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -261,13 +259,25 @@ def stack(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _node(out, tuple(parts), vjp)
 
 
+def _is_basic_key(key) -> bool:
+    """True for ints, slices, None and Ellipsis: such a key never repeats an entry."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
     out = a.data[key]
+    basic = _is_basic_key(key)
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g
+        else:  # array keys may repeat indices, so their gradients accumulate
+            np.add.at(full, key, g)
         return (full,)
 
     return _node(out, (a,), vjp)
@@ -317,6 +327,86 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = a.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+# ---------------------------------------------------------------------------
+# fused pool-and-project
+# ---------------------------------------------------------------------------
+
+
+def project_first(m: int, n: int, k: int, frames: int, d: int, h: int) -> bool:
+    """Whether pool_project should project every frame before pooling.
+
+    Pool-then-project costs m*k*(S*d + n*d*h) multiply-adds: pool the m*n
+    (query, block) pairs into k rows of width d, then multiply the m*n
+    flattened rows by the (k*d, h) matrix. Project-then-pool costs
+    k*S*h*(d + m): multiply the S frames once by that matrix viewed as
+    (d, k*h), then contract each block with its pooling weights. With d == h
+    this reduces to comparing the frame count S with m*n.
+    """
+    return k * frames * h * (d + m) < m * k * (frames * d + n * d * h)
+
+
+def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
+    """(m*n, h) rows out[q*n + i] = flatten(weights[i][q] @ frames_i) @ w.
+
+    ``frames`` (S, d) stacks n row blocks frames_i of l_i rows, in order;
+    ``weights[i]`` is the constant (m, k, l_i) pooling of block i into k rows
+    for each of m queries; ``w`` is (k*d, h). The contraction order is the
+    cheaper one by ``project_first``; both orders compute the same sum, and
+    pool-then-project runs exactly the arithmetic of pooling each block,
+    stacking and multiplying by ``w``. Gradients flow to ``frames`` and ``w``.
+    """
+    frames, w = as_tensor(frames), as_tensor(w)
+    if not weights:
+        raise ShapeError("pool_project needs at least one block of pooling weights")
+    m, k = weights[0].shape[:2]
+    n = len(weights)
+    total, d = frames.shape
+    h = w.shape[1]
+    lengths = [wt.shape[2] for wt in weights]
+    if any(wt.shape[:2] != (m, k) for wt in weights) or sum(lengths) != total:
+        raise ShapeError(f"pool_project: pooling weights {[wt.shape for wt in weights]} "
+                         f"do not tile {frames.shape} frames")
+    if w.shape[0] != k * d:
+        raise ShapeError(f"pool_project: weight {w.shape} needs {k * d} rows")
+    bounds = np.cumsum([0] + lengths)
+    blocks = [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(n)]
+    f = frames.data
+
+    if not project_first(m, n, k, total, d, h):
+        pools = [wt.reshape(m * k, -1) for wt in weights]  # (m*k, l_i)
+        flat = np.empty((m, n, k * d))
+        for i, (pool, block) in enumerate(zip(pools, blocks)):
+            flat[:, i] = (pool @ f[block]).reshape(m, k * d)
+        flat = flat.reshape(m * n, k * d)
+
+        def vjp(g):
+            g_flat = (g @ w.data.T).reshape(m, n, k * d)
+            g_frames = np.empty_like(f)  # the blocks tile every row
+            for i, (pool, block) in enumerate(zip(pools, blocks)):
+                g_frames[block] = pool.T @ g_flat[:, i].reshape(m * k, d)
+            return g_frames, flat.T @ g
+
+        return _node(flat @ w.data, (frames, w), vjp)
+
+    # Row t*k + b of a block pairs frame t with pooling bin b.
+    pools = [wt.transpose(0, 2, 1).reshape(m, -1) for wt in weights]  # (m, l_i*k)
+    w_frames = w.data.reshape(k, d, h).transpose(1, 0, 2).reshape(d, k * h)
+    projected = f @ w_frames  # (S, k*h)
+    out = np.empty((m, n, h))
+    for i, (pool, block) in enumerate(zip(pools, blocks)):
+        out[:, i] = pool @ projected[block].reshape(-1, h)
+
+    def vjp(g):
+        g = g.reshape(m, n, h)
+        g_projected = np.empty((total, k * h))
+        for i, (pool, block) in enumerate(zip(pools, blocks)):
+            g_projected[block] = (pool.T @ g[:, i]).reshape(-1, k * h)
+        g_w = (f.T @ g_projected).reshape(d, k, h).transpose(1, 0, 2).reshape(k * d, h)
+        return g_projected @ w_frames.T, g_w
+
+    return _node(out.reshape(m * n, h), (frames, w), vjp)
 
 
 # ---------------------------------------------------------------------------

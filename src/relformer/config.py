@@ -16,6 +16,12 @@ from .errors import ConfigError
 from .synth import SynthConfig
 
 
+def _check_seed(name: str, value) -> None:
+    # bool is an int subclass, and numpy seeds must be non-negative.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{name}: must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d: int = 512
@@ -72,6 +78,8 @@ class TrainConfig:
             raise ConfigError("train.save_interval must be >= 0")
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
             raise ConfigError("train.max_grad_norm must be positive when set")
+        if self.seed is not None:
+            _check_seed("train.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -160,8 +168,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             raise ConfigError(f"{key}: unknown override")
         sections[section][fname] = value
 
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    _check_seed("seed", seed)
     return RunConfig(
         model=_build_section(ModelConfig, sections["model"], "model"),
         train=_build_section(TrainConfig, sections["train"], "train"),

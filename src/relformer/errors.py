@@ -30,4 +30,4 @@ class CheckpointError(RelformerError):
 
 
 class NumericsError(RelformerError):
-    """Training diverged (non-finite loss)."""
+    """Training diverged (non-finite loss or matching cost)."""

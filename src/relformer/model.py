@@ -12,6 +12,22 @@ and over roles). New time slots are regressed from the updated queries as
 Slot regression feeds only the discrete RoI frame coverage, which is
 piecewise-constant in the slot values, so slots are computed graph-free and
 carry no gradient; everything else is differentiable.
+
+The value matrix is the decoder's hot path. RoI pooling and the first layer
+of the value MLP are both linear, so they run as one fused autodiff node
+(``autodiff.pool_project``) over the stacked per-frame features of all n
+tracklets (S = sum of l_i frames). That node contracts in one of two orders,
+chosen from the operand shapes by comparing flop counts:
+
+- pool-then-project pools every (query, tracklet) pair into l_roi rows, then
+  multiplies the m*n flattened rows by W1 (about m*n*l_roi*d*h);
+- project-then-pool multiplies each frame once by W1 viewed as
+  (d, l_roi*h), then contracts each tracklet's block with its pooling
+  weights (about S*l_roi*d*h).
+
+With d == h the rule is S < m*n: short tracklets under many queries project
+first, long tracks under few queries pool first. Both orders compute the
+same sum; they differ only in float rounding.
 """
 
 from __future__ import annotations
@@ -317,16 +333,13 @@ class RelationModel:
 
     # -- forward pieces -------------------------------------------------------
 
-    def _per_frame_features(self, ctx: VideoContext) -> list[Tensor]:
+    def _per_frame_features(self, ctx: VideoContext) -> Tensor:
+        """(S, d) per-frame features of all tracklets, stacked in tracklet order."""
         cfg = self.cfg
         app = ad.constant(np.concatenate(ctx.appearance, axis=0))
         spat = ad.constant(np.concatenate(ctx.spatial, axis=0))
-        stacked = init_tracklet_feature(self.store, app, spat, cfg.d_a, cfg.d,
-                                        cfg.mlp_hidden)
-        lengths = [len(a) for a in ctx.appearance]
-        offsets = np.cumsum([0] + lengths)
-        return [stacked[int(offsets[i]):int(offsets[i + 1])]
-                for i in range(len(lengths))]
+        return init_tracklet_feature(self.store, app, spat, cfg.d_a, cfg.d,
+                                     cfg.mlp_hidden)
 
     def encode_tracklets(self, h: Tensor) -> Tensor:
         if h.shape[0] == 0:
@@ -350,19 +363,25 @@ class RelationModel:
             self._roi_cache[key] = hit
         return hit
 
-    def build_value_matrix(self, ctx: VideoContext, per_frame: list[Tensor],
+    def build_value_matrix(self, ctx: VideoContext, frames: Tensor,
                            query_slots: np.ndarray, prefix: str) -> Tensor:
-        """(m, n, d_v) per-query value matrices from RoI-pooled features."""
-        cfg = self.cfg
+        """(m, n, d_v) per-query value matrices: the value MLP over RoI-pooled rows.
+
+        RoI pooling and the first value-MLP layer are both linear, so they run
+        as one fused node over the stacked (S, d) frames. It contracts in the
+        cheaper of two orders, picked from the operand shapes: pool the m*n
+        (query, tracklet) pairs and then project them (about m*n*l_roi*d*h
+        multiply-adds), or project all S frames once and then pool (about
+        S*l_roi*d*h). With d == h the rule is S < m*n: short videos with many
+        queries project first, long tracks with few queries pool first.
+        """
         m = len(query_slots)
-        per_tracklet = []
-        for i in range(ctx.n):
-            w = self._roi_weights(ctx, i, query_slots)  # (m, l_roi, l_i)
-            pooled = ad.matmul(ad.constant(w.reshape(m * cfg.l_roi, -1)), per_frame[i])
-            per_tracklet.append(ad.reshape(pooled, (m, cfg.l_roi * cfg.d)))
-        flat = ad.reshape(ad.stack(per_tracklet, axis=1), (m * ctx.n, cfg.l_roi * cfg.d))
-        values = mlp_forward(self.store, f"{prefix}.value_mlp", self._value_spec, flat)
-        return ad.reshape(values, (m, ctx.n, cfg.d_v))
+        p = f"{prefix}.value_mlp"
+        weights = [self._roi_weights(ctx, i, query_slots) for i in range(ctx.n)]
+        hidden = ad.relu(ad.pool_project(frames, weights, self.store[f"{p}.w1"])
+                         + self.store[f"{p}.b1"])
+        values = ad.matmul(hidden, self.store[f"{p}.w2"]) + self.store[f"{p}.b2"]
+        return ad.reshape(values, (m, ctx.n, self.cfg.d_v))
 
     def regress_time_slots(self, queries: np.ndarray, reference: np.ndarray,
                            prefix: str) -> np.ndarray:
@@ -370,7 +389,7 @@ class RelationModel:
                                  queries)
         return apply_slot_offsets(reference, offsets)
 
-    def decode(self, ctx: VideoContext, per_frame: list[Tensor], h_enc: Tensor,
+    def decode(self, ctx: VideoContext, frames: Tensor, h_enc: Tensor,
                ) -> tuple[Tensor, Tensor, np.ndarray]:
         """Run the decoder stack; returns (queries, normalized attention, slots)."""
         cfg, store = self.cfg, self.store
@@ -385,7 +404,7 @@ class RelationModel:
             x = x + multi_head_attention(store, f"{p}.self_attn", qk, qk, h, cfg.heads)
 
             h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
-            values = self.build_value_matrix(ctx, per_frame, slots, p)
+            values = self.build_value_matrix(ctx, frames, slots, p)
             raw = role_attention(h, h_enc, store, p)
             attn_norm = normalize_attention(raw)
             x = x + cross_attend(attn_norm, values, store, p, self._out_spec)
@@ -399,12 +418,14 @@ class RelationModel:
     def forward(self, ctx: VideoContext) -> ModelOutput:
         from .head import binarize_links, classify_predicates
         cfg = self.cfg
-        per_frame = self._per_frame_features(ctx)
+        frames = self._per_frame_features(ctx)
+        bounds = np.cumsum([0] + [len(a) for a in ctx.appearance])
         pooled = ad.stack(
-            [pool_to_encoder_input(self.store, f, cfg.d, cfg.mlp_hidden, cfg.l)
-             for f in per_frame], axis=0)
+            [pool_to_encoder_input(self.store, frames[int(a):int(b)], cfg.d,
+                                   cfg.mlp_hidden, cfg.l)
+             for a, b in zip(bounds[:-1], bounds[1:])], axis=0)
         h_enc = self.encode_tracklets(pooled)
-        queries, attn, slots = self.decode(ctx, per_frame, h_enc)
+        queries, attn, slots = self.decode(ctx, frames, h_enc)
         links = binarize_links(attn.data)
         probs = classify_predicates(self.store, queries, links, ctx.classemes,
                                     ctx.categories, self._classify_spec)

@@ -77,10 +77,6 @@ class ParamStore:
     def is_trainable(self, name: str) -> bool:
         return self._trainable[name]
 
-    def clear_grads(self) -> None:
-        for _, t in self.trainable_items():
-            t.grad = None
-
 
 # ---------------------------------------------------------------------------
 # initialization

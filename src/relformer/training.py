@@ -65,18 +65,6 @@ def build_gt_predicates(sample: VideoSample, assignment: dict[int, list[int]],
     return entries
 
 
-def matching_cost(gt: GtPredicate, probs_row: np.ndarray, attn_rows: np.ndarray,
-                  lambda_cls: float, lambda_att: float) -> float:
-    """Cost of matching one GT entry to one prediction (0 for background)."""
-    if gt.is_background:
-        return 0.0
-    p = max(float(probs_row[gt.predicate]), BCE_CLAMP)
-    a = np.clip(attn_rows, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    t = gt.attention
-    bce = -(t * np.log(a) + (1.0 - t) * np.log(1.0 - a)).mean()
-    return -lambda_cls * np.log(p) + lambda_att * bce
-
-
 def cost_matrix(gt_set: list[GtPredicate], probs: np.ndarray, attn: np.ndarray,
                 lambda_cls: float, lambda_att: float) -> np.ndarray:
     """(m, m) matching costs, rows = GT entries, columns = predictions."""
@@ -104,7 +92,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise UsageError(f"hungarian needs a square cost matrix, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
-        raise UsageError("hungarian needs finite costs")
+        raise NumericsError("hungarian needs finite costs")
     _, cols = linear_sum_assignment(cost)
     return cols
 

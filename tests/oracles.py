@@ -97,6 +97,23 @@ def finite_difference(fn, param: np.ndarray, coords, h: float = 1e-5):
     return grads
 
 
+# --- set matching ------------------------------------------------------------
+
+
+def matching_cost_oracle(predicate, target, probs_row, attn_rows, lambda_cls,
+                         lambda_att, clamp: float = 1e-7) -> float:
+    """Cost of matching one GT entry to one prediction, from the definition.
+
+    ``predicate`` None marks a background entry, which costs 0. Otherwise the
+    cost is the weighted negative log-probability of the GT predicate plus the
+    weighted mean clamped BCE between the (2, n) link targets and attention.
+    """
+    if predicate is None:
+        return 0.0
+    p = max(float(probs_row[predicate]), clamp)
+    return -lambda_cls * math.log(p) + lambda_att * bce_oracle(target, attn_rows, clamp)
+
+
 # --- assignment --------------------------------------------------------------
 
 

@@ -137,3 +137,90 @@ class TestGradients:
         for k, g_fd in fd.items():
             np.testing.assert_allclose(b.grad.reshape(-1)[k], g_fd,
                                        rtol=1e-6, atol=1e-8)
+
+
+class TestGetitem:
+    @pytest.mark.parametrize("key", [
+        1, (slice(None), 2), (slice(1, None), slice(0, 3, 2)), (Ellipsis, None, 1),
+        np.array([0, 2, 0]), (np.array([1, 1, 0]), np.array([3, 0, 3])),
+        np.array([True, False, True]),
+    ])
+    def test_gradients_match_finite_differences(self, rng, key):
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+
+        def build():
+            out = a[key]
+            w = np.arange(1, out.data.size + 1, dtype=np.float64).reshape(out.shape)
+            return ad.tsum(ad.mul(out, w))
+
+        backward(build())
+        fd = finite_difference(lambda: build().item(), a.data, range(a.data.size))
+        for k, g_fd in fd.items():
+            np.testing.assert_allclose(a.grad.reshape(-1)[k], g_fd, rtol=1e-7, atol=1e-7)
+
+    def test_repeated_array_index_accumulates(self):
+        a = Tensor(np.zeros(3), requires_grad=True)
+        backward(ad.tsum(a[np.array([2, 2, 0])]))
+        np.testing.assert_array_equal(a.grad, [1.0, 0.0, 2.0])
+
+
+# (m, lengths, k, d, h): shapes on each side of the contraction-order rule.
+POOL_FIRST = (3, (9, 12), 3, 4, 5)
+PROJECT_FIRST = (8, (2, 3, 2), 3, 4, 5)
+
+
+def pool_project_case(rng, shape):
+    m, lengths, k, d, h = shape
+    frames = Tensor(rng.normal(size=(sum(lengths), d)), requires_grad=True)
+    weights = [rng.uniform(size=(m, k, l)) for l in lengths]
+    weights[0][0] = 0.0  # a disjoint (query, block) pair pools to zero
+    w = Tensor(rng.normal(size=(k * d, h)), requires_grad=True)
+    return frames, weights, w
+
+
+class TestPoolProject:
+    def test_shape_rule_sides(self):
+        for shape, want in ((POOL_FIRST, False), (PROJECT_FIRST, True)):
+            m, lengths, k, d, h = shape
+            assert ad.project_first(m, len(lengths), k, sum(lengths), d, h) == want
+        # with d == h the rule compares the frame count with m*n
+        assert ad.project_first(192, 7, 7, 218, 512, 512)
+        assert not ad.project_first(32, 12, 7, 2300, 128, 128)
+
+    @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST],
+                             ids=["pool_first", "project_first"])
+    def test_matches_pool_stack_matmul(self, rng, shape):
+        frames, weights, w = pool_project_case(rng, shape)
+        m, lengths, k, d, h = shape
+        bounds = np.cumsum((0,) + lengths)
+        pooled = np.stack([(wt @ frames.data[a:b]).reshape(m, k * d)
+                           for wt, a, b in zip(weights, bounds[:-1], bounds[1:])], axis=1)
+        want = pooled.reshape(-1, k * d) @ w.data
+        got = ad.pool_project(frames, weights, w).data
+        assert got.shape == (m * len(lengths), h)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST],
+                             ids=["pool_first", "project_first"])
+    def test_gradients_match_finite_differences(self, rng, shape):
+        frames, weights, w = pool_project_case(rng, shape)
+        scale = rng.normal(size=(shape[0] * len(shape[1]), shape[4]))
+
+        def build():
+            return ad.tsum(ad.mul(ad.square(ad.pool_project(frames, weights, w)), scale))
+
+        backward(build())
+        for param in (frames, w):
+            coords = rng.choice(param.data.size, size=12, replace=False)
+            fd = finite_difference(lambda: build().item(), param.data, coords)
+            for c, g_fd in fd.items():
+                g = param.grad.reshape(-1)[c]
+                assert abs(g - g_fd) <= 1e-8 * max(1.0, abs(g), abs(g_fd)), \
+                    f"coord {c}: analytic {g} vs fd {g_fd}"
+
+    def test_mismatched_blocks_rejected(self, rng):
+        frames, weights, w = pool_project_case(rng, POOL_FIRST)
+        with pytest.raises(ShapeError, match="tile"):
+            ad.pool_project(frames, weights[:1], w)
+        with pytest.raises(ShapeError, match="rows"):
+            ad.pool_project(frames, weights, Tensor(np.ones((5, 5))))

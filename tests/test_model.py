@@ -362,6 +362,47 @@ class TestFullModel:
         assert np.abs(rows[0]).max() > 0.0
         np.testing.assert_allclose(rows, np.tile(rows[0], (len(rows), 1)), atol=1e-12)
 
+    @pytest.mark.parametrize("spans,project_first", [
+        (((0, 4), (3, 8), (10, 16)), True),     # S=15 frames < m*n=18 pairs
+        (((0, 20), (12, 37)), False),           # S=45 frames > m*n=12 pairs
+    ], ids=["project_first", "pool_first"])
+    def test_value_matrix_matches_per_pair_oracle(self, toy_model_config, toy_dataset,
+                                                  spans, project_first):
+        _, vocab = toy_dataset
+        rng = np.random.default_rng(11)
+        frame_count = 40
+        tracklets = []
+        for tid, (t0, t1) in enumerate(spans):
+            probs = np.full(len(vocab.objects), 1.0 / len(vocab.objects))
+            tracklets.append(Tracklet(
+                id=tid, slot=TimeSlot(t0 / frame_count, t1 / frame_count),
+                boxes=np.tile([0.1, 0.1, 0.3, 0.3], (t1 - t0, 1)),
+                appearance=rng.normal(size=(t1 - t0, 16)), category=0, probs=probs))
+        sample = VideoSample(video_id="v", frame_count=frame_count,
+                             tracklets=tracklets, gt_objects=[], gt_relations=[])
+        model = RelationModel(toy_model_config, vocab, seed=3)
+        p = "decoder.layer0.value_mlp"
+        model.store[f"{p}.b1"].data[:] = rng.normal(size=toy_model_config.mlp_hidden)
+        model.store[f"{p}.b2"].data[:] = rng.normal(size=toy_model_config.d_v)
+        ctx = model.build_context(sample)
+        frames = model._per_frame_features(ctx)
+        slots = model.anchors.slots
+        cfg = toy_model_config
+        assert ad.project_first(len(slots), ctx.n, cfg.l_roi, frames.shape[0], cfg.d,
+                                cfg.mlp_hidden) == project_first
+        values = model.build_value_matrix(ctx, frames, slots, "decoder.layer0").data
+
+        params = [model.store[f"{p}.{name}"].data for name in ("w1", "b1", "w2", "b2")]
+        bounds = np.cumsum([0] + [t1 - t0 for t0, t1 in spans])
+        want = np.zeros_like(values)
+        for q, (qs, qe) in enumerate(slots):
+            q_span = TimeSlot(qs, qe).frame_span(frame_count)
+            for i, span in enumerate(spans):
+                pooled = roi_pool_oracle(frames.data[bounds[i]:bounds[i + 1]], span,
+                                         q_span, cfg.l_roi)
+                want[q, i] = mlp_oracle(pooled.reshape(1, -1), *params)[0]
+        assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_gradient_reaches_role_projections(self, toy_model_config, toy_dataset):
         samples, vocab = toy_dataset
         model = RelationModel(toy_model_config, vocab, seed=3)
