@@ -81,27 +81,38 @@ def infer_triplets(probs: np.ndarray, links: np.ndarray, tracklets: list[Trackle
                    top_k_per_query: int = 10) -> list[RelationTriplet]:
     """Assemble candidates: per query, the top-k non-background categories by
     probability; drop self-paired and temporally disjoint links; deduplicate
-    by (predicate, subject, object) keeping the best score."""
+    by (predicate, subject, object) keeping the best score; order by
+    descending score, then key.
+
+    Candidates stay arrays until deduplication, so only the surviving
+    triplets are built. Duplicates of one key share its tracklet pair, hence
+    its slot, so which of two equal best scores survives does not show.
+    """
     if not tracklets:
         return []
     n_rel = probs.shape[1] - 1
     k = min(top_k_per_query, n_rel)
-    candidates = []
-    for j in range(len(probs)):
-        si, oi = int(links[j, 0]), int(links[j, 1])
-        sub, obj = tracklets[si], tracklets[oi]
-        if sub.id == obj.id:
-            continue
-        inter = sub.slot.intersect(obj.slot)
-        if inter is None:
-            continue
-        row = probs[j, :n_rel]
-        order = np.argsort(-row, kind="stable")[:k]
-        for cat in order:
-            candidates.append(RelationTriplet(
-                subject_tracklet_id=sub.id, object_tracklet_id=obj.id,
-                predicate=int(cat), score=float(row[cat]), slot=inter))
-    return filter_duplicates(candidates)
+    ids = np.array([t.id for t in tracklets], dtype=np.int64)
+    pairs, pair_of = np.unique(np.asarray(links), axis=0, return_inverse=True)
+    slots = [tracklets[si].slot.intersect(tracklets[oi].slot)
+             if ids[si] != ids[oi] else None for si, oi in pairs.tolist()]
+    live = np.flatnonzero(np.array([s is not None for s in slots])[pair_of.reshape(-1)])
+    rows = probs[live, :n_rel]
+    order = np.argsort(-rows, axis=1, kind="stable")[:, :k]
+    score = np.take_along_axis(rows, order, axis=1).reshape(-1)
+    pred = order.reshape(-1)
+    pair = np.repeat(pair_of.reshape(-1)[live], order.shape[1])
+    # Visit candidates best score first; np.unique keeps each key's first visit.
+    desc = np.argsort(-score, kind="stable")
+    _, first = np.unique((pred * len(pairs) + pair)[desc], return_index=True)
+    best = desc[first]
+    sub, obj = ids[pairs[pair[best], 0]], ids[pairs[pair[best], 1]]
+    pred, score, pair = pred[best], score[best], pair[best]
+    ranked = np.lexsort((obj, sub, pred, -score))
+    return [RelationTriplet(subject_tracklet_id=int(sub[c]), object_tracklet_id=int(obj[c]),
+                            predicate=int(pred[c]), score=float(score[c]),
+                            slot=slots[pair[c]])
+            for c in ranked.tolist()]
 
 
 def filter_duplicates(triplets: list[RelationTriplet]) -> list[RelationTriplet]:

@@ -4,7 +4,17 @@ Detection matching: a prediction matches a GT relation when the predicate
 and both participant categories agree and both linked tracklets, restricted
 to the prediction's slot, reach vIoU >= threshold against the GT tracklets
 restricted to the GT relation's slot. Matching is greedy in score order with
-each GT used at most once.
+each GT used at most once: a prediction claims the first unused GT relation,
+in index order, that it matches.
+
+Matching is mask-first. Per video, one (predictions, GT relations) boolean
+mask marks the pairs whose predicate, subject category and object category
+all agree; a prediction naming a tracklet the video does not have gets
+category -1 and agrees with nothing. ``match_relation`` stays the one
+per-pair rule and runs only on agreeing pairs, walked in GT index order. A
+pair outside the mask would fail ``match_relation`` at its label check, so
+skipping it changes no greedy choice; on dense scenes almost every pair
+fails there.
 
 AP is non-interpolated: the sum of precision at each hit divided by the GT
 count; per-video AP/R@K are averaged over videos that have GT relations.
@@ -72,14 +82,20 @@ def _sorted_preds(preds: list[RelationTriplet]) -> list[RelationTriplet]:
 def _greedy_hits(preds: list[RelationTriplet], sample: VideoSample,
                  viou_threshold: float) -> list[bool]:
     """Per ranked prediction: did it claim a previously unclaimed GT relation."""
-    used = [False] * len(sample.gt_relations)
+    gt_cats = {t.id: t.category for t in sample.gt_objects}
+    det_cats = {t.id: t.category for t in sample.tracklets}
+    gt_labels = np.array([(r.predicate, gt_cats[r.subject_gt_id], gt_cats[r.object_gt_id])
+                          for r in sample.gt_relations], dtype=np.int64).reshape(-1, 3)
+    pred_labels = np.array([(p.predicate, det_cats.get(p.subject_tracklet_id, -1),
+                             det_cats.get(p.object_tracklet_id, -1)) for p in preds],
+                           dtype=np.int64).reshape(-1, 3)
+    agree = (pred_labels[:, None, :] == gt_labels[None, :, :]).all(axis=2)
+    used = np.zeros(len(sample.gt_relations), dtype=bool)
     hits = []
-    for pred in preds:
+    for pred, row in zip(preds, agree):
         hit = False
-        for g, gt_rel in enumerate(sample.gt_relations):
-            if used[g]:
-                continue
-            if match_relation(pred, sample, gt_rel, viou_threshold):
+        for g in np.flatnonzero(row & ~used):
+            if match_relation(pred, sample, sample.gt_relations[g], viou_threshold):
                 used[g] = True
                 hit = True
                 break

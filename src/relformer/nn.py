@@ -238,13 +238,27 @@ class Adam:
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                m = self._m[name] = np.zeros_like(p.data)
+                v = self._v[name] = np.zeros_like(p.data)
+            # In place, in the operation order of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            #   p -= lr*(m/c1) / (sqrt(v/c2) + eps)
+            # so results stay bit-identical. g is never written: backward can
+            # hand one array to two parameters.
+            scratch = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - self.beta2
+            v *= self.beta2
+            v += scratch
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            step = m / c1
+            step *= self.lr
+            step /= scratch
+            p.data -= step
             p.grad = None
 
 

@@ -169,6 +169,83 @@ def track_frames(track, frame_count: int) -> dict:
     return {start + i: track.boxes[i] for i in range(len(track.boxes))}
 
 
+def slot_frames(slot, frame_count: int) -> set:
+    """The integer frames a normalized slot covers."""
+    return set(range(int(math.floor(slot.start * frame_count + 1e-9)),
+                     int(math.ceil(slot.end * frame_count - 1e-9))))
+
+
+# --- relation detection ------------------------------------------------------
+
+
+def greedy_hits_oracle(ranked_preds, sample, viou_threshold: float) -> list:
+    """Greedy RelDet matching, testing every (prediction, GT) pair in full.
+
+    Each ranked prediction claims the first unused GT relation, in index
+    order, whose predicate and participant categories agree and whose two
+    participants reach vIoU >= threshold with the prediction's tracklets,
+    each side cut to its own relation slot. A prediction naming a tracklet
+    the video lacks, or whose slot misses a participant's, matches nothing.
+    """
+    tracks = {t.id: t for t in sample.tracklets}
+    gts = {t.id: t for t in sample.gt_objects}
+    frame_count = sample.frame_count
+
+    def cut(track, slot):
+        if max(track.slot.start, slot.start) >= min(track.slot.end, slot.end):
+            return None
+        keep = slot_frames(slot, frame_count)
+        return {f: box for f, box in track_frames(track, frame_count).items()
+                if f in keep}
+
+    def matches(pred, rel) -> bool:
+        sub = tracks.get(pred.subject_tracklet_id)
+        obj = tracks.get(pred.object_tracklet_id)
+        if sub is None or obj is None or pred.predicate != rel.predicate:
+            return False
+        for det, gt in ((sub, gts[rel.subject_gt_id]), (obj, gts[rel.object_gt_id])):
+            if det.category != gt.category:
+                return False
+            det_part, gt_part = cut(det, pred.slot), cut(gt, rel.slot)
+            if det_part is None or gt_part is None:
+                return False
+            if viou_oracle(det_part, gt_part) < viou_threshold:
+                return False
+        return True
+
+    used = set()
+    hits = []
+    for pred in ranked_preds:
+        claimed = next((g for g, rel in enumerate(sample.gt_relations)
+                        if g not in used and matches(pred, rel)), None)
+        if claimed is not None:
+            used.add(claimed)
+        hits.append(claimed is not None)
+    return hits
+
+
+def infer_triplets_oracle(probs, links, tracklets, top_k_per_query: int = 10) -> list:
+    """Candidate-then-filter triplet assembly, as (subject id, object id,
+    predicate, score, slot start, slot end) tuples: every query's top-k
+    non-background categories (stable on ties) over a linked pair of distinct,
+    temporally overlapping tracklets, then the best score per (predicate,
+    subject, object), ranked by descending score, then that key."""
+    n_rel = probs.shape[1] - 1
+    best = {}
+    for j in range(len(links)):
+        sub, obj = tracklets[int(links[j][0])], tracklets[int(links[j][1])]
+        start = max(sub.slot.start, obj.slot.start)
+        end = min(sub.slot.end, obj.slot.end)
+        if sub.id == obj.id or start >= end:
+            continue
+        ranked = sorted(range(n_rel), key=lambda c: (-probs[j, c], c))
+        for c in ranked[:min(top_k_per_query, n_rel)]:
+            key = (c, sub.id, obj.id)
+            if key not in best or probs[j, c] > best[key][3]:
+                best[key] = (sub.id, obj.id, c, float(probs[j, c]), start, end)
+    return sorted(best.values(), key=lambda t: (-t[3], t[2], t[0], t[1]))
+
+
 # --- RoI pooling -------------------------------------------------------------
 
 

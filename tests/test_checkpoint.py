@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, store)
         save_checkpoint(p2, store)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestErrors:
@@ -70,12 +71,11 @@ class TestErrors:
             load_checkpoint(str(path))
 
     def test_truncated_blob_rejected(self, rng, tmp_path):
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, make_store(rng))
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-8])
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), make_store(rng))
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
+            load_checkpoint(str(path))
 
     def test_incompatible_shapes_detected(self, rng, tmp_path):
         store = make_store(rng)

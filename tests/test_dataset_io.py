@@ -31,13 +31,13 @@ def structurally_equal(a, b) -> bool:
 
 class TestFeatureFiles:
     def test_roundtrip_and_header(self, rng, tmp_path):
-        path = str(tmp_path / "x.trkf")
+        path = tmp_path / "x.trkf"
         matrix = rng.normal(size=(5, 3)).astype(np.float32)
-        write_feature_file(path, matrix)
-        raw = open(path, "rb").read()
+        write_feature_file(str(path), matrix)
+        raw = path.read_bytes()
         assert raw[:4] == b"TRKF"
         assert len(raw) == 16 + 5 * 3 * 4
-        np.testing.assert_array_equal(read_feature_file(path), matrix)
+        np.testing.assert_array_equal(read_feature_file(str(path)), matrix)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.trkf"
@@ -65,12 +65,11 @@ class TestRoundTrip:
 
     def test_save_twice_is_byte_identical(self, toy_dataset, tmp_path):
         samples, vocab = toy_dataset
-        d1, d2 = str(tmp_path / "d1"), str(tmp_path / "d2")
-        save_dataset(d1, samples, vocab)
-        save_dataset(d2, samples, vocab)
+        d1, d2 = tmp_path / "d1", tmp_path / "d2"
+        save_dataset(str(d1), samples, vocab)
+        save_dataset(str(d2), samples, vocab)
         for name in sorted(os.listdir(d1)):
-            assert open(os.path.join(d1, name), "rb").read() == \
-                open(os.path.join(d2, name), "rb").read(), name
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
     def test_refuses_nonempty_dir_without_force(self, toy_dataset, tmp_path):
         samples, vocab = toy_dataset

@@ -9,7 +9,7 @@ from relformer.head import (RelationTriplet, binarize_links, build_freq_bias,
                             filter_duplicates, infer_triplets)
 from relformer.nn import MlpSpec, ParamStore, init_mlp
 
-from oracles import mlp_oracle, softmax_extended_oracle
+from oracles import infer_triplets_oracle, mlp_oracle, softmax_extended_oracle
 
 
 class TestBinarizeLinks:
@@ -229,6 +229,39 @@ class TestInferTriplets:
                      appearance=np.zeros((6, 2)), category=0, probs=probs)
         out = infer_triplets(np.array([[0.9, 0.1]]), np.array([[0, 1]]), [a, b])
         assert out[0].slot == TimeSlot(0.4, 0.6)
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_candidate_then_filter_oracle(self, seed):
+        """Random links over tracklets with self links, disjoint pairs, and
+        probabilities drawn from few values so that ties are common."""
+        rng = np.random.default_rng(seed)
+        frame_count = 12
+        tracklets = []
+        for tid in range(int(rng.integers(1, 6))):
+            a = int(rng.integers(0, 10))
+            b = int(rng.integers(a + 2, 13))
+            tracklets.append(Tracklet(
+                id=3 * tid + 1, slot=TimeSlot(a / frame_count, b / frame_count),
+                boxes=np.tile([0.1, 0.1, 0.2, 0.2], (b - a, 1)),
+                appearance=np.zeros((b - a, 2)), category=0))
+        m, n_rel = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+        probs = rng.choice([0.05, 0.1, 0.2, 0.3], size=(m, n_rel + 1))
+        probs /= probs.sum(axis=1, keepdims=True)
+        links = rng.integers(0, len(tracklets), size=(m, 2))
+        for k in (1, 3, 10):
+            got = [(t.subject_tracklet_id, t.object_tracklet_id, t.predicate, t.score,
+                    t.slot.start, t.slot.end)
+                   for t in infer_triplets(probs, links, tracklets, top_k_per_query=k)]
+            assert got == infer_triplets_oracle(probs, links, tracklets, k)
+            assert all(type(v) is int for row in got for v in row[:3])
+            assert all(type(row[3]) is float for row in got)
+
+    def test_tied_probabilities_keep_the_lowest_categories(self):
+        tracklets = _tracklets_for_inference(2)
+        probs = np.array([[0.3, 0.3, 0.3, 0.1]])
+        out = infer_triplets(probs, np.array([[0, 1]]), tracklets, top_k_per_query=2)
+        assert [t.predicate for t in out] == [0, 1]
 
 
 class TestFilterDuplicates:

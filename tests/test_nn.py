@@ -249,6 +249,31 @@ class TestAdam:
         expected = adam_scalar_oracle(10.0, grads, lr=0.05)
         np.testing.assert_allclose(p.data[0], expected[-1], atol=1e-12)
 
+    def test_steps_are_bitwise_equal_to_the_array_formula(self, rng):
+        """Several steps on two parameters that share one gradient array, as
+        backward can hand out, against the out-of-place Adam expressions."""
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        store = ParamStore()
+        a = store.add("a", rng.normal(size=(4, 3)))
+        b = store.add("b", rng.normal(size=(4, 3)))
+        want = {"a": a.data.copy(), "b": b.data.copy()}
+        m = {k: np.zeros((4, 3)) for k in want}
+        v = {k: np.zeros((4, 3)) for k in want}
+        opt = Adam(lr=lr, betas=(b1, b2), eps=eps)
+        for t in range(1, 6):
+            shared = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-4, 3)
+            before = shared.copy()
+            a.grad = b.grad = shared
+            opt.step(store)
+            np.testing.assert_array_equal(shared, before)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k in want:
+                m[k] = b1 * m[k] + (1.0 - b1) * shared
+                v[k] = b2 * v[k] + (1.0 - b2) * (shared * shared)
+                want[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+        assert a.data.tobytes() == want["a"].tobytes()
+        assert b.data.tobytes() == want["b"].tobytes()
+
     def test_clip_grad_norm(self):
         store = ParamStore()
         p = store.add("p", np.zeros(2))
