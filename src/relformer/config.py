@@ -148,10 +148,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: config root must be an object")
 
-    sections = {name: dict(payload.get(name, {})) for name in _SECTIONS}
-    for name in sections:
+    for name in _SECTIONS:
         if not isinstance(payload.get(name, {}), dict):
             raise ConfigError(f"{name}: section must be an object")
+    sections = {name: dict(payload.get(name, {})) for name in _SECTIONS}
     unknown = sorted(set(payload) - set(_SECTIONS) - {"seed"})
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown config section")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .nn import MlpSpec, ParamStore, init_mlp, mlp_forward
 
 
@@ -34,8 +34,7 @@ def spatial_feature(boxes: np.ndarray) -> np.ndarray:
 
 
 def feature_specs(d_a: int, d: int, hidden: int) -> tuple[MlpSpec, MlpSpec]:
-    if d % 2 != 0:
-        raise ConfigError(f"model.d must be even to split per-frame halves, got {d}")
+    """Appearance and spatial MLP specs; ``ModelConfig`` keeps d even."""
     return MlpSpec(d_a, hidden, d // 2), MlpSpec(8, hidden, d // 2)
 
 

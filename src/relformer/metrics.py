@@ -19,7 +19,8 @@ fails there.
 AP is non-interpolated: the sum of precision at each hit divided by the GT
 count; per-video AP/R@K are averaged over videos that have GT relations.
 Tagging P@K ignores localization and counts distinct GT category triples in
-the top K, divided by min(K, #predictions).
+the top K, divided by min(K, #predictions); a prediction naming an unknown
+tracklet gets category -1 there too, so it counts as a miss.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Tracklet, VideoSample, compute_viou, restrict_track
-from .errors import UsageError
 from .head import RelationTriplet
 
 
@@ -157,8 +157,8 @@ def reltag_scores(predictions: dict[str, list[RelationTriplet]],
                       for r in sample.gt_relations}
         det_cats = {t.id: t.category for t in sample.tracklets}
         preds = _sorted_preds(predictions.get(sample.video_id, []))
-        triples = [(det_cats[p.subject_tracklet_id], p.predicate,
-                    det_cats[p.object_tracklet_id]) for p in preds]
+        triples = [(det_cats.get(p.subject_tracklet_id, -1), p.predicate,
+                    det_cats.get(p.object_tracklet_id, -1)) for p in preds]
         entry = {}
         for k in ks:
             top = triples[:k]

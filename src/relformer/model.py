@@ -4,14 +4,16 @@ temporal-aware decoder.
 Each predicate query owns a fixed temporal anchor. Per decoder layer the
 queries self-attend (with anchor positional terms on queries/keys), then
 cross-attend to the tracklets through a per-query value matrix built by
-temporal RoI pooling against the query's current time slot, with separate
+temporal RoI pooling against the query's fixed anchor, with separate
 subject/object attention maps normalized by a double softmax (over tracklets
-and over roles). New time slots are regressed from the updated queries as
-(center, log-width) offsets against the anchors.
+and over roles).
 
-Slot regression feeds only the discrete RoI frame coverage, which is
-piecewise-constant in the slot values, so slots are computed graph-free and
-carry no gradient; everything else is differentiable.
+Every decoder layer pools against the same anchors, so the pooling weights
+are per-video constants: they are computed on a video's first forward pass
+and kept on its VideoContext. The time slots are not refined per layer, and
+supervising slot boundaries (e.g. an L1 or temporal-IoU loss against the
+matched GT relation's slot) is out of scope; a slot regression fed only by
+the piecewise-constant RoI frame coverage would never get a gradient.
 
 The value matrix is the decoder's hot path. RoI pooling and the first layer
 of the value MLP are both linear, so they run as one fused autodiff node
@@ -38,15 +40,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TimeSlot, Tracklet, VideoSample, Vocab
+from .data import VideoSample, Vocab
 from .errors import ConfigError, DataError
-from .features import (feature_specs, init_feature_params, init_tracklet_feature,
-                       pool_to_encoder_input, spatial_feature)
+from .features import (init_feature_params, init_tracklet_feature, pool_to_encoder_input,
+                       spatial_feature)
 from .nn import (MlpSpec, ParamStore, affine_init, init_attention, init_mlp,
-                 init_self_attention_block, layer_norm, mlp_forward, mlp_forward_np,
+                 init_self_attention_block, layer_norm, mlp_forward,
                  multi_head_attention, self_attention_block)
-
-MIN_SLOT_WIDTH = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +80,6 @@ def build_anchors(m_c: int, m_d: int) -> AnchorSet:
             slots[k, 1] = min(c + w / 2.0, 1.0)
             k += 1
     return AnchorSet(m_c=m_c, m_d=m_d, slots=slots)
-
-
-def anchor_time_slots(anchors: AnchorSet) -> list[TimeSlot]:
-    return [TimeSlot(float(s), float(e)) for s, e in anchors.slots]
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +136,6 @@ def roi_pool_weights(track_slot: tuple[float, float], t0: int, l_i: int,
     return weights
 
 
-def temporal_roi_pool(per_frame: Tensor, track_slot: TimeSlot, query_slot: TimeSlot,
-                      frame_count: int, l_roi: int) -> Tensor:
-    """(l_roi, d) pooled feature for one tracklet-query pair (zero if disjoint)."""
-    t0, t1 = track_slot.frame_span(frame_count)
-    w = roi_pool_weights((track_slot.start, track_slot.end), t0, t1 - t0,
-                         np.array([[query_slot.start, query_slot.end]]),
-                         frame_count, l_roi)[0]
-    return ad.matmul(ad.constant(w), per_frame)
-
-
 # ---------------------------------------------------------------------------
 # decoder pieces
 # ---------------------------------------------------------------------------
@@ -194,27 +180,6 @@ def cross_attend(attn_norm: Tensor, values: Tensor, store: ParamStore, prefix: s
     return out
 
 
-def apply_slot_offsets(slots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """New slots from (delta-center, delta-log-width) offsets, clamped valid.
-
-    center' = c + dc*w, width' = w*exp(dw); the result is clipped into [0, 1]
-    and widened to MIN_SLOT_WIDTH when degenerate, so 0 <= s < e <= 1 always.
-    """
-    w = slots[:, 1] - slots[:, 0]
-    dc = offsets[:, 0]
-    dw = np.clip(offsets[:, 1], -30.0, 30.0)
-    shift = dc * w
-    grow = w * np.expm1(dw)  # width change; exactly zero for zero offsets
-    s = np.clip(slots[:, 0] + shift - grow * 0.5, 0.0, 1.0)
-    e = np.clip(slots[:, 1] + shift + grow * 0.5, 0.0, 1.0)
-    narrow = (e - s) < MIN_SLOT_WIDTH
-    if np.any(narrow):
-        mid = np.clip((s + e) * 0.5, MIN_SLOT_WIDTH / 2, 1.0 - MIN_SLOT_WIDTH / 2)
-        s = np.where(narrow, mid - MIN_SLOT_WIDTH / 2, s)
-        e = np.where(narrow, mid + MIN_SLOT_WIDTH / 2, e)
-    return np.stack([s, e], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # the full model
 # ---------------------------------------------------------------------------
@@ -222,7 +187,15 @@ def apply_slot_offsets(slots: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 @dataclass
 class VideoContext:
-    """Per-video constants precomputed once (reused across epochs)."""
+    """Per-video constants, built once by ``RelationModel.build_context`` and
+    reused across layers and epochs.
+
+    A context belongs to the model that built it: ``roi_weights`` holds each
+    tracklet's (m, l_roi, l_i) pooling weights against that model's anchors.
+    They are filled on the first forward pass rather than in
+    ``build_context``, so building contexts for a run that never runs a
+    forward pass (``train --epochs 0``) stays cheap.
+    """
 
     sample: VideoSample
     appearance: list[np.ndarray]     # (l_i, d_a) float64 per tracklet
@@ -232,6 +205,7 @@ class VideoContext:
     categories: np.ndarray           # (n,) int
     classemes: np.ndarray            # (n, d_w)
     probs: np.ndarray                # (n, |C_obj|)
+    roi_weights: list[np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -242,7 +216,6 @@ class VideoContext:
 class ModelOutput:
     queries: Tensor          # (m, d_q) enhanced query embeddings
     attention: Tensor        # (2, m, n) normalized role attention
-    slots: np.ndarray        # (m, 2) final regressed time slots
     links: np.ndarray        # (m, 2) argmax subject/object tracklet indices
     probs: Tensor            # (m, |C_rel|+1) predicate probabilities (last = no-relation)
 
@@ -252,15 +225,10 @@ class RelationModel:
 
     def __init__(self, cfg, vocab: Vocab, seed: int,
                  embeddings: np.ndarray | None = None):
-        if cfg.d % cfg.heads != 0:
-            raise ConfigError(f"model.d={cfg.d} not divisible by model.heads={cfg.heads}")
-        if cfg.d_q % cfg.heads != 0:
-            raise ConfigError(f"model.d_q={cfg.d_q} not divisible by model.heads={cfg.heads}")
         self.cfg = cfg
         self.vocab = vocab
         self.anchors = build_anchors(cfg.m_c, cfg.m_d)
         self.store = ParamStore()
-        self._roi_cache: dict = {}
         rng = np.random.default_rng(seed)
         h = cfg.mlp_hidden
         n_obj, n_rel = len(vocab.objects), len(vocab.predicates)
@@ -274,7 +242,6 @@ class RelationModel:
         self.store.add("decoder.pos_proj", affine_init(rng, 2, cfg.d_q))
         self._value_spec = MlpSpec(cfg.l_roi * cfg.d, h, cfg.d_v)
         self._out_spec = MlpSpec(cfg.d_v, h, cfg.d_q)
-        self._offset_spec = MlpSpec(cfg.d_q, h, 2)
         self._ffn_spec_enc = MlpSpec(cfg.d, h, cfg.d)
         self._ffn_spec_dec = MlpSpec(cfg.d_q, h, cfg.d_q)
         for k in range(cfg.L_d):
@@ -289,8 +256,6 @@ class RelationModel:
                 self.store.add(f"{p}.{role}.query_proj", affine_init(rng, cfg.d_q, cfg.d))
                 self.store.add(f"{p}.{role}.key_proj", affine_init(rng, cfg.d, cfg.d))
                 init_mlp(self.store, f"{p}.{role}.out", self._out_spec, rng)
-            # Zero output layer: slots start exactly at the anchors.
-            init_mlp(self.store, f"{p}.offset", self._offset_spec, rng, zero_output=True)
 
         self._classify_spec = MlpSpec(cfg.d_q + 2 * cfg.d_w, h, n_rel + 1)
         init_mlp(self.store, "head.classify", self._classify_spec, rng)
@@ -349,22 +314,7 @@ class RelationModel:
                                      self.cfg.heads, self._ffn_spec_enc)
         return h
 
-    def _roi_weights(self, ctx: VideoContext, i: int, query_slots: np.ndarray,
-                     ) -> np.ndarray:
-        t0, t1 = ctx.spans[i]
-        key = (ctx.sample.video_id, i, t0, t1, float(ctx.slots[i, 0]),
-               float(ctx.slots[i, 1]), query_slots.tobytes())
-        hit = self._roi_cache.get(key)
-        if hit is None:
-            hit = roi_pool_weights((ctx.slots[i, 0], ctx.slots[i, 1]), t0, t1 - t0,
-                                   query_slots, ctx.sample.frame_count, self.cfg.l_roi)
-            if len(self._roi_cache) > 8192:
-                self._roi_cache.clear()
-            self._roi_cache[key] = hit
-        return hit
-
-    def build_value_matrix(self, ctx: VideoContext, frames: Tensor,
-                           query_slots: np.ndarray, prefix: str) -> Tensor:
+    def build_value_matrix(self, ctx: VideoContext, frames: Tensor, prefix: str) -> Tensor:
         """(m, n, d_v) per-query value matrices: the value MLP over RoI-pooled rows.
 
         RoI pooling and the first value-MLP layer are both linear, so they run
@@ -374,28 +324,27 @@ class RelationModel:
         multiply-adds), or project all S frames once and then pool (about
         S*l_roi*d*h). With d == h the rule is S < m*n: short videos with many
         queries project first, long tracks with few queries pool first.
+
+        The pooling weights against the anchors are computed on the first
+        call for a context and kept on it as ``ctx.roi_weights``.
         """
-        m = len(query_slots)
+        if ctx.roi_weights is None:
+            ctx.roi_weights = [
+                roi_pool_weights((s, e), t0, t1 - t0, self.anchors.slots,
+                                 ctx.sample.frame_count, self.cfg.l_roi)
+                for (s, e), (t0, t1) in zip(ctx.slots, ctx.spans)]
         p = f"{prefix}.value_mlp"
-        weights = [self._roi_weights(ctx, i, query_slots) for i in range(ctx.n)]
-        hidden = ad.relu(ad.pool_project(frames, weights, self.store[f"{p}.w1"])
+        hidden = ad.relu(ad.pool_project(frames, ctx.roi_weights, self.store[f"{p}.w1"])
                          + self.store[f"{p}.b1"])
         values = ad.matmul(hidden, self.store[f"{p}.w2"]) + self.store[f"{p}.b2"]
-        return ad.reshape(values, (m, ctx.n, self.cfg.d_v))
-
-    def regress_time_slots(self, queries: np.ndarray, reference: np.ndarray,
-                           prefix: str) -> np.ndarray:
-        offsets = mlp_forward_np(self.store, f"{prefix}.offset", self._offset_spec,
-                                 queries)
-        return apply_slot_offsets(reference, offsets)
+        return ad.reshape(values, (self.anchors.count, ctx.n, self.cfg.d_v))
 
     def decode(self, ctx: VideoContext, frames: Tensor, h_enc: Tensor,
-               ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Run the decoder stack; returns (queries, normalized attention, slots)."""
+               ) -> tuple[Tensor, Tensor]:
+        """Run the decoder stack; returns (queries, normalized attention)."""
         cfg, store = self.cfg, self.store
         pos = ad.matmul(ad.constant(self.anchors.slots), store["decoder.pos_proj"])
         x = store["decoder.query_embed"]
-        slots = self.anchors.slots.copy()
         attn_norm = None
         for k in range(cfg.L_d):
             p = f"decoder.layer{k}"
@@ -404,16 +353,14 @@ class RelationModel:
             x = x + multi_head_attention(store, f"{p}.self_attn", qk, qk, h, cfg.heads)
 
             h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
-            values = self.build_value_matrix(ctx, frames, slots, p)
+            values = self.build_value_matrix(ctx, frames, p)
             raw = role_attention(h, h_enc, store, p)
             attn_norm = normalize_attention(raw)
             x = x + cross_attend(attn_norm, values, store, p, self._out_spec)
 
             h = layer_norm(x, store[f"{p}.ln3.g"], store[f"{p}.ln3.b"])
             x = x + mlp_forward(store, f"{p}.ffn", self._ffn_spec_dec, h)
-
-            slots = self.regress_time_slots(x.data, self.anchors.slots, p)
-        return x, attn_norm, slots
+        return x, attn_norm
 
     def forward(self, ctx: VideoContext) -> ModelOutput:
         from .head import binarize_links, classify_predicates
@@ -425,9 +372,8 @@ class RelationModel:
                                    cfg.mlp_hidden, cfg.l)
              for a, b in zip(bounds[:-1], bounds[1:])], axis=0)
         h_enc = self.encode_tracklets(pooled)
-        queries, attn, slots = self.decode(ctx, frames, h_enc)
+        queries, attn = self.decode(ctx, frames, h_enc)
         links = binarize_links(attn.data)
         probs = classify_predicates(self.store, queries, links, ctx.classemes,
                                     ctx.categories, self._classify_spec)
-        return ModelOutput(queries=queries, attention=attn, slots=slots,
-                           links=links, probs=probs)
+        return ModelOutput(queries=queries, attention=attn, links=links, probs=probs)

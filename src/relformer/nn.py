@@ -89,13 +89,11 @@ def affine_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec, rng: np.random.Generator,
-             zero_output: bool = False) -> None:
+def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec,
+             rng: np.random.Generator) -> None:
     store.add(f"{prefix}.w1", affine_init(rng, spec.in_dim, spec.hidden_dim))
     store.add(f"{prefix}.b1", np.zeros(spec.hidden_dim))
-    w2 = np.zeros((spec.hidden_dim, spec.out_dim)) if zero_output \
-        else affine_init(rng, spec.hidden_dim, spec.out_dim)
-    store.add(f"{prefix}.w2", w2)
+    store.add(f"{prefix}.w2", affine_init(rng, spec.hidden_dim, spec.out_dim))
     store.add(f"{prefix}.b2", np.zeros(spec.out_dim))
 
 
@@ -107,15 +105,6 @@ def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: Tensor) -> Ten
             f"{prefix}: input trailing dim {x.shape[-1]} != in_dim {spec.in_dim}")
     h = ad.relu(ad.matmul(x, store[f"{prefix}.w1"]) + store[f"{prefix}.b1"])
     return ad.matmul(h, store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]
-
-
-def mlp_forward_np(store: ParamStore, prefix: str, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Graph-free twin of mlp_forward for paths that must not carry gradient."""
-    if x.shape[-1] != spec.in_dim:
-        raise ShapeError(
-            f"{prefix}: input trailing dim {x.shape[-1]} != in_dim {spec.in_dim}")
-    h = np.maximum(x @ store[f"{prefix}.w1"].data + store[f"{prefix}.b1"].data, 0.0)
-    return h @ store[f"{prefix}.w2"].data + store[f"{prefix}.b2"].data
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +137,10 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 _ATTN_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
-def init_attention(store: ParamStore, prefix: str, d: int, rng: np.random.Generator,
-                   zero_output: bool = False) -> None:
-    for name in ("wq", "wk", "wv"):
+def init_attention(store: ParamStore, prefix: str, d: int,
+                   rng: np.random.Generator) -> None:
+    for name in ("wq", "wk", "wv", "wo"):
         store.add(f"{prefix}.{name}", affine_init(rng, d, d))
-    store.add(f"{prefix}.wo", np.zeros((d, d)) if zero_output else affine_init(rng, d, d))
     for name in ("bq", "bk", "bv", "bo"):
         store.add(f"{prefix}.{name}", np.zeros(d))
 

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from relformer.checkpoint import load_checkpoint, save_checkpoint
 from relformer.cli import main
 
 
@@ -81,3 +83,25 @@ class TestDeterminism:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         assert b"reldet_map" in reports[0]
+
+
+class TestCheckpointCompatibility:
+    def test_checkpoint_with_slot_offset_tensors_exits_3(self, tiny_run, capsys):
+        """Checkpoints written while the decoder still had slot-offset MLPs
+        carry tensors the model no longer has; eval names them and exits 3."""
+        root, cfg, data = tiny_run
+        store, manifest = load_checkpoint(str(root / "run1" / "model.ckpt"))
+        hidden, d_q = TINY["model"]["mlp_hidden"], TINY["model"]["d_q"]
+        for name, shape in (("w1", (d_q, hidden)), ("b1", (hidden,)),
+                            ("w2", (hidden, 2)), ("b2", (2,))):
+            store.add(f"decoder.layer0.offset.{name}", np.zeros(shape))
+        old = str(root / "old.ckpt")
+        save_checkpoint(old, store, manifest["model"])
+        capsys.readouterr()
+        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", old,
+                     "--out", str(root / "old_report.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "unexpected" in err
+        assert "decoder.layer0.offset.b1" in err
+        assert not (root / "old_report.json").exists()

@@ -1,0 +1,79 @@
+import json
+
+import pytest
+
+from relformer.config import ModelConfig, RunConfig, load_config
+from relformer.errors import ConfigError
+
+
+def write_config(tmp_path, payload) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+class TestModelConfig:
+    def test_defaults_are_the_reference_config(self):
+        cfg = ModelConfig()
+        assert (cfg.d, cfg.L_e, cfg.L_d, cfg.m_c * cfg.m_d, cfg.heads) == (512, 6, 4, 192, 8)
+
+    def test_odd_width_is_rejected(self):
+        with pytest.raises(ConfigError, match="model.d must be even"):
+            ModelConfig(d=7, heads=1)
+
+    def test_width_indivisible_by_heads_is_rejected(self):
+        with pytest.raises(ConfigError, match="model.d=12 not divisible by model.heads=8"):
+            ModelConfig(d=12, d_q=16, heads=8)
+
+    def test_query_width_indivisible_by_heads_is_rejected(self):
+        with pytest.raises(ConfigError, match="model.d_q=12 not divisible by model.heads=8"):
+            ModelConfig(d=16, d_q=12, heads=8)
+
+    @pytest.mark.parametrize("field", ["d", "heads", "L_d", "m_c", "l_roi"])
+    def test_non_positive_sizes_are_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"model.{field} must be positive"):
+            ModelConfig(**{field: 0})
+
+
+class TestLoadConfig:
+    def test_no_file_gives_defaults(self):
+        assert load_config() == RunConfig()
+
+    def test_file_then_overrides(self, tmp_path):
+        path = write_config(tmp_path, {"seed": 3, "model": {"d": 64, "heads": 4},
+                                       "train": {"lr": 0.1, "epochs": 2}})
+        cfg = load_config(path, {"train.lr": 0.5, "train.batch_size": None})
+        assert (cfg.seed, cfg.model.d, cfg.model.heads) == (3, 64, 4)
+        assert (cfg.train.lr, cfg.train.epochs, cfg.train.batch_size) == (0.5, 2, 4)
+
+    def test_unknown_section_is_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"decoder": {"d": 64}})
+        with pytest.raises(ConfigError, match="decoder: unknown config section"):
+            load_config(path)
+
+    @pytest.mark.parametrize("section", ["model", "train", "synth", "eval"])
+    def test_unknown_field_is_rejected(self, tmp_path, section):
+        path = write_config(tmp_path, {section: {"slot_offsets": True}})
+        with pytest.raises(ConfigError, match=f"{section}.slot_offsets: unknown field"):
+            load_config(path)
+
+    def test_unknown_override_is_rejected(self):
+        with pytest.raises(ConfigError, match="decoder.d: unknown override"):
+            load_config(None, {"decoder.d": 64})
+
+    @pytest.mark.parametrize("value", [[1, 2], "d=64", 3])
+    def test_section_must_be_an_object(self, tmp_path, value):
+        path = write_config(tmp_path, {"model": value})
+        with pytest.raises(ConfigError, match="model: section must be an object"):
+            load_config(path)
+
+    def test_invalid_json_is_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(path))
+
+    def test_file_values_are_validated(self, tmp_path):
+        path = write_config(tmp_path, {"model": {"d": 12, "d_q": 16, "heads": 8}})
+        with pytest.raises(ConfigError, match="not divisible"):
+            load_config(path)

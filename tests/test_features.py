@@ -3,10 +3,9 @@ import pytest
 
 from relformer import autodiff as ad
 from relformer.autodiff import Tensor
-from relformer.errors import ConfigError, DataError
-from relformer.features import (delta_boxes, feature_specs, init_feature_params,
-                                init_tracklet_feature, pool_matrix,
-                                pool_to_encoder_input, spatial_feature)
+from relformer.errors import DataError
+from relformer.features import (delta_boxes, init_feature_params, init_tracklet_feature,
+                                pool_matrix, pool_to_encoder_input, spatial_feature)
 from relformer.nn import MlpSpec, ParamStore, init_mlp, mlp_forward
 
 from oracles import encoder_pool_oracle, mlp_oracle
@@ -77,10 +76,6 @@ class TestInitTrackletFeature:
         out = init_tracklet_feature(store, Tensor(rng.normal(size=(7, 16))),
                                     Tensor(rng.normal(size=(7, 8))), 16, 512, 32)
         assert out.shape == (7, 512)
-
-    def test_odd_width_is_config_error(self, rng):
-        with pytest.raises(ConfigError, match="even"):
-            feature_specs(6, 7, 8)
 
     def test_matches_two_mlp_oracle(self, rng):
         d_a, d, hidden = 5, 6, 9

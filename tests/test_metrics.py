@@ -4,8 +4,8 @@ import pytest
 from relformer import metrics
 from relformer.data import GtRelation, TimeSlot, Tracklet, VideoSample
 from relformer.head import RelationTriplet
-from relformer.metrics import (_average_precision, reldet_scores, reltag_scores,
-                               tracklet_map)
+from relformer.metrics import (_average_precision, evaluate, reldet_scores,
+                               reltag_scores, tracklet_map)
 
 from oracles import (average_precision_oracle, greedy_hits_oracle,
                      precision_at_k_oracle)
@@ -275,6 +275,16 @@ class TestRelTag:
         precisions, per_video = reltag_scores({}, [one_relation_video()], ks=(1,))
         assert precisions == {1: 0.0}
         assert per_video["v"] == {"p@1": 0.0}
+
+    def test_unknown_tracklet_id_is_a_miss(self):
+        sample = one_relation_video()
+        preds = [triplet(1, 77, 0, 0.9), triplet(1, 2, 0, 0.8)]
+        precisions, _ = reltag_scores({"v": preds}, [sample], ks=(1, 2))
+        assert precisions == {1: 0.0, 2: 0.5}
+        report = evaluate({"v": [triplet(1, 77, 0, 0.9)]}, [sample],
+                          precision_ks=(1,))
+        assert report.precision == {1: 0.0}
+        assert report.reldet_map == 0.0
 
 
 def probs(category, confidence, n=3):

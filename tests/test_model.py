@@ -6,10 +6,8 @@ from relformer.autodiff import Tensor, backward
 from relformer.config import ModelConfig
 from relformer.data import TimeSlot, Tracklet, VideoSample
 from relformer.errors import ConfigError, DataError
-from relformer.model import (AnchorSet, RelationModel, anchor_time_slots,
-                             apply_slot_offsets, build_anchors, cross_attend,
-                             normalize_attention, roi_pool_weights, role_attention,
-                             temporal_roi_pool)
+from relformer.model import (RelationModel, build_anchors, cross_attend, normalize_attention,
+                             roi_pool_weights, role_attention)
 from relformer.nn import MlpSpec, ParamStore, init_mlp
 
 from oracles import double_softmax_oracle, mlp_oracle, roi_pool_oracle
@@ -19,8 +17,8 @@ class TestAnchors:
     def test_reference_grid_yields_192(self):
         anchors = build_anchors(16, 12)
         assert anchors.count == 192
-        for slot in anchor_time_slots(anchors):  # every anchor is a valid slot
-            assert 0.0 <= slot.start < slot.end <= 1.0
+        s, e = anchors.slots.T  # every anchor is a valid slot
+        assert np.all((0.0 <= s) & (s < e) & (e <= 1.0))
 
     def test_single_anchor_clamps(self):
         anchors = build_anchors(1, 1)
@@ -39,55 +37,57 @@ class TestAnchors:
         np.testing.assert_allclose(anchors.slots[-1], [0.5, 1.0])
 
 
-class TestRoiPooling:
-    def _feature(self, rng, l_i, d=5):
-        return Tensor(rng.normal(size=(l_i, d)))
+def pool_one(feat, track: TimeSlot, query: TimeSlot, frame_count, l_roi):
+    """(l_roi, d) pooled rows of one tracklet-query pair via roi_pool_weights."""
+    t0, t1 = track.frame_span(frame_count)
+    w = roi_pool_weights((track.start, track.end), t0, t1 - t0,
+                         np.array([[query.start, query.end]]), frame_count, l_roi)
+    return w[0] @ feat
 
+
+class TestRoiPooling:
     def test_identity_when_query_equals_tracklet(self, rng):
         frame_count = 14
-        feat = self._feature(rng, 7)
+        feat = rng.normal(size=(7, 5))
         slot = TimeSlot(0.0, 7 / frame_count)
-        out = temporal_roi_pool(feat, slot, slot, frame_count, l_roi=7)
-        np.testing.assert_allclose(out.data, feat.data, atol=1e-12)
+        out = pool_one(feat, slot, slot, frame_count, l_roi=7)
+        np.testing.assert_allclose(out, feat, atol=1e-12)
 
     def test_disjoint_slots_give_exact_zero(self, rng):
         frame_count = 20
-        feat = self._feature(rng, 5)
-        out = temporal_roi_pool(feat, TimeSlot(0.0, 0.25), TimeSlot(0.5, 0.9),
-                                frame_count, l_roi=7)
-        assert np.all(out.data == 0.0)
+        feat = rng.normal(size=(5, 5))
+        out = pool_one(feat, TimeSlot(0.0, 0.25), TimeSlot(0.5, 0.9), frame_count,
+                       l_roi=7)
+        assert np.all(out == 0.0)
 
     def test_half_overlap_matches_binning_oracle(self, rng):
         frame_count = 28
-        l_i = 14
-        feat = self._feature(rng, l_i)
+        feat = rng.normal(size=(14, 5))
         track = TimeSlot(0.0, 0.5)           # frames 0..13
         query = TimeSlot(0.0, 0.25)          # frames 0..6 (first half)
-        out = temporal_roi_pool(feat, track, query, frame_count, l_roi=7)
-        want = roi_pool_oracle(feat.data, (0, 14), (0, 7), 7)
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        out = pool_one(feat, track, query, frame_count, l_roi=7)
+        want = roi_pool_oracle(feat, (0, 14), (0, 7), 7)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     @pytest.mark.parametrize("qs,qe", [(0.1, 0.9), (0.3, 0.4), (0.05, 0.12),
                                        (0.5, 1.0), (0.0, 0.07)])
     def test_random_overlaps_match_oracle(self, rng, qs, qe):
         frame_count = 30
         track = TimeSlot(2 / 30, 26 / 30)
-        l_i = 24
-        feat = self._feature(rng, l_i)
-        out = temporal_roi_pool(feat, track, TimeSlot(qs, qe), frame_count, l_roi=7)
+        feat = rng.normal(size=(24, 5))
+        out = pool_one(feat, track, TimeSlot(qs, qe), frame_count, l_roi=7)
         q_span = TimeSlot(qs, qe).frame_span(frame_count)
-        want = roi_pool_oracle(feat.data, (2, 26), q_span, 7)
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        want = roi_pool_oracle(feat, (2, 26), q_span, 7)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_translation_consistency(self, rng):
         frame_count = 40
-        feat = self._feature(rng, 10)
-        base = temporal_roi_pool(feat, TimeSlot(0.0, 0.25), TimeSlot(0.1, 0.2),
-                                 frame_count, l_roi=5).data
+        feat = rng.normal(size=(10, 5))
+        base = pool_one(feat, TimeSlot(0.0, 0.25), TimeSlot(0.1, 0.2), frame_count,
+                        l_roi=5)
         shift = 10 / frame_count
-        moved = temporal_roi_pool(feat, TimeSlot(shift, 0.25 + shift),
-                                  TimeSlot(0.1 + shift, 0.2 + shift),
-                                  frame_count, l_roi=5).data
+        moved = pool_one(feat, TimeSlot(shift, 0.25 + shift),
+                         TimeSlot(0.1 + shift, 0.2 + shift), frame_count, l_roi=5)
         np.testing.assert_allclose(base, moved, atol=1e-12)
 
     def test_weights_rows_sum_to_one_or_zero(self, rng):
@@ -225,26 +225,6 @@ class TestCrossAttend:
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
 
-class TestSlotRegression:
-    def test_zero_offsets_keep_reference(self):
-        slots = build_anchors(4, 3).slots
-        np.testing.assert_array_equal(apply_slot_offsets(slots, np.zeros((12, 2))),
-                                      slots)
-
-    def test_doubling_width_clamps_to_unit(self):
-        out = apply_slot_offsets(np.array([[0.25, 0.75]]),
-                                 np.array([[0.0, np.log(2.0)]]))
-        np.testing.assert_allclose(out[0], [0.0, 1.0], atol=1e-12)
-
-    def test_random_offsets_always_yield_valid_slots(self, rng):
-        slots = np.tile(build_anchors(4, 3).slots, (840, 1))[:10000]
-        offsets = rng.normal(scale=50.0, size=(len(slots), 2))
-        out = apply_slot_offsets(slots, offsets)
-        assert np.all(out[:, 0] >= 0.0)
-        assert np.all(out[:, 1] <= 1.0)
-        assert np.all(out[:, 0] < out[:, 1])
-
-
 def build_toy_model(toy_model_config, vocab_sizes=(5, 6), seed=1):
     from relformer.data import Vocab
     objects = tuple(f"o{i}" for i in range(vocab_sizes[0]))
@@ -284,15 +264,20 @@ class TestEncoder:
 
 
 class TestFullModel:
-    def test_decoder_l1_zero_offsets_keep_anchor_slots(self, toy_dataset):
-        from relformer.config import ModelConfig
-        cfg = ModelConfig(d=32, d_q=32, d_v=32, d_a=16, d_w=16, l=4, l_roi=7,
-                          L_e=1, L_d=1, m_c=3, m_d=2, heads=4, mlp_hidden=32)
+    def test_roi_weights_computed_on_first_forward_and_reused(self, toy_model_config,
+                                                              toy_dataset):
         samples, vocab = toy_dataset
-        model = RelationModel(cfg, vocab, seed=3)
+        model = RelationModel(toy_model_config, vocab, seed=3)
         ctx = model.build_context(samples[0])
-        out = model.forward(ctx)
-        np.testing.assert_array_equal(out.slots, model.anchors.slots)
+        assert ctx.roi_weights is None
+        first = model.forward(ctx)
+        weights = ctx.roi_weights
+        assert len(weights) == ctx.n
+        for w, (t0, t1) in zip(weights, ctx.spans):
+            assert w.shape == (model.anchors.count, toy_model_config.l_roi, t1 - t0)
+        again = model.forward(ctx)
+        assert ctx.roi_weights is weights
+        np.testing.assert_array_equal(again.probs.data, first.probs.data)
 
     def test_output_shapes_at_reference_scale(self, toy_dataset):
         samples, vocab = toy_dataset
@@ -333,6 +318,8 @@ class TestFullModel:
 
     def test_value_matrix_disjoint_rows_share_constant(self, toy_model_config,
                                                        toy_dataset):
+        """A (query, tracklet) pair that does not overlap pools to zero rows, so
+        its value row is the value MLP's output at zero input."""
         from relformer.data import Tracklet
         _, vocab = toy_dataset
         rng = np.random.default_rng(8)
@@ -355,12 +342,18 @@ class TestFullModel:
         model.store["decoder.layer0.value_mlp.b2"].data[:] = -0.1
         ctx = model.build_context(sample)
         per_frame = model._per_frame_features(ctx)
-        # every query uses the same sliver that precedes both tracklets
-        sliver = np.tile([0.0, 0.1], (model.anchors.count, 1))
-        values = model.build_value_matrix(ctx, per_frame, sliver, "decoder.layer0")
-        rows = values.data.reshape(-1, values.shape[2])
-        assert np.abs(rows[0]).max() > 0.0
-        np.testing.assert_allclose(rows, np.tile(rows[0], (len(rows), 1)), atol=1e-12)
+        values = model.build_value_matrix(ctx, per_frame, "decoder.layer0").data
+        anchors = model.anchors.slots
+        disjoint = (np.maximum(anchors[:, None, 0], ctx.slots[None, :, 0])
+                    >= np.minimum(anchors[:, None, 1], ctx.slots[None, :, 1]))
+        assert 0 < disjoint.sum() < disjoint.size
+        p = "decoder.layer0.value_mlp"
+        at_zero = (np.maximum(model.store[f"{p}.b1"].data, 0.0) @ model.store[f"{p}.w2"].data
+                   + model.store[f"{p}.b2"].data)
+        assert np.abs(at_zero).max() > 0.0
+        np.testing.assert_allclose(values[disjoint],
+                                   np.tile(at_zero, (disjoint.sum(), 1)), atol=1e-12)
+        assert np.abs(values[~disjoint] - at_zero).max(axis=1).min() > 0.0
 
     @pytest.mark.parametrize("spans,project_first", [
         (((0, 4), (3, 8), (10, 16)), True),     # S=15 frames < m*n=18 pairs
@@ -390,7 +383,7 @@ class TestFullModel:
         cfg = toy_model_config
         assert ad.project_first(len(slots), ctx.n, cfg.l_roi, frames.shape[0], cfg.d,
                                 cfg.mlp_hidden) == project_first
-        values = model.build_value_matrix(ctx, frames, slots, "decoder.layer0").data
+        values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
 
         params = [model.store[f"{p}.{name}"].data for name in ("w1", "b1", "w2", "b2")]
         bounds = np.cumsum([0] + [t1 - t0 for t0, t1 in spans])

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from relformer import autodiff as ad
+from relformer.data import assign_tracklets_to_gt
 from relformer.errors import NumericsError, UsageError
-from relformer.training import GtPredicate, cost_matrix, hungarian
+from relformer.model import RelationModel
+from relformer.training import (GtPredicate, build_gt_predicates, cost_matrix, hungarian,
+                                video_loss)
 
 from oracles import hungarian_brute_force, matching_cost_oracle
 
@@ -69,3 +73,20 @@ class TestHungarian:
     def test_non_square_cost_is_a_usage_error(self):
         with pytest.raises(UsageError, match="square"):
             hungarian(np.ones((2, 3)))
+
+
+class TestGradientCoverage:
+    def test_every_trainable_tensor_gets_a_gradient(self, toy_model_config, toy_dataset):
+        """Guards against parameters that never train: one video's loss must
+        reach every trainable tensor with at least one nonzero entry."""
+        samples, vocab = toy_dataset
+        sample = samples[0]
+        model = RelationModel(toy_model_config, vocab, seed=3)
+        assignment, _ = assign_tracklets_to_gt(sample)
+        gt_set = build_gt_predicates(sample, assignment, model.anchors.count)
+        assert any(not g.is_background for g in gt_set)
+        loss, _ = video_loss(model, model.build_context(sample), gt_set, 1.0, 30.0)
+        ad.backward(loss, model.store)
+        dead = [name for name, t in model.store.trainable_items()
+                if t.grad is None or not np.any(t.grad)]
+        assert dead == []
