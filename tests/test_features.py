@@ -3,7 +3,8 @@ import pytest
 
 from relformer import autodiff as ad
 from relformer.autodiff import Tensor
-from relformer.errors import DataError
+from relformer.config import ModelConfig
+from relformer.errors import ConfigError, DataError
 from relformer.features import (delta_boxes, init_feature_params, init_tracklet_feature,
                                 pool_matrix, pool_to_encoder_input, spatial_feature)
 from relformer.nn import MlpSpec, ParamStore, init_mlp, mlp_forward
@@ -76,6 +77,12 @@ class TestInitTrackletFeature:
         out = init_tracklet_feature(store, Tensor(rng.normal(size=(7, 16))),
                                     Tensor(rng.normal(size=(7, 8))), 16, 512, 32)
         assert out.shape == (7, 512)
+
+    def test_odd_width_is_config_error(self):
+        """The tracklet feature splits d into two equal halves; ModelConfig
+        is where an odd d is refused."""
+        with pytest.raises(ConfigError, match="even"):
+            ModelConfig(d=7, heads=1)
 
     def test_matches_two_mlp_oracle(self, rng):
         d_a, d, hidden = 5, 6, 9

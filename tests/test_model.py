@@ -264,6 +264,23 @@ class TestEncoder:
 
 
 class TestFullModel:
+    def test_decoder_l1_zero_offsets_keep_anchor_slots(self, toy_dataset, rng):
+        """A one-layer decoder pools every tracklet against the fixed anchor
+        slots: its RoI weights reproduce the binning oracle on each anchor."""
+        cfg = ModelConfig(d=32, d_q=32, d_v=32, d_a=16, d_w=16, l=4, l_roi=7,
+                          L_e=1, L_d=1, m_c=3, m_d=2, heads=4, mlp_hidden=32)
+        samples, vocab = toy_dataset
+        model = RelationModel(cfg, vocab, seed=3)
+        ctx = model.build_context(samples[0])
+        model.forward(ctx)
+        frame_count = ctx.sample.frame_count
+        for w, span in zip(ctx.roi_weights, ctx.spans):
+            feat = rng.normal(size=(span[1] - span[0], 3))
+            for q, (qs, qe) in enumerate(model.anchors.slots):
+                want = roi_pool_oracle(feat, span, TimeSlot(qs, qe).frame_span(frame_count),
+                                       cfg.l_roi)
+                np.testing.assert_allclose(w[q] @ feat, want, atol=1e-12)
+
     def test_roi_weights_computed_on_first_forward_and_reused(self, toy_model_config,
                                                               toy_dataset):
         samples, vocab = toy_dataset

@@ -82,6 +82,20 @@ class TestMlp:
         with pytest.raises(ShapeError, match="mlp"):
             mlp_forward(store, "mlp", spec, Tensor(np.zeros((2, 4))))
 
+    def test_graph_free_twin_matches(self, rng):
+        """Frozen parameters and a constant input record no graph, and the
+        forward values are bitwise those of the graph-building run."""
+        spec = MlpSpec(4, 6, 3)
+        store = self._make(spec, rng)
+        frozen = ParamStore()
+        for name, t in store.items():
+            frozen.add(name, t.data.copy(), trainable=False)
+        x = rng.normal(size=(5, 4))
+        with_graph = mlp_forward(store, "mlp", spec, Tensor(x))
+        graph_free = mlp_forward(frozen, "mlp", spec, Tensor(x))
+        assert with_graph.requires_grad and not graph_free.requires_grad
+        np.testing.assert_array_equal(graph_free.data, with_graph.data)
+
     def test_deterministic_function_of_inputs(self, rng):
         spec = MlpSpec(3, 5, 2)
         store = self._make(spec, rng)
