@@ -14,9 +14,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from .checkpoint import check_compatible, load_checkpoint, save_checkpoint
+from .checkpoint import check_compatible, load_checkpoint
 from .config import RunConfig, load_config
 from .data import Vocab
 from .dataset_io import canonical_json, load_dataset, save_dataset

@@ -66,6 +66,10 @@ class TrainConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "save_interval"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"train.{name} must be an integer, got {value!r}")
         if self.lambda_cls < 0 or self.lambda_att < 0:
             raise ConfigError("train.lambda_cls/lambda_att must be >= 0")
         if self.lr < 0:

@@ -4,7 +4,8 @@ Per-frame features are [MLP_v(appearance); MLP_s(spatial)] with each half of
 width d/2; the spatial feature stacks the raw boxes with their frame-to-frame
 deltas (final delta row zero-padded so the row count stays l_i). The encoder
 input pools the per-frame feature to a fixed number of rows, flattens, and
-projects back to width d.
+projects back to width d: one ``nn.pooled_mlp_forward`` node over all n
+tracklets with m=1, the fused path of the decoder value matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-from .nn import MlpSpec, ParamStore, init_mlp, mlp_forward
+from .nn import MlpSpec, ParamStore, init_mlp, mlp_forward, pooled_mlp_forward
 
 
 def delta_boxes(boxes: np.ndarray) -> np.ndarray:
@@ -69,11 +70,9 @@ def pool_matrix(l_i: int, l_pool: int) -> np.ndarray:
     return w
 
 
-def pool_to_encoder_input(store: ParamStore, per_frame: Tensor, d: int, hidden: int,
+def pool_to_encoder_input(store: ParamStore, frames: Tensor, lengths: list[int],
                           l_pool: int) -> Tensor:
-    """(d,) encoder input: adaptive average-pool to l rows, flatten, project."""
-    l_i = per_frame.shape[0]
-    pooled = ad.matmul(ad.constant(pool_matrix(l_i, l_pool)), per_frame)
-    flat = ad.reshape(pooled, (1, l_pool * d))
-    out = mlp_forward(store, "feat.pool_mlp", MlpSpec(l_pool * d, hidden, d), flat)
-    return ad.reshape(out, (d,))
+    """(n, d) encoder input: adaptive average-pool each of the n stacked
+    tracklets (``lengths`` frames each) to l_pool rows, flatten, project."""
+    weights = [pool_matrix(l_i, l_pool)[None] for l_i in lengths]
+    return pooled_mlp_forward(store, "feat.pool_mlp", frames, weights)

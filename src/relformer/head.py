@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TimeSlot, Tracklet, VideoSample, Vocab
+from .data import TimeSlot, Tracklet, VideoSample
 from .errors import DataError, UsageError
 from .nn import MlpSpec, ParamStore, mlp_forward, softmax_lastdim
 

@@ -30,6 +30,9 @@ chosen from the operand shapes by comparing flop counts:
 With d == h the rule is S < m*n: short tracklets under many queries project
 first, long tracks under few queries pool first. Both orders compute the
 same sum; they differ only in float rounding.
+
+The encoder input is the same pooled MLP (``nn.pooled_mlp_forward``) with
+one fixed-length pooling per tracklet, i.e. m=1, which always pools first.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .features import (init_feature_params, init_tracklet_feature, pool_to_encod
                        spatial_feature)
 from .nn import (MlpSpec, ParamStore, affine_init, init_attention, init_mlp,
                  init_self_attention_block, layer_norm, mlp_forward,
-                 multi_head_attention, self_attention_block)
+                 multi_head_attention, pooled_mlp_forward, self_attention_block)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +318,8 @@ class RelationModel:
         return h
 
     def build_value_matrix(self, ctx: VideoContext, frames: Tensor, prefix: str) -> Tensor:
-        """(m, n, d_v) per-query value matrices: the value MLP over RoI-pooled rows.
-
-        RoI pooling and the first value-MLP layer are both linear, so they run
-        as one fused node over the stacked (S, d) frames. It contracts in the
-        cheaper of two orders, picked from the operand shapes: pool the m*n
-        (query, tracklet) pairs and then project them (about m*n*l_roi*d*h
-        multiply-adds), or project all S frames once and then pool (about
-        S*l_roi*d*h). With d == h the rule is S < m*n: short videos with many
-        queries project first, long tracks with few queries pool first.
+        """(m, n, d_v) per-query value matrices: the value MLP over RoI-pooled rows,
+        as one pooled-MLP node whose contraction order the module docstring gives.
 
         The pooling weights against the anchors are computed on the first
         call for a context and kept on it as ``ctx.roi_weights``.
@@ -333,10 +329,8 @@ class RelationModel:
                 roi_pool_weights((s, e), t0, t1 - t0, self.anchors.slots,
                                  ctx.sample.frame_count, self.cfg.l_roi)
                 for (s, e), (t0, t1) in zip(ctx.slots, ctx.spans)]
-        p = f"{prefix}.value_mlp"
-        hidden = ad.relu(ad.pool_project(frames, ctx.roi_weights, self.store[f"{p}.w1"])
-                         + self.store[f"{p}.b1"])
-        values = ad.matmul(hidden, self.store[f"{p}.w2"]) + self.store[f"{p}.b2"]
+        values = pooled_mlp_forward(self.store, f"{prefix}.value_mlp", frames,
+                                    ctx.roi_weights)
         return ad.reshape(values, (self.anchors.count, ctx.n, self.cfg.d_v))
 
     def decode(self, ctx: VideoContext, frames: Tensor, h_enc: Tensor,
@@ -364,13 +358,9 @@ class RelationModel:
 
     def forward(self, ctx: VideoContext) -> ModelOutput:
         from .head import binarize_links, classify_predicates
-        cfg = self.cfg
         frames = self._per_frame_features(ctx)
-        bounds = np.cumsum([0] + [len(a) for a in ctx.appearance])
-        pooled = ad.stack(
-            [pool_to_encoder_input(self.store, frames[int(a):int(b)], cfg.d,
-                                   cfg.mlp_hidden, cfg.l)
-             for a, b in zip(bounds[:-1], bounds[1:])], axis=0)
+        pooled = pool_to_encoder_input(self.store, frames,
+                                       [len(a) for a in ctx.appearance], self.cfg.l)
         h_enc = self.encode_tracklets(pooled)
         queries, attn = self.decode(ctx, frames, h_enc)
         links = binarize_links(attn.data)

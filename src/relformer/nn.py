@@ -107,6 +107,15 @@ def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: Tensor) -> Ten
     return ad.matmul(h, store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]
 
 
+def pooled_mlp_forward(store: ParamStore, prefix: str, frames: Tensor,
+                       weights: list[np.ndarray]) -> Tensor:
+    """(m*n, out_dim): row q*n + i is the MLP of ``weights[i][q] @ frames_i``
+    flattened, with pooling and the first layer fused by ``ad.pool_project``."""
+    h = ad.relu(ad.pool_project(frames, weights, store[f"{prefix}.w1"])
+                + store[f"{prefix}.b1"])
+    return ad.matmul(h, store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]
+
+
 # ---------------------------------------------------------------------------
 # normalization and softmax
 # ---------------------------------------------------------------------------
@@ -134,14 +143,14 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 # attention
 # ---------------------------------------------------------------------------
 
-_ATTN_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-
 
 def init_attention(store: ParamStore, prefix: str, d: int,
                    rng: np.random.Generator) -> None:
     for name in ("wq", "wk", "wv", "wo"):
         store.add(f"{prefix}.{name}", affine_init(rng, d, d))
-    for name in ("bq", "bk", "bv", "bo"):
+    # No key bias: q.bk is the same for every key of a query, so softmax
+    # cancels it and it would never get a gradient.
+    for name in ("bq", "bv", "bo"):
         store.add(f"{prefix}.{name}", np.zeros(d))
 
 
@@ -161,7 +170,7 @@ def multi_head_attention(store: ParamStore, prefix: str, q_in: Tensor, k_in: Ten
         return ad.transpose(ad.reshape(t, (n, heads, dh)), (1, 0, 2))  # (H, n, dh)
 
     q = split(ad.matmul(q_in, store[f"{prefix}.wq"]) + store[f"{prefix}.bq"], nq)
-    k = split(ad.matmul(k_in, store[f"{prefix}.wk"]) + store[f"{prefix}.bk"], nk)
+    k = split(ad.matmul(k_in, store[f"{prefix}.wk"]), nk)
     v = split(ad.matmul(v_in, store[f"{prefix}.wv"]) + store[f"{prefix}.bv"], nk)
 
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))

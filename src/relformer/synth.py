@@ -13,7 +13,7 @@ while each instance is still decided by geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -170,13 +170,13 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
         gt_sets.append(build_gt_predicates(sample, assignment, m))
 
     optimizer = Adam(lr=train_cfg.lr)
-    shuffle_rng = np.random.default_rng([max(seed, 0), 1])
+    shuffle_rng = np.random.default_rng([seed, 1])
     trace_path = os.path.join(out_dir, "loss_trace.csv")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
-    model_meta = model.cfg.to_dict() if hasattr(model.cfg, "to_dict") else None
+    model_meta = model.cfg.to_dict()
 
     epoch_losses = []
-    batch = max(int(train_cfg.batch_size), 1)
+    batch = train_cfg.batch_size
     with open(trace_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "step", "loss"])

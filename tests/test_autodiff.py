@@ -164,9 +164,11 @@ class TestGetitem:
         np.testing.assert_array_equal(a.grad, [1.0, 0.0, 2.0])
 
 
-# (m, lengths, k, d, h): shapes on each side of the contraction-order rule.
+# (m, lengths, k, d, h): shapes on each side of the contraction-order rule,
+# and the encoder input's single pooling per block (m=1).
 POOL_FIRST = (3, (9, 12), 3, 4, 5)
 PROJECT_FIRST = (8, (2, 3, 2), 3, 4, 5)
+ENCODER = (1, (2, 3, 9), 4, 4, 5)
 
 
 def pool_project_case(rng, shape):
@@ -180,15 +182,16 @@ def pool_project_case(rng, shape):
 
 class TestPoolProject:
     def test_shape_rule_sides(self):
-        for shape, want in ((POOL_FIRST, False), (PROJECT_FIRST, True)):
+        for shape, want in ((POOL_FIRST, False), (PROJECT_FIRST, True),
+                            (ENCODER, False)):
             m, lengths, k, d, h = shape
             assert ad.project_first(m, len(lengths), k, sum(lengths), d, h) == want
         # with d == h the rule compares the frame count with m*n
         assert ad.project_first(192, 7, 7, 218, 512, 512)
         assert not ad.project_first(32, 12, 7, 2300, 128, 128)
 
-    @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST],
-                             ids=["pool_first", "project_first"])
+    @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST, ENCODER],
+                             ids=["pool_first", "project_first", "encoder"])
     def test_matches_pool_stack_matmul(self, rng, shape):
         frames, weights, w = pool_project_case(rng, shape)
         m, lengths, k, d, h = shape
@@ -200,8 +203,8 @@ class TestPoolProject:
         assert got.shape == (m * len(lengths), h)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST],
-                             ids=["pool_first", "project_first"])
+    @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST, ENCODER],
+                             ids=["pool_first", "project_first", "encoder"])
     def test_gradients_match_finite_differences(self, rng, shape):
         frames, weights, w = pool_project_case(rng, shape)
         scale = rng.normal(size=(shape[0] * len(shape[1]), shape[4]))

@@ -105,3 +105,20 @@ class TestCheckpointCompatibility:
         assert "unexpected" in err
         assert "decoder.layer0.offset.b1" in err
         assert not (root / "old_report.json").exists()
+
+    def test_checkpoint_with_attention_key_bias_exits_3(self, tiny_run, capsys):
+        """Checkpoints written while attention still had a key bias carry
+        ``*.attn.bk`` tensors; eval names them and exits 3."""
+        root, cfg, data = tiny_run
+        store, manifest = load_checkpoint(str(root / "run1" / "model.ckpt"))
+        store.add("encoder.layer0.attn.bk", np.zeros(TINY["model"]["d"]))
+        old = str(root / "old_bk.ckpt")
+        save_checkpoint(old, store, manifest["model"])
+        capsys.readouterr()
+        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", old,
+                     "--out", str(root / "old_bk_report.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "unexpected" in err
+        assert "encoder.layer0.attn.bk" in err
+        assert not (root / "old_bk_report.json").exists()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relformer.config import ModelConfig, RunConfig, load_config
+from relformer.config import ModelConfig, RunConfig, TrainConfig, load_config
 from relformer.errors import ConfigError
 
 
@@ -33,6 +33,14 @@ class TestModelConfig:
     def test_non_positive_sizes_are_rejected(self, field):
         with pytest.raises(ConfigError, match=f"model.{field} must be positive"):
             ModelConfig(**{field: 0})
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [("batch_size", 2.5), ("epochs", 1.5),
+                                             ("save_interval", True)])
+    def test_non_integer_counts_are_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"train.{field} must be an integer"):
+            TrainConfig(**{field: value})
 
 
 class TestLoadConfig:

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relformer.data import (BoxTrack, GtRelation, TimeSlot, Tracklet, VideoSample,
-                            assign_tracklets_to_gt, box_iou, compute_viou,
-                            restrict_track)
+from relformer.data import (GtRelation, TimeSlot, Tracklet, VideoSample,
+                            assign_tracklets_to_gt, box_iou, compute_viou, restrict_track)
 from relformer.errors import DataError
 
 from oracles import assignment_rules_oracle, track_frames, viou_oracle

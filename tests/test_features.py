@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from relformer import autodiff as ad
 from relformer.autodiff import Tensor
 from relformer.config import ModelConfig
 from relformer.errors import ConfigError, DataError
 from relformer.features import (delta_boxes, init_feature_params, init_tracklet_feature,
                                 pool_matrix, pool_to_encoder_input, spatial_feature)
-from relformer.nn import MlpSpec, ParamStore, init_mlp, mlp_forward
+from relformer.nn import MlpSpec, ParamStore, init_mlp
 
 from oracles import encoder_pool_oracle, mlp_oracle
 
@@ -123,6 +122,14 @@ class TestEncoderPooling:
         init_mlp(store, "feat.pool_mlp", MlpSpec(l_pool * d, hidden, d), rng)
         return store
 
+    @staticmethod
+    def _oracle(store, feature, l_pool):
+        """(d,) encoder input of one tracklet from the pooling and MLP oracles."""
+        pooled = encoder_pool_oracle(feature, l_pool)
+        return mlp_oracle(pooled.reshape(1, -1), store["feat.pool_mlp.w1"].data,
+                          store["feat.pool_mlp.b1"].data, store["feat.pool_mlp.w2"].data,
+                          store["feat.pool_mlp.b2"].data)[0]
+
     def test_four_frames_pool_as_identity_bins(self, rng):
         np.testing.assert_array_equal(pool_matrix(4, 4), np.eye(4))
 
@@ -133,14 +140,25 @@ class TestEncoderPooling:
         d, hidden, l_pool = 6, 8, 4
         store = self._store(d, hidden, l_pool, rng)
         feature = rng.normal(size=(10, d))
-        out = pool_to_encoder_input(store, Tensor(feature), d, hidden, l_pool)
-        pooled = encoder_pool_oracle(feature, l_pool)
-        expected = mlp_oracle(pooled.reshape(1, -1), store["feat.pool_mlp.w1"].data,
-                              store["feat.pool_mlp.b1"].data,
-                              store["feat.pool_mlp.w2"].data,
-                              store["feat.pool_mlp.b2"].data)[0]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-        assert out.shape == (d,)
+        out = pool_to_encoder_input(store, Tensor(feature), [10], l_pool)
+        assert out.shape == (1, d)
+        np.testing.assert_allclose(out.data[0], self._oracle(store, feature, l_pool),
+                                   atol=1e-12)
+
+    def test_several_tracklets_match_per_tracklet_oracle(self, rng):
+        """One fused call over stacked tracklets of different lengths gives,
+        row by row, what pooling and projecting each tracklet alone gives."""
+        d, hidden, l_pool = 6, 8, 4
+        store = self._store(d, hidden, l_pool, rng)
+        lengths = [2, 3, 4, 23]
+        frames = rng.normal(size=(sum(lengths), d))
+        out = pool_to_encoder_input(store, Tensor(frames), lengths, l_pool)
+        assert out.shape == (len(lengths), d)
+        bounds = np.cumsum([0] + lengths)
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.testing.assert_allclose(out.data[i],
+                                       self._oracle(store, frames[a:b], l_pool),
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("l_i", [1, 2, 3, 4, 5, 7, 10, 23])
     def test_pool_matrix_matches_oracle_rule(self, l_i, rng):
@@ -157,7 +175,6 @@ class TestEncoderPooling:
         d, hidden, l_pool = 6, 8, 4
         store = self._store(d, hidden, l_pool, rng)
         feature = rng.normal(size=(9, d))
-        fwd = pool_to_encoder_input(store, Tensor(feature), d, hidden, l_pool).data
-        rev = pool_to_encoder_input(store, Tensor(feature[::-1].copy()), d, hidden,
-                                    l_pool).data
+        fwd = pool_to_encoder_input(store, Tensor(feature), [9], l_pool).data
+        rev = pool_to_encoder_input(store, Tensor(feature[::-1].copy()), [9], l_pool).data
         assert not np.allclose(fwd, rev)

@@ -206,7 +206,7 @@ class TestAttention:
                                    heads=1)
         expected = slow_attention_oracle(
             x, store["attn.wq"].data, store["attn.bq"].data,
-            store["attn.wk"].data, store["attn.bk"].data,
+            store["attn.wk"].data, np.zeros(d),
             store["attn.wv"].data, store["attn.bv"].data,
             store["attn.wo"].data, store["attn.bo"].data)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)

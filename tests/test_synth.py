@@ -3,8 +3,8 @@ import pytest
 
 from relformer.data import TimeSlot, Tracklet, compute_viou
 from relformer.errors import ConfigError
-from relformer.synth import (MIN_SHARED_FRAMES, PREDICATE_RULES, SynthConfig,
-                             derive_relations, rule_approaching, synth_generate)
+from relformer.synth import (MIN_SHARED_FRAMES, SynthConfig, derive_relations,
+                             rule_approaching, synth_generate)
 
 from oracles import synth_rule_checker
 

@@ -78,7 +78,10 @@ class TestHungarian:
 class TestGradientCoverage:
     def test_every_trainable_tensor_gets_a_gradient(self, toy_model_config, toy_dataset):
         """Guards against parameters that never train: one video's loss must
-        reach every trainable tensor with at least one nonzero entry."""
+        reach every trainable tensor with an entry of magnitude at least 1e-10.
+        A parameter whose exact gradient is zero (such as an attention key
+        bias, which softmax cancels) only picks up rounding noise, far below
+        this floor."""
         samples, vocab = toy_dataset
         sample = samples[0]
         model = RelationModel(toy_model_config, vocab, seed=3)
@@ -88,5 +91,5 @@ class TestGradientCoverage:
         loss, _ = video_loss(model, model.build_context(sample), gt_set, 1.0, 30.0)
         ad.backward(loss, model.store)
         dead = [name for name, t in model.store.trainable_items()
-                if t.grad is None or not np.any(t.grad)]
+                if t.grad is None or np.abs(t.grad).max() < 1e-10]
         assert dead == []
