@@ -1,11 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array plus an optional gradient buffer. Operations
+A Tensor wraps a numpy array. Operations on tensors that require gradients
 build a computation graph of closures; ``backward`` walks it once in reverse
-topological order. Only the ops this package actually needs are provided:
-broadcasting arithmetic, (batched) matmul, reshape/transpose/concat/stack,
-indexing, reductions, the elementwise functions used by the model, and the
-fused pool-and-project node of the decoder value matrix.
+topological order and returns the gradients of the tensors asked for, so no
+tensor stores a gradient. Two returned gradients may be one array, so
+callers must not write into them. A forward over tensors that require no
+gradient records no graph. Only the ops this package actually needs are
+provided: broadcasting arithmetic, (batched) matmul,
+reshape/transpose/concat/stack, indexing, reductions, the elementwise
+functions used by the model, and the fused pool-and-project node of the
+decoder value matrix.
 
 All graph construction is single-threaded per training step; concurrent
 read-only forward passes are safe because parameters are never mutated
@@ -26,11 +30,10 @@ DTYPE = np.float64
 class Tensor:
     """A dense array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_done")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_done")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
@@ -433,13 +436,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params=None) -> None:
-    """Populate ``grad`` on every reachable gradient-tracking leaf.
+def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradients of the scalar ``loss``, one array per tensor in ``params``.
 
-    ``params`` may be a ParamStore (or any iterable of Tensors); leaves in it
-    that the graph never reached get an explicit zero gradient. Calling this
-    twice on the same loss node without re-running the forward pass is an
-    error: the graph is released after the first call.
+    A tensor the graph never reached gets zeros. Two entries may be the same
+    array (a vjp can hand one gradient to two parents), so treat them as
+    read-only. The graph is released on the way; calling this twice on the
+    same loss node without re-running the forward pass is an error.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -447,26 +450,21 @@ def backward(loss: Tensor, params=None) -> None:
         raise UsageError("backward already called on this loss; re-run the forward pass")
     loss._done = True
 
+    wanted = {id(t) for t in params}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    order = _topo_order(loss)
-    for node in reversed(order):
+    leaves: dict[int, np.ndarray] = {}
+    for node in reversed(_topo_order(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue
+        if id(node) in wanted:
+            leaves[id(node)] = g
         if node._vjp is not None:
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
+            for p, pg in zip(node._parents, node._vjp(g)):
                 if not p.requires_grad or pg is None:
                     continue
                 acc = grads.get(id(p))
                 grads[id(p)] = pg if acc is None else acc + pg
             node._vjp = None
             node._parents = ()
-        elif node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-
-    if params is not None:
-        tensors = params.trainable_tensors() if hasattr(params, "trainable_tensors") else params
-        for t in tensors:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
+    return [leaves.get(id(t), np.zeros_like(t.data)) for t in params]

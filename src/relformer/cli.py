@@ -28,15 +28,7 @@ from .training import train_loop
 
 
 def _threads(value: int | None) -> int:
-    if value is not None:
-        return max(value, 1)
-    env = os.environ.get("RELFORMER_THREADS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ConfigError(f"RELFORMER_THREADS: not an integer: {env!r}") from None
-    return 1
+    return 1 if value is None else max(value, 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,9 +84,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(ckpt_path: str, cfg: RunConfig, vocab: Vocab) -> RelationModel:
-    store, _ = load_checkpoint(ckpt_path)
+    """The checkpoint's model, frozen: its forwards record no autodiff graph."""
+    store, manifest = load_checkpoint(ckpt_path)
+    echo, want = manifest.get("model"), cfg.model.to_dict()
+    if not isinstance(echo, dict):
+        raise CheckpointError(f"{ckpt_path}: checkpoint carries no model config echo")
+    for key in sorted(want.keys() | echo.keys()):
+        if echo.get(key) != want.get(key):
+            raise CheckpointError(
+                f"{ckpt_path}: checkpoint was trained with model.{key}={echo.get(key)!r}, "
+                f"but the run config has model.{key}={want.get(key)!r}")
     model = RelationModel(cfg.model, vocab, seed=0)
     check_compatible(ckpt_path, store, model.store)
+    for _, t in store.items():
+        t.requires_grad = False
     model.store = store
     return model
 
@@ -112,7 +115,7 @@ def _predict_all(models, samples, top_k: int, threads: int):
 
     def one(sample):
         per_model = [_predict_video(m, sample, top_k) for m in models]
-        return ensemble_merge(per_model, [sample.video_id] * len(per_model))
+        return ensemble_merge(per_model)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -126,13 +126,10 @@ def filter_duplicates(triplets: list[RelationTriplet]) -> list[RelationTriplet]:
     return sorted(best.values(), key=lambda t: (-t.score, t.key()))
 
 
-def ensemble_merge(per_model: list[list[RelationTriplet]],
-                   video_ids: list[str] | None = None) -> list[RelationTriplet]:
+def ensemble_merge(per_model: list[list[RelationTriplet]]) -> list[RelationTriplet]:
     """Concatenate per-model predictions for one video and deduplicate."""
     if not per_model:
         raise UsageError("ensemble_merge needs at least one prediction list")
-    if video_ids is not None and len(set(video_ids)) > 1:
-        raise UsageError(f"ensemble_merge: mismatched video ids {sorted(set(video_ids))}")
     merged: list[RelationTriplet] = []
     for preds in per_model:
         merged.extend(preds)

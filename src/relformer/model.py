@@ -207,7 +207,6 @@ class VideoContext:
     slots: np.ndarray                # (n, 2) tracklet slots
     categories: np.ndarray           # (n,) int
     classemes: np.ndarray            # (n, d_w)
-    probs: np.ndarray                # (n, |C_obj|)
     roi_weights: list[np.ndarray] | None = None
 
     @property
@@ -217,7 +216,6 @@ class VideoContext:
 
 @dataclass
 class ModelOutput:
-    queries: Tensor          # (m, d_q) enhanced query embeddings
     attention: Tensor        # (2, m, n) normalized role attention
     links: np.ndarray        # (m, 2) argmax subject/object tracklet indices
     probs: Tensor            # (m, |C_rel|+1) predicate probabilities (last = no-relation)
@@ -291,13 +289,11 @@ class RelationModel:
         slots = np.array([[t.slot.start, t.slot.end] for t in sample.tracklets]
                          ).reshape(n, 2)
         cats = np.array([t.category for t in sample.tracklets], dtype=np.int64)
-        probs = (np.stack([t.probs for t in sample.tracklets])
-                 if n else np.zeros((0, len(self.vocab.objects))))
-        clsm = (np.stack([classeme(p, table) for p in probs])
+        clsm = (np.stack([classeme(t.probs, table) for t in sample.tracklets])
                 if n else np.zeros((0, self.cfg.d_w)))
         return VideoContext(sample=sample, appearance=appearance, spatial=spatial,
                             spans=spans, slots=slots, categories=cats,
-                            classemes=clsm, probs=probs)
+                            classemes=clsm)
 
     # -- forward pieces -------------------------------------------------------
 
@@ -366,4 +362,4 @@ class RelationModel:
         links = binarize_links(attn.data)
         probs = classify_predicates(self.store, queries, links, ctx.classemes,
                                     ctx.categories, self._classify_spec)
-        return ModelOutput(queries=queries, attention=attn, links=links, probs=probs)
+        return ModelOutput(attention=attn, links=links, probs=probs)

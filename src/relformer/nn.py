@@ -36,18 +36,17 @@ class ParamStore:
 
     Entries are trainable by default; ``trainable=False`` registers a frozen
     buffer (e.g. the classeme table) that is checkpointed but never updated.
+    A tensor's ``requires_grad`` is the one record of whether it trains.
     """
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, value, trainable: bool = True) -> Tensor:
         if name in self._entries:
             raise UsageError(f"parameter {name!r} already registered")
         t = Tensor(value, requires_grad=trainable)
         self._entries[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -69,13 +68,13 @@ class ParamStore:
         return [(n, self._entries[n]) for n in self.names()]
 
     def trainable_items(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self.items() if self._trainable[n]]
+        return [(n, t) for n, t in self.items() if t.requires_grad]
 
     def trainable_tensors(self) -> list[Tensor]:
         return [t for _, t in self.trainable_items()]
 
     def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
+        return self[name].requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def self_attention_block(store: ParamStore, prefix: str, x: Tensor, heads: int,
 
 
 class Adam:
-    """Adam with bias correction; clears gradients after each step."""
+    """Adam with bias correction over a store's trainable tensors."""
 
     def __init__(self, lr: float, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
@@ -221,17 +220,16 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, store: ParamStore) -> None:
+    def step(self, store: ParamStore, grads: list[np.ndarray]) -> None:
+        """One update; ``grads`` pairs with ``store.trainable_items()`` in order."""
         entries = store.trainable_items()
-        for name, p in entries:
-            if p.grad is None:
-                raise UsageError(f"adam_step: parameter {name!r} has no gradient; "
-                                 "run backward first")
+        if len(grads) != len(entries):
+            raise UsageError(f"adam_step: {len(grads)} gradients for "
+                             f"{len(entries)} trainable parameters")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in entries:
-            g = p.grad
+        for (name, p), g in zip(entries, grads):
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
@@ -256,19 +254,16 @@ class Adam:
             step *= self.lr
             step /= scratch
             p.data -= step
-            p.grad = None
 
 
-def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for _, p in store.trainable_items():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
+def clip_grad_norm(grads: list[np.ndarray], max_norm: float
+                   ) -> tuple[float, list[np.ndarray]]:
+    """(global L2 norm, gradients scaled so that norm is at most ``max_norm``).
+
+    The inputs are never written; scaled gradients are new arrays.
+    """
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for _, p in store.trainable_items():
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm
+        grads = [g * scale for g in grads]
+    return norm, grads

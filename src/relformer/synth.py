@@ -91,8 +91,8 @@ class SynthConfig:
     frame_count: int = 40
     object_categories: int = 8
     d_a: int = 1024
-    objects_min: int = 4
-    objects_max: int = 6
+    objects_min: int = 3
+    objects_max: int = 4
     distractors: int = 3
     box_jitter: float = 0.03
     slot_trim_frames: int = 2

@@ -196,10 +196,11 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
                 if not np.isfinite(value):
                     raise NumericsError(
                         f"non-finite loss at epoch {epoch} step {step}; aborting")
-                ad.backward(batch_loss, model.store)
+                grads = ad.backward(batch_loss, model.store.trainable_tensors())
                 if train_cfg.max_grad_norm is not None:
-                    clip_grad_norm(model.store, train_cfg.max_grad_norm)
-                optimizer.step(model.store)
+                    _, grads = clip_grad_norm(grads, train_cfg.max_grad_norm)
+                optimizer.step(model.store, grads)
+                del grads  # not held through the next step's forward
                 writer.writerow([epoch, step, repr(value)])
                 losses.append(value)
                 step += 1

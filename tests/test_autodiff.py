@@ -14,7 +14,7 @@ class TestBasics:
         t = Tensor([[1, 2], [3, 4]])
         assert t.data.dtype == np.float64
         assert t.shape == (2, 2)
-        assert t.grad is None
+        assert not hasattr(t, "grad")  # gradients are return values of backward
 
     def test_matmul_shape_error_names_operands(self):
         with pytest.raises(ShapeError, match="inner dims"):
@@ -23,14 +23,14 @@ class TestBasics:
     def test_backward_needs_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(UsageError, match="scalar"):
-            backward(x + 1.0)
+            backward(x + 1.0, [x])
 
     def test_backward_twice_is_an_error(self):
         x = Tensor(2.0, requires_grad=True)
         loss = ad.tsum(ad.square(x))
-        backward(loss)
+        backward(loss, [x])
         with pytest.raises(UsageError, match="already called"):
-            backward(loss)
+            backward(loss, [x])
 
 
 class TestGradients:
@@ -39,29 +39,41 @@ class TestGradients:
         a = store.add("a", np.ones((2, 3)))
         b = store.add("b", np.ones(4))
         loss = ad.tsum(a) + ad.tsum(b)
-        backward(loss, store)
-        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
-        np.testing.assert_array_equal(b.grad, np.ones(4))
+        ga, gb = backward(loss, store.trainable_tensors())
+        np.testing.assert_array_equal(ga, np.ones((2, 3)))
+        np.testing.assert_array_equal(gb, np.ones(4))
 
     def test_zero_times_params_gives_zero_grads(self):
         store = ParamStore()
         a = store.add("a", np.full((3, 2), 7.0))
         loss = ad.tsum(ad.mul(a, 0.0))
-        backward(loss, store)
-        np.testing.assert_array_equal(a.grad, np.zeros((3, 2)))
+        [ga] = backward(loss, store.trainable_tensors())
+        np.testing.assert_array_equal(ga, np.zeros((3, 2)))
 
     def test_unreachable_params_get_zero_grads(self):
         store = ParamStore()
         a = store.add("a", np.ones(2))
-        b = store.add("b", np.ones(2))
-        backward(ad.tsum(ad.square(a)), store)
-        np.testing.assert_array_equal(b.grad, np.zeros(2))
+        store.add("b", np.ones(2))
+        _, gb = backward(ad.tsum(ad.square(a)), store.trainable_tensors())
+        np.testing.assert_array_equal(gb, np.zeros(2))
 
     def test_reused_tensor_accumulates(self):
         x = Tensor(3.0, requires_grad=True)
         loss = ad.tsum(ad.mul(x, x))  # d/dx x^2 = 2x
-        backward(loss)
-        np.testing.assert_allclose(x.grad, 6.0)
+        [gx] = backward(loss, [x])
+        np.testing.assert_allclose(gx, 6.0)
+
+    def test_gradients_follow_the_order_of_params(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        unused = Tensor(np.ones((2, 2)), requires_grad=True)
+        frozen = Tensor(np.ones(4))
+        loss = ad.tsum(ad.mul(a, 2.0)) + ad.tsum(ad.mul(b, 3.0)) + ad.tsum(frozen)
+        gb, g_unused, g_frozen, ga = backward(loss, [b, unused, frozen, a])
+        np.testing.assert_array_equal(ga, np.full(2, 2.0))
+        np.testing.assert_array_equal(gb, np.full(3, 3.0))
+        np.testing.assert_array_equal(g_unused, np.zeros((2, 2)))
+        np.testing.assert_array_equal(g_frozen, np.zeros(4))
 
     @pytest.mark.parametrize("op_name", [
         "add", "sub", "mul", "div", "matmul", "relu", "exp", "log", "sqrt",
@@ -102,11 +114,11 @@ class TestGradients:
             return ad.tsum(ad.mul(out, w))
 
         loss = build()
-        backward(loss)
+        [ga] = backward(loss, [a])
         coords = rng.choice(a_val.size, size=5, replace=False)
         fd = finite_difference(lambda: build().item(), a.data, coords)
         for k, g_fd in fd.items():
-            g = a.grad.reshape(-1)[k]
+            g = ga.reshape(-1)[k]
             assert abs(g - g_fd) <= 1e-6 * max(1.0, abs(g), abs(g_fd)), \
                 f"{op_name}: coord {k}: analytic {g} vs fd {g_fd}"
 
@@ -117,11 +129,11 @@ class TestGradients:
         def build():
             return ad.tsum(ad.square(a * row + row))
 
-        backward(build())
+        [g_row] = backward(build(), [row])
         coords = range(4)
         fd = finite_difference(lambda: build().item(), row.data, coords)
         for k, g_fd in fd.items():
-            np.testing.assert_allclose(row.grad.reshape(-1)[k], g_fd,
+            np.testing.assert_allclose(g_row.reshape(-1)[k], g_fd,
                                        rtol=1e-6, atol=1e-8)
 
     def test_batched_matmul_gradients(self, rng):
@@ -131,11 +143,11 @@ class TestGradients:
         def build():
             return ad.tsum(ad.square(ad.matmul(a, b)))
 
-        backward(build())
+        [gb] = backward(build(), [b])
         fd = finite_difference(lambda: build().item(), b.data,
                                rng.choice(b.data.size, size=6, replace=False))
         for k, g_fd in fd.items():
-            np.testing.assert_allclose(b.grad.reshape(-1)[k], g_fd,
+            np.testing.assert_allclose(gb.reshape(-1)[k], g_fd,
                                        rtol=1e-6, atol=1e-8)
 
 
@@ -153,15 +165,15 @@ class TestGetitem:
             w = np.arange(1, out.data.size + 1, dtype=np.float64).reshape(out.shape)
             return ad.tsum(ad.mul(out, w))
 
-        backward(build())
+        [ga] = backward(build(), [a])
         fd = finite_difference(lambda: build().item(), a.data, range(a.data.size))
         for k, g_fd in fd.items():
-            np.testing.assert_allclose(a.grad.reshape(-1)[k], g_fd, rtol=1e-7, atol=1e-7)
+            np.testing.assert_allclose(ga.reshape(-1)[k], g_fd, rtol=1e-7, atol=1e-7)
 
     def test_repeated_array_index_accumulates(self):
         a = Tensor(np.zeros(3), requires_grad=True)
-        backward(ad.tsum(a[np.array([2, 2, 0])]))
-        np.testing.assert_array_equal(a.grad, [1.0, 0.0, 2.0])
+        [ga] = backward(ad.tsum(a[np.array([2, 2, 0])]), [a])
+        np.testing.assert_array_equal(ga, [1.0, 0.0, 2.0])
 
 
 # (m, lengths, k, d, h): shapes on each side of the contraction-order rule,
@@ -212,12 +224,12 @@ class TestPoolProject:
         def build():
             return ad.tsum(ad.mul(ad.square(ad.pool_project(frames, weights, w)), scale))
 
-        backward(build())
-        for param in (frames, w):
+        grads = backward(build(), [frames, w])
+        for param, grad in zip((frames, w), grads):
             coords = rng.choice(param.data.size, size=12, replace=False)
             fd = finite_difference(lambda: build().item(), param.data, coords)
             for c, g_fd in fd.items():
-                g = param.grad.reshape(-1)[c]
+                g = grad.reshape(-1)[c]
                 assert abs(g - g_fd) <= 1e-8 * max(1.0, abs(g), abs(g_fd)), \
                     f"coord {c}: analytic {g} vs fd {g_fd}"
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from relformer.checkpoint import load_checkpoint, save_checkpoint
-from relformer.cli import main
+from relformer.cli import _load_model, main
+from relformer.config import load_config
+from relformer.dataset_io import load_dataset
+from relformer.model import RelationModel
 
 
 def write_config(tmp_path, payload) -> str:
@@ -122,3 +125,116 @@ class TestCheckpointCompatibility:
         assert "unexpected" in err
         assert "encoder.layer0.attn.bk" in err
         assert not (root / "old_bk_report.json").exists()
+
+    @pytest.mark.parametrize("change,key", [({"heads": 4}, "heads"),
+                                            ({"m_c": 2, "m_d": 4}, "m_c")],
+                             ids=["heads", "grid"])
+    def test_model_config_differing_from_the_echo_exits_3(self, tiny_run, capsys,
+                                                          change, key):
+        """A checkpoint runs only under the model config it was trained with,
+        even where the tensor shapes would allow another one."""
+        root, _, data = tiny_run
+        other = root / f"other_{key}"
+        other.mkdir()
+        cfg = write_config(other, {**TINY, "model": {**TINY["model"], **change}})
+        capsys.readouterr()
+        for command, out in (("eval", other / "report.json"), ("infer", other / "preds")):
+            code = main([command, "--config", cfg, "--data", data, "--ckpt",
+                         str(root / "run1" / "model.ckpt"), "--out", str(out)])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert f"model.{key}={TINY['model'][key]!r}" in err
+            assert f"model.{key}={change[key]!r}" in err
+            assert not out.exists()
+
+    def test_checkpoint_without_model_echo_exits_3(self, tiny_run, capsys):
+        root, cfg, data = tiny_run
+        store, _ = load_checkpoint(str(root / "run1" / "model.ckpt"))
+        bare = str(root / "bare.ckpt")
+        save_checkpoint(bare, store)
+        capsys.readouterr()
+        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", bare,
+                     "--out", str(root / "bare_report.json")])
+        assert code == 3
+        assert "no model config echo" in capsys.readouterr().err
+        assert not (root / "bare_report.json").exists()
+
+
+class TestExitCodes:
+    def test_missing_dataset_is_a_data_error_exit_3(self, tiny_run, capsys):
+        root, cfg, _ = tiny_run
+        code = main(["eval", "--config", cfg, "--data", str(root / "no_such_data"),
+                     "--ckpt", str(root / "run1" / "model.ckpt"),
+                     "--out", str(root / "missing_report.json")])
+        assert code == 3
+        assert "vocab.json" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_3(self, tiny_run, capsys):
+        root, cfg, data = tiny_run
+        raw = (root / "run1" / "model.ckpt").read_bytes()
+        cut = root / "truncated.ckpt"
+        cut.write_bytes(raw[:-8])
+        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", str(cut),
+                     "--out", str(root / "truncated_report.json")])
+        assert code == 3
+        assert "truncated" in capsys.readouterr().err
+
+    def test_wrong_checkpoint_format_exits_3(self, tiny_run, capsys):
+        root, cfg, data = tiny_run
+        raw = (root / "run1" / "model.ckpt").read_bytes()
+        header, _, blob = raw.partition(b"\n")
+        manifest = json.loads(header)
+        manifest["format"] = "relformer-ckpt/0"
+        wrong = root / "wrong_format.ckpt"
+        wrong.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        code = main(["infer", "--config", cfg, "--data", data, "--ckpt", str(wrong),
+                     "--out", str(root / "wrong_preds")])
+        assert code == 3
+        assert "relformer-ckpt/0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exits_4(self, tiny_run, capsys):
+        root, cfg, data = tiny_run
+        code = main(["train", "--config", cfg, "--data", data, "--out",
+                     str(root / "diverged"), "--lr", "1e300", "--quiet"])
+        assert code == 4
+        assert "finite" in capsys.readouterr().err
+
+
+class TestFrozenLoad:
+    def test_loaded_model_records_no_graph_and_matches_the_graph_forward(self, tiny_run):
+        """eval/infer load every tensor frozen, so a forward builds no VJP
+        closures, and its outputs are bitwise those of a graph-building
+        forward with the same weights."""
+        root, cfg, data = tiny_run
+        ckpt = str(root / "run1" / "model.ckpt")
+        samples, vocab = load_dataset(data)
+        run_cfg = load_config(cfg)
+        frozen = _load_model(ckpt, run_cfg, vocab)
+        assert not any(t.requires_grad for _, t in frozen.store.items())
+        tracking = RelationModel(run_cfg.model, vocab, seed=0)
+        tracking.store, _ = load_checkpoint(ckpt)
+        sample = next(s for s in samples if s.tracklets)
+        got = frozen.forward(frozen.build_context(sample))
+        want = tracking.forward(tracking.build_context(sample))
+        assert got.probs._vjp is None and not got.probs.requires_grad
+        assert want.probs._vjp is not None
+        assert got.probs.data.tobytes() == want.probs.data.tobytes()
+        assert got.attention.data.tobytes() == want.attention.data.tobytes()
+
+
+# The first-run config and commands of the README's quick start.
+README_TOY = {"model": {"d": 64, "d_q": 64, "d_v": 64, "d_a": 64, "d_w": 16,
+                        "mlp_hidden": 64, "L_e": 2, "L_d": 2, "heads": 4},
+              "synth": {"d_a": 64},
+              "train": {"epochs": 5, "lr": 1e-3}}
+
+
+class TestReadmeQuickStart:
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_synth_succeeds_at_the_readme_settings(self, tmp_path, seed):
+        """The default scene size fits the default relation cap, so the
+        README's synth command works for every seed."""
+        cfg = write_config(tmp_path, README_TOY)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "data"),
+                     "--videos", "8", "--seed", str(seed)]) == 0

@@ -3,7 +3,6 @@ import pytest
 
 from relformer.autodiff import Tensor
 from relformer.data import TimeSlot, Tracklet, VideoSample
-from relformer.errors import UsageError
 from relformer.head import (RelationTriplet, binarize_links, build_freq_bias,
                             classeme, classify_predicates, ensemble_merge,
                             filter_duplicates, infer_triplets)
@@ -324,7 +323,3 @@ class TestEnsembleMerge:
         in_scores = {t.score for lst in lists for t in lst}
         assert all(t.score in in_scores for t in out)
         assert len(out) <= sum(len(lst) for lst in lists)
-
-    def test_mismatched_video_ids_rejected(self):
-        with pytest.raises(UsageError, match="mismatched video ids"):
-            ensemble_merge([[], []], video_ids=["a", "b"])

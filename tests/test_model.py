@@ -304,7 +304,7 @@ class TestFullModel:
         ctx = model.build_context(samples[0])
         out = model.forward(ctx)
         n = len(samples[0].tracklets)
-        assert out.queries.shape == (192, 512)
+        assert out.probs.shape == (192, len(vocab.predicates) + 1)
         assert out.attention.shape == (2, 192, n)
 
     def test_forward_is_deterministic(self, toy_model_config, toy_dataset):
@@ -313,7 +313,7 @@ class TestFullModel:
         ctx = model.build_context(samples[0])
         a = model.forward(ctx)
         b = model.forward(ctx)
-        np.testing.assert_array_equal(a.queries.data, b.queries.data)
+        np.testing.assert_array_equal(a.probs.data, b.probs.data)
         np.testing.assert_array_equal(a.attention.data, b.attention.data)
 
     def test_tracklet_permutation_permutes_attention_axis(self, toy_model_config,
@@ -331,7 +331,7 @@ class TestFullModel:
         moved = model.forward(model.build_context(shuffled))
         np.testing.assert_allclose(moved.attention.data,
                                    base.attention.data[:, :, perm], atol=1e-9)
-        np.testing.assert_allclose(moved.queries.data, base.queries.data, atol=1e-9)
+        np.testing.assert_allclose(moved.probs.data, base.probs.data, atol=1e-9)
 
     def test_value_matrix_disjoint_rows_share_constant(self, toy_model_config,
                                                        toy_dataset):
@@ -418,7 +418,6 @@ class TestFullModel:
         model = RelationModel(toy_model_config, vocab, seed=3)
         ctx = model.build_context(samples[0])
         out = model.forward(ctx)
-        loss = ad.tsum(ad.square(out.queries)) + ad.tsum(ad.square(out.attention))
-        backward(loss, model.store)
-        g = model.store["decoder.layer0.subject.query_proj"].grad
+        loss = ad.tsum(ad.square(out.probs)) + ad.tsum(ad.square(out.attention))
+        [g] = backward(loss, [model.store["decoder.layer0.subject.query_proj"]])
         assert np.abs(g).max() > 0.0

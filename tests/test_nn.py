@@ -224,23 +224,20 @@ class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         store = ParamStore()
         p = store.add("p", np.array([1.0, -2.0]))
-        p.grad = np.zeros(2)
-        Adam(lr=0.1).step(store)
+        Adam(lr=0.1).step(store, [np.zeros(2)])
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
-        assert p.grad is None
 
     def test_first_step_is_minus_lr(self):
         store = ParamStore()
         p = store.add("p", np.array([0.0]))
-        p.grad = np.array([1.0])
-        Adam(lr=0.01).step(store)
+        Adam(lr=0.01).step(store, [np.array([1.0])])
         np.testing.assert_allclose(p.data, [-0.01], atol=1e-9)
 
     def test_missing_grad_is_usage_error(self):
         store = ParamStore()
         store.add("p", np.zeros(1))
-        with pytest.raises(UsageError, match="p"):
-            Adam(lr=0.1).step(store)
+        with pytest.raises(UsageError, match="0 gradients for 1 trainable"):
+            Adam(lr=0.1).step(store, [])
 
     def test_ten_steps_on_quadratic_match_scalar_oracle(self):
         # minimize (theta - 3)^2 / 2, gradient = theta - 3
@@ -251,8 +248,7 @@ class TestAdam:
         for _ in range(10):
             g = float(p.data[0]) - 3.0
             grads.append(g)
-            p.grad = np.array([g])
-            opt.step(store)
+            opt.step(store, [np.array([g])])
         expected = adam_scalar_oracle(10.0, grads, lr=0.05)
         np.testing.assert_allclose(p.data[0], expected[-1], atol=1e-12)
 
@@ -270,8 +266,7 @@ class TestAdam:
         for t in range(1, 6):
             shared = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-4, 3)
             before = shared.copy()
-            a.grad = b.grad = shared
-            opt.step(store)
+            opt.step(store, [shared, shared])
             np.testing.assert_array_equal(shared, before)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for k in want:
@@ -283,11 +278,25 @@ class TestAdam:
 
     def test_clip_grad_norm(self):
         store = ParamStore()
-        p = store.add("p", np.zeros(2))
-        p.grad = np.array([3.0, 4.0])
-        norm = clip_grad_norm(store, 1.0)
+        grad = np.array([3.0, 4.0])
+        norm, (clipped,) = clip_grad_norm([grad], 1.0)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(np.linalg.norm(p.grad), 1.0)
+        np.testing.assert_allclose(np.linalg.norm(clipped), 1.0)
+        np.testing.assert_array_equal(grad, [3.0, 4.0])
+
+    def test_shared_gradient_array_is_never_written(self):
+        """backward may hand one array to two parameters (here through the
+        add); clipping and the Adam step must leave that array as it was."""
+        store = ParamStore()
+        a = store.add("a", np.array([1.0, -2.0]))
+        b = store.add("b", np.array([0.5, 3.0]))
+        ga, gb = backward(ad.tsum(a + b), store.trainable_tensors())
+        assert ga is gb
+        before = ga.copy()
+        _, clipped = clip_grad_norm([ga, gb], 0.1)
+        Adam(lr=0.1).step(store, clipped)
+        Adam(lr=0.1).step(store, [ga, gb])
+        np.testing.assert_array_equal(ga, before)
 
 
 class TestBackwardThroughBlocks:
@@ -303,11 +312,12 @@ class TestBackwardThroughBlocks:
             return ad.tsum(ad.square(out))
 
         loss = loss_value()
-        backward(loss, store)
+        names = [n for n, _ in store.trainable_items()]
+        grads = dict(zip(names, backward(loss, store.trainable_tensors())))
         for name in ("blk.attn.wq", "blk.ffn.w1", "blk.ln1.g"):
             p = store[name]
             coords = rng.choice(p.data.size, size=4, replace=False)
             fd = finite_difference(lambda: loss_value().item(), p.data, coords)
             for k, g_fd in fd.items():
-                g = p.grad.reshape(-1)[k]
+                g = grads[name].reshape(-1)[k]
                 assert abs(g - g_fd) <= 1e-4 * max(1.0, abs(g), abs(g_fd))

@@ -89,7 +89,7 @@ class TestGradientCoverage:
         gt_set = build_gt_predicates(sample, assignment, model.anchors.count)
         assert any(not g.is_background for g in gt_set)
         loss, _ = video_loss(model, model.build_context(sample), gt_set, 1.0, 30.0)
-        ad.backward(loss, model.store)
-        dead = [name for name, t in model.store.trainable_items()
-                if t.grad is None or np.abs(t.grad).max() < 1e-10]
+        names = [name for name, _ in model.store.trainable_items()]
+        grads = ad.backward(loss, model.store.trainable_tensors())
+        dead = [name for name, g in zip(names, grads) if np.abs(g).max() < 1e-10]
         assert dead == []
