@@ -286,21 +286,6 @@ def getitem(a, key) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def take(a, indices, axis: int) -> Tensor:
-    """Select along ``axis`` with an integer index array (gather)."""
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    out = np.take(a.data, idx, axis=axis)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        key = (slice(None),) * axis + (idx,)
-        np.add.at(full, key, g)
-        return (full,)
-
-    return _node(out, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A checkpoint is a single file: a one-line UTF-8 JSON manifest, a newline,
 then one binary blob. The manifest carries ``format`` ("relformer-ckpt/1"),
 an optional ``model`` config echo, and a ``tensors`` list of
 ``{name, shape, dtype, byte_offset}`` entries; the blob is the tensors'
-little-endian float data, row-major, concatenated in manifest order.
+little-endian float64 (``"<f8"``, the only dtype) data, row-major,
+concatenated in manifest order. Loading reads the blob once into one array,
+and every loaded tensor is a writable view into it.
 Writes are atomic (temp file + rename).
 """
 
@@ -20,6 +22,7 @@ from .errors import CheckpointError
 from .nn import ParamStore
 
 FORMAT = "relformer-ckpt/1"
+DTYPE = "<f8"
 
 
 def save_checkpoint(path: str, store: ParamStore, model_meta: dict | None = None) -> None:
@@ -27,11 +30,11 @@ def save_checkpoint(path: str, store: ParamStore, model_meta: dict | None = None
     blobs = []
     offset = 0
     for name, t in store.items():
-        arr = np.ascontiguousarray(t.data, dtype="<f8")
+        arr = np.ascontiguousarray(t.data, dtype=DTYPE)
         tensors.append({
             "name": name,
             "shape": list(arr.shape),
-            "dtype": "<f8",
+            "dtype": DTYPE,
             "byte_offset": offset,
             "trainable": store.is_trainable(name),
         })
@@ -62,45 +65,48 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     """Read a checkpoint; returns (store, manifest)."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            header = f.readline()
+            if not header.endswith(b"\n"):
+                raise CheckpointError(f"{path}: missing manifest/blob separator")
+            try:
+                manifest = json.loads(header.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
+            if manifest.get("format") != FORMAT:
+                raise CheckpointError(
+                    f"{path}: format {manifest.get('format')!r}, expected {FORMAT!r}")
+            blob = np.fromfile(f, dtype=DTYPE)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
-    sep = raw.find(b"\n")
-    if sep < 0:
-        raise CheckpointError(f"{path}: missing manifest/blob separator")
-    try:
-        manifest = json.loads(raw[:sep].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
-    if manifest.get("format") != FORMAT:
-        raise CheckpointError(
-            f"{path}: format {manifest.get('format')!r}, expected {FORMAT!r}")
-    blob = raw[sep + 1:]
 
     store = ParamStore()
     for entry in manifest.get("tensors", []):
         try:
             name = entry["name"]
             shape = tuple(entry["shape"])
-            dtype = np.dtype(entry["dtype"])
+            dtype = entry["dtype"]
             offset = entry["byte_offset"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: bad tensor entry {entry!r}") from exc
-        if dtype.kind != "f" or dtype.byteorder not in ("<", "|", "="):
-            raise CheckpointError(f"{path}: {name}: unsupported dtype {entry['dtype']!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + count * dtype.itemsize
+        if any(not isinstance(n, int) or n < 0 for n in shape):
+            raise CheckpointError(f"{path}: {name}: bad shape {list(shape)!r}")
+        if dtype != DTYPE:
+            raise CheckpointError(f"{path}: {name}: unsupported dtype {dtype!r}")
+        if not isinstance(offset, int) or offset < 0 or offset % 8:
+            raise CheckpointError(f"{path}: {name}: misaligned byte_offset {offset!r}")
+        start = offset // 8
+        end = start + (int(np.prod(shape, dtype=np.int64)) if shape else 1)
         if end > len(blob):
             raise CheckpointError(f"{path}: {name}: blob truncated")
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
-        store.add(name, arr.astype(np.float64), trainable=entry.get("trainable", True))
+        store.add(name, blob[start:end].reshape(shape),
+                  trainable=entry.get("trainable", True))
     return store, manifest
 
 
-def check_compatible(path: str, store: ParamStore, expected: ParamStore) -> None:
-    """Raise if ``store`` does not carry exactly the shapes of ``expected``."""
+def check_compatible(path: str, store: ParamStore,
+                     want: dict[str, tuple[int, ...]]) -> None:
+    """Raise if ``store`` does not carry exactly the name -> shape map ``want``."""
     got = {n: t.data.shape for n, t in store.items()}
-    want = {n: t.data.shape for n, t in expected.items()}
     if got != want:
         missing = sorted(set(want) - set(got))
         extra = sorted(set(got) - set(want))

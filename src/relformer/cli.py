@@ -22,7 +22,7 @@ from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
                      RelformerError, UsageError)
 from .head import ensemble_merge, infer_triplets, load_embedding_table, triplets_to_json
 from .metrics import evaluate
-from .model import RelationModel
+from .model import RelationModel, init_store, param_shapes
 from .synth import synth_generate
 from .training import train_loop
 
@@ -94,12 +94,10 @@ def _load_model(ckpt_path: str, cfg: RunConfig, vocab: Vocab) -> RelationModel:
             raise CheckpointError(
                 f"{ckpt_path}: checkpoint was trained with model.{key}={echo.get(key)!r}, "
                 f"but the run config has model.{key}={want.get(key)!r}")
-    model = RelationModel(cfg.model, vocab, seed=0)
-    check_compatible(ckpt_path, store, model.store)
+    check_compatible(ckpt_path, store, param_shapes(cfg.model, vocab))
     for _, t in store.items():
         t.requires_grad = False
-    model.store = store
-    return model
+    return RelationModel(cfg.model, vocab, store)
 
 
 def _predict_video(model: RelationModel, sample, top_k: int):
@@ -155,7 +153,8 @@ def cmd_train(args) -> int:
     if args.embeddings:
         embeddings = load_embedding_table(args.embeddings, len(vocab.objects),
                                           cfg.model.d_w)
-    model = RelationModel(cfg.model, vocab, seed=cfg.train_seed, embeddings=embeddings)
+    model = RelationModel(cfg.model, vocab,
+                          init_store(cfg.model, vocab, cfg.train_seed, embeddings))
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     result = train_loop(samples, model, cfg.train, args.out, seed=cfg.train_seed,
                         viou_threshold=cfg.eval.viou_threshold, log=log)

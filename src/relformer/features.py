@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-from .nn import MlpSpec, ParamStore, init_mlp, mlp_forward, pooled_mlp_forward
+from .nn import ParamStore, mlp_forward, pooled_mlp_forward
 
 
 def delta_boxes(boxes: np.ndarray) -> np.ndarray:
@@ -34,25 +34,10 @@ def spatial_feature(boxes: np.ndarray) -> np.ndarray:
     return np.concatenate([boxes, delta_boxes(boxes)], axis=1)
 
 
-def feature_specs(d_a: int, d: int, hidden: int) -> tuple[MlpSpec, MlpSpec]:
-    """Appearance and spatial MLP specs; ``ModelConfig`` keeps d even."""
-    return MlpSpec(d_a, hidden, d // 2), MlpSpec(8, hidden, d // 2)
-
-
-def init_feature_params(store: ParamStore, d_a: int, d: int, hidden: int, l_pool: int,
-                        rng: np.random.Generator) -> None:
-    appearance_spec, spatial_spec = feature_specs(d_a, d, hidden)
-    init_mlp(store, "feat.appearance_mlp", appearance_spec, rng)
-    init_mlp(store, "feat.spatial_mlp", spatial_spec, rng)
-    init_mlp(store, "feat.pool_mlp", MlpSpec(l_pool * d, hidden, d), rng)
-
-
-def init_tracklet_feature(store: ParamStore, appearance: Tensor, spatial: Tensor,
-                          d_a: int, d: int, hidden: int) -> Tensor:
+def init_tracklet_feature(store: ParamStore, appearance: Tensor, spatial: Tensor) -> Tensor:
     """Per-frame feature (l_i, d) from appearance (l_i, d_a) and spatial (l_i, 8)."""
-    appearance_spec, spatial_spec = feature_specs(d_a, d, hidden)
-    visual = mlp_forward(store, "feat.appearance_mlp", appearance_spec, appearance)
-    spat = mlp_forward(store, "feat.spatial_mlp", spatial_spec, spatial)
+    visual = mlp_forward(store, "feat.appearance_mlp", appearance)
+    spat = mlp_forward(store, "feat.spatial_mlp", spatial)
     return ad.concat([visual, spat], axis=1)
 
 

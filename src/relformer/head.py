@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TimeSlot, Tracklet, VideoSample
 from .errors import DataError, UsageError
-from .nn import MlpSpec, ParamStore, mlp_forward, softmax_lastdim
+from .nn import ParamStore, mlp_forward, softmax_lastdim
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def build_freq_bias(samples: list[VideoSample], n_objects: int, n_predicates: in
 
 
 def classify_predicates(store: ParamStore, queries: Tensor, links: np.ndarray,
-                        classemes: np.ndarray, categories: np.ndarray,
-                        spec: MlpSpec) -> Tensor:
+                        classemes: np.ndarray, categories: np.ndarray) -> Tensor:
     """(m, |C_rel|+1) probabilities from [query; subject classeme; object
     classeme] plus the category pair's frequency-bias fiber (zero for the
     no-relation slot)."""
@@ -70,7 +69,7 @@ def classify_predicates(store: ParamStore, queries: Tensor, links: np.ndarray,
     f_s = classemes[links[:, 0]]
     f_o = classemes[links[:, 1]]
     joint = ad.concat([queries, ad.constant(f_s), ad.constant(f_o)], axis=1)
-    logits = mlp_forward(store, "head.classify", spec, joint)
+    logits = mlp_forward(store, "head.classify", joint)
     bias = store["tables.freq_bias"].data
     fibers = bias[categories[links[:, 0]], categories[links[:, 1]]]
     padded = np.concatenate([fibers, np.zeros((m, 1))], axis=1)

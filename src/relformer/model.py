@@ -33,6 +33,11 @@ same sum; they differ only in float rounding.
 
 The encoder input is the same pooled MLP (``nn.pooled_mlp_forward``) with
 one fixed-length pooling per tracklet, i.e. m=1, which always pools first.
+
+``param_shapes`` is the one list of the model's tensors, name -> shape.
+``init_store`` fills it with random values for training, and a checkpoint
+is checked against it without drawing any; ``RelationModel`` only runs the
+forward pass over the store it is given.
 """
 
 from __future__ import annotations
@@ -45,11 +50,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import VideoSample, Vocab
 from .errors import ConfigError, DataError
-from .features import (init_feature_params, init_tracklet_feature, pool_to_encoder_input,
-                       spatial_feature)
-from .nn import (MlpSpec, ParamStore, affine_init, init_attention, init_mlp,
-                 init_self_attention_block, layer_norm, mlp_forward,
-                 multi_head_attention, pooled_mlp_forward, self_attention_block)
+from .features import init_tracklet_feature, pool_to_encoder_input, spatial_feature
+from .nn import (ParamStore, attention_shapes, init_params, layer_norm, layer_norm_shapes,
+                 mlp_forward, mlp_shapes, multi_head_attention, pooled_mlp_forward,
+                 self_attention_block, self_attention_block_shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +174,15 @@ def normalize_attention(attn: Tensor) -> Tensor:
     return ad.mul(over_tracklets, over_roles)
 
 
-def cross_attend(attn_norm: Tensor, values: Tensor, store: ParamStore, prefix: str,
-                 out_spec: MlpSpec) -> Tensor:
+def cross_attend(attn_norm: Tensor, values: Tensor, store: ParamStore,
+                 prefix: str) -> Tensor:
     """(m, d_q): sum over roles of F_r(attention-weighted value rows)."""
     m, n = attn_norm.shape[1], attn_norm.shape[2]
     out = None
     for r, role in enumerate(("subject", "object")):
         w = ad.reshape(attn_norm[r], (m, n, 1))
         mixed = ad.tsum(ad.mul(w, values), axis=1)  # (m, d_v)
-        term = mlp_forward(store, f"{prefix}.{role}.out", out_spec, mixed)
+        term = mlp_forward(store, f"{prefix}.{role}.out", mixed)
         out = term if out is None else out + term
     return out
 
@@ -221,55 +225,69 @@ class ModelOutput:
     probs: Tensor            # (m, |C_rel|+1) predicate probabilities (last = no-relation)
 
 
-class RelationModel:
-    """Owns the parameter store and runs the full per-video forward pass."""
+def param_shapes(cfg, vocab: Vocab) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor the model reads, in initialisation order.
 
-    def __init__(self, cfg, vocab: Vocab, seed: int,
-                 embeddings: np.ndarray | None = None):
+    This is the one list of the model's tensors: ``init_store`` fills it with
+    random values, and a checkpoint must hold exactly these shapes.
+    """
+    h = cfg.mlp_hidden
+    n_obj, n_rel = len(vocab.objects), len(vocab.predicates)
+    shapes = {**mlp_shapes("feat.appearance_mlp", cfg.d_a, h, cfg.d // 2),
+              **mlp_shapes("feat.spatial_mlp", 8, h, cfg.d // 2),
+              **mlp_shapes("feat.pool_mlp", cfg.l * cfg.d, h, cfg.d)}
+    for k in range(cfg.L_e):
+        shapes.update(self_attention_block_shapes(f"encoder.layer{k}", cfg.d, h))
+    shapes["decoder.query_embed"] = (cfg.m_c * cfg.m_d, cfg.d_q)
+    shapes["decoder.pos_proj"] = (2, cfg.d_q)
+    for k in range(cfg.L_d):
+        p = f"decoder.layer{k}"
+        shapes.update(attention_shapes(f"{p}.self_attn", cfg.d_q))
+        for ln in ("ln1", "ln2", "ln3"):
+            shapes.update(layer_norm_shapes(f"{p}.{ln}", cfg.d_q))
+        shapes.update(mlp_shapes(f"{p}.ffn", cfg.d_q, h, cfg.d_q))
+        shapes.update(mlp_shapes(f"{p}.value_mlp", cfg.l_roi * cfg.d, h, cfg.d_v))
+        for role in ("subject", "object"):
+            shapes[f"{p}.{role}.query_proj"] = (cfg.d_q, cfg.d)
+            shapes[f"{p}.{role}.key_proj"] = (cfg.d, cfg.d)
+            shapes.update(mlp_shapes(f"{p}.{role}.out", cfg.d_v, h, cfg.d_q))
+    shapes.update(mlp_shapes("head.classify", cfg.d_q + 2 * cfg.d_w, h, n_rel + 1))
+    shapes["tables.classeme"] = (n_obj, cfg.d_w)
+    shapes["tables.freq_bias"] = (n_obj, n_obj, n_rel)
+    return shapes
+
+
+def init_store(cfg, vocab: Vocab, seed: int,
+               embeddings: np.ndarray | None = None) -> ParamStore:
+    """A freshly initialised store for ``param_shapes(cfg, vocab)``.
+
+    ``embeddings`` replaces the random classeme table; the frequency bias
+    starts uniform, at log 1/|C_rel|.
+    """
+    shapes = param_shapes(cfg, vocab)
+    given = {"tables.freq_bias": np.full(shapes["tables.freq_bias"],
+                                         -np.log(len(vocab.predicates)))}
+    if embeddings is not None:
+        if embeddings.shape != shapes["tables.classeme"]:
+            raise ConfigError(f"embedding table shape {embeddings.shape} != "
+                              f"{shapes['tables.classeme']}")
+        given["tables.classeme"] = embeddings
+    return init_params(shapes, np.random.default_rng(seed), given)
+
+
+class RelationModel:
+    """Runs the full per-video forward pass over the store it is given.
+
+    The store holds the tensors of ``param_shapes(cfg, vocab)``: from
+    ``init_store`` for training, or from a checkpoint that
+    ``checkpoint.check_compatible`` has checked against that list.
+    """
+
+    def __init__(self, cfg, vocab: Vocab, store: ParamStore):
         self.cfg = cfg
         self.vocab = vocab
         self.anchors = build_anchors(cfg.m_c, cfg.m_d)
-        self.store = ParamStore()
-        rng = np.random.default_rng(seed)
-        h = cfg.mlp_hidden
-        n_obj, n_rel = len(vocab.objects), len(vocab.predicates)
-
-        init_feature_params(self.store, cfg.d_a, cfg.d, h, cfg.l, rng)
-        for k in range(cfg.L_e):
-            init_self_attention_block(self.store, f"encoder.layer{k}", cfg.d, h, rng)
-
-        m = self.anchors.count
-        self.store.add("decoder.query_embed", rng.normal(0.0, 0.02, size=(m, cfg.d_q)))
-        self.store.add("decoder.pos_proj", affine_init(rng, 2, cfg.d_q))
-        self._value_spec = MlpSpec(cfg.l_roi * cfg.d, h, cfg.d_v)
-        self._out_spec = MlpSpec(cfg.d_v, h, cfg.d_q)
-        self._ffn_spec_enc = MlpSpec(cfg.d, h, cfg.d)
-        self._ffn_spec_dec = MlpSpec(cfg.d_q, h, cfg.d_q)
-        for k in range(cfg.L_d):
-            p = f"decoder.layer{k}"
-            init_attention(self.store, f"{p}.self_attn", cfg.d_q, rng)
-            for ln in ("ln1", "ln2", "ln3"):
-                self.store.add(f"{p}.{ln}.g", np.ones(cfg.d_q))
-                self.store.add(f"{p}.{ln}.b", np.zeros(cfg.d_q))
-            init_mlp(self.store, f"{p}.ffn", self._ffn_spec_dec, rng)
-            init_mlp(self.store, f"{p}.value_mlp", self._value_spec, rng)
-            for role in ("subject", "object"):
-                self.store.add(f"{p}.{role}.query_proj", affine_init(rng, cfg.d_q, cfg.d))
-                self.store.add(f"{p}.{role}.key_proj", affine_init(rng, cfg.d, cfg.d))
-                init_mlp(self.store, f"{p}.{role}.out", self._out_spec, rng)
-
-        self._classify_spec = MlpSpec(cfg.d_q + 2 * cfg.d_w, h, n_rel + 1)
-        init_mlp(self.store, "head.classify", self._classify_spec, rng)
-
-        if embeddings is None:
-            embeddings = rng.normal(0.0, 1.0, size=(n_obj, cfg.d_w))
-        elif embeddings.shape != (n_obj, cfg.d_w):
-            raise ConfigError(
-                f"embedding table shape {embeddings.shape} != ({n_obj}, {cfg.d_w})")
-        self.store.add("tables.classeme", np.asarray(embeddings, dtype=np.float64),
-                       trainable=False)
-        self.store.add("tables.freq_bias",
-                       np.full((n_obj, n_obj, n_rel), -np.log(n_rel)), trainable=False)
+        self.store = store
 
     # -- construction helpers ------------------------------------------------
 
@@ -299,18 +317,15 @@ class RelationModel:
 
     def _per_frame_features(self, ctx: VideoContext) -> Tensor:
         """(S, d) per-frame features of all tracklets, stacked in tracklet order."""
-        cfg = self.cfg
         app = ad.constant(np.concatenate(ctx.appearance, axis=0))
         spat = ad.constant(np.concatenate(ctx.spatial, axis=0))
-        return init_tracklet_feature(self.store, app, spat, cfg.d_a, cfg.d,
-                                     cfg.mlp_hidden)
+        return init_tracklet_feature(self.store, app, spat)
 
     def encode_tracklets(self, h: Tensor) -> Tensor:
         if h.shape[0] == 0:
             raise DataError("cannot encode a video with no tracklets")
         for k in range(self.cfg.L_e):
-            h = self_attention_block(self.store, f"encoder.layer{k}", h,
-                                     self.cfg.heads, self._ffn_spec_enc)
+            h = self_attention_block(self.store, f"encoder.layer{k}", h, self.cfg.heads)
         return h
 
     def build_value_matrix(self, ctx: VideoContext, frames: Tensor, prefix: str) -> Tensor:
@@ -346,10 +361,10 @@ class RelationModel:
             values = self.build_value_matrix(ctx, frames, p)
             raw = role_attention(h, h_enc, store, p)
             attn_norm = normalize_attention(raw)
-            x = x + cross_attend(attn_norm, values, store, p, self._out_spec)
+            x = x + cross_attend(attn_norm, values, store, p)
 
             h = layer_norm(x, store[f"{p}.ln3.g"], store[f"{p}.ln3.b"])
-            x = x + mlp_forward(store, f"{p}.ffn", self._ffn_spec_dec, h)
+            x = x + mlp_forward(store, f"{p}.ffn", h)
         return x, attn_norm
 
     def forward(self, ctx: VideoContext) -> ModelOutput:
@@ -361,5 +376,5 @@ class RelationModel:
         queries, attn = self.decode(ctx, frames, h_enc)
         links = binarize_links(attn.data)
         probs = classify_predicates(self.store, queries, links, ctx.classemes,
-                                    ctx.categories, self._classify_spec)
+                                    ctx.categories)
         return ModelOutput(attention=attn, links=links, probs=probs)

@@ -1,34 +1,24 @@
 """Neural building blocks on top of the autodiff core.
 
 Parameter tensors live in a ParamStore under dotted path names (e.g.
-``"decoder.layer0.role_s.query_proj"``) with deterministic, sorted iteration.
+``"decoder.layer0.subject.query_proj"``) with deterministic, sorted iteration.
 All MLPs in the model are two-layer fully-connected nets with a ReLU between
 the affine layers; attention blocks are pre-norm.
+
+A block's parameters are declared once, as a ``{name: shape}`` dict
+(``mlp_shapes``, ``attention_shapes``, ``self_attention_block_shapes``);
+``init_params`` fills such a dict with random values. Forward functions read
+their widths from the weights, and ``ad.matmul`` raises ``ShapeError`` on a
+mismatch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, UsageError
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Two affine layers with one rectifier in between."""
-
-    in_dim: int
-    hidden_dim: int
-    out_dim: int
-
-    def __post_init__(self):
-        for field in ("in_dim", "hidden_dim", "out_dim"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"MlpSpec.{field} must be positive, got {getattr(self, field)}")
+from .errors import ConfigError, UsageError
 
 
 class ParamStore:
@@ -78,7 +68,7 @@ class ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# initialization
+# parameter shapes and initialization
 # ---------------------------------------------------------------------------
 
 
@@ -88,20 +78,41 @@ def affine_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec,
-             rng: np.random.Generator) -> None:
-    store.add(f"{prefix}.w1", affine_init(rng, spec.in_dim, spec.hidden_dim))
-    store.add(f"{prefix}.b1", np.zeros(spec.hidden_dim))
-    store.add(f"{prefix}.w2", affine_init(rng, spec.hidden_dim, spec.out_dim))
-    store.add(f"{prefix}.b2", np.zeros(spec.out_dim))
+def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                given: dict[str, np.ndarray] | None = None) -> ParamStore:
+    """A store holding one tensor per entry of ``shapes``, drawn in dict order.
+
+    Entries of ``given`` are taken as they are. Otherwise ``*.query_embed``
+    draws N(0, 0.02), a ``tables.*`` entry N(0, 1), every other matrix
+    ``affine_init``; a ``*.g`` vector is ones and every other vector zeros.
+    ``tables.*`` entries are frozen.
+    """
+    given = given or {}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        if name in given:
+            value = given[name]
+        elif name.endswith(".query_embed"):
+            value = rng.normal(0.0, 0.02, size=shape)
+        elif name.startswith("tables."):
+            value = rng.normal(0.0, 1.0, size=shape)
+        elif len(shape) == 2:
+            value = affine_init(rng, *shape)
+        elif name.endswith(".g"):
+            value = np.ones(shape)
+        else:
+            value = np.zeros(shape)
+        store.add(name, value, trainable=not name.startswith("tables."))
+    return store
 
 
-def mlp_forward(store: ParamStore, prefix: str, spec: MlpSpec, x: Tensor) -> Tensor:
+def mlp_shapes(prefix: str, in_dim: int, hidden: int, out_dim: int) -> dict:
+    return {f"{prefix}.w1": (in_dim, hidden), f"{prefix}.b1": (hidden,),
+            f"{prefix}.w2": (hidden, out_dim), f"{prefix}.b2": (out_dim,)}
+
+
+def mlp_forward(store: ParamStore, prefix: str, x: Tensor) -> Tensor:
     """Affine -> ReLU -> affine; leading dimensions of ``x`` are preserved."""
-    x = ad.as_tensor(x)
-    if x.shape[-1] != spec.in_dim:
-        raise ShapeError(
-            f"{prefix}: input trailing dim {x.shape[-1]} != in_dim {spec.in_dim}")
     h = ad.relu(ad.matmul(x, store[f"{prefix}.w1"]) + store[f"{prefix}.b1"])
     return ad.matmul(h, store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]
 
@@ -143,14 +154,12 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def init_attention(store: ParamStore, prefix: str, d: int,
-                   rng: np.random.Generator) -> None:
-    for name in ("wq", "wk", "wv", "wo"):
-        store.add(f"{prefix}.{name}", affine_init(rng, d, d))
+def attention_shapes(prefix: str, d: int) -> dict:
+    shapes = {f"{prefix}.{name}": (d, d) for name in ("wq", "wk", "wv", "wo")}
     # No key bias: q.bk is the same for every key of a query, so softmax
     # cancels it and it would never get a gradient.
-    for name in ("bq", "bv", "bo"):
-        store.add(f"{prefix}.{name}", np.zeros(d))
+    shapes.update({f"{prefix}.{name}": (d,) for name in ("bq", "bv", "bo")})
+    return shapes
 
 
 def multi_head_attention(store: ParamStore, prefix: str, q_in: Tensor, k_in: Tensor,
@@ -179,28 +188,22 @@ def multi_head_attention(store: ParamStore, prefix: str, q_in: Tensor, k_in: Ten
     return ad.matmul(merged, store[f"{prefix}.wo"]) + store[f"{prefix}.bo"]
 
 
-def init_self_attention_block(store: ParamStore, prefix: str, d: int, hidden: int,
-                              rng: np.random.Generator) -> None:
-    init_attention(store, f"{prefix}.attn", d, rng)
-    store.add(f"{prefix}.ln1.g", np.ones(d))
-    store.add(f"{prefix}.ln1.b", np.zeros(d))
-    store.add(f"{prefix}.ln2.g", np.ones(d))
-    store.add(f"{prefix}.ln2.b", np.zeros(d))
-    init_mlp(store, f"{prefix}.ffn", MlpSpec(d, hidden, d), rng)
+def layer_norm_shapes(prefix: str, d: int) -> dict:
+    return {f"{prefix}.g": (d,), f"{prefix}.b": (d,)}
 
 
-def self_attention_block(store: ParamStore, prefix: str, x: Tensor, heads: int,
-                         ffn_spec: MlpSpec, pos: Tensor | None = None) -> Tensor:
-    """Pre-norm block: self-attention + residual, then FFN + residual.
+def self_attention_block_shapes(prefix: str, d: int, hidden: int) -> dict:
+    return {**attention_shapes(f"{prefix}.attn", d),
+            **layer_norm_shapes(f"{prefix}.ln1", d), **layer_norm_shapes(f"{prefix}.ln2", d),
+            **mlp_shapes(f"{prefix}.ffn", d, hidden, d)}
 
-    ``pos`` is an optional additive positional term applied to the attention
-    queries and keys only.
-    """
+
+def self_attention_block(store: ParamStore, prefix: str, x: Tensor, heads: int) -> Tensor:
+    """Pre-norm block: self-attention + residual, then FFN + residual."""
     h = layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
-    qk = h + pos if pos is not None else h
-    x = x + multi_head_attention(store, f"{prefix}.attn", qk, qk, h, heads)
+    x = x + multi_head_attention(store, f"{prefix}.attn", h, h, h, heads)
     h = layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
-    return x + mlp_forward(store, f"{prefix}.ffn", ffn_spec, h)
+    return x + mlp_forward(store, f"{prefix}.ffn", h)
 
 
 # ---------------------------------------------------------------------------

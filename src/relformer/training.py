@@ -112,8 +112,7 @@ def total_loss(gt_set: list[GtPredicate], output: ModelOutput, sigma: np.ndarray
         classes = np.array([gt_set[j].predicate for j in live])
         terms.append(ad.mul(ad.tsum(lp[cols, classes]), -lambda_cls))
 
-        selected = ad.clip(ad.take(output.attention, cols, axis=1),
-                           BCE_CLAMP, 1.0 - BCE_CLAMP)
+        selected = ad.clip(output.attention[:, cols], BCE_CLAMP, 1.0 - BCE_CLAMP)
         targets = ad.constant(np.stack([gt_set[j].attention for j in live], axis=1))
         bce = ad.neg(targets * ad.log(selected)
                      + (1.0 - targets) * ad.log(1.0 - selected))

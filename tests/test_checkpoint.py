@@ -18,6 +18,16 @@ def make_store(rng):
     return store
 
 
+def rewrite_entry(path, name, **fields):
+    """Change fields of one manifest entry, keeping the blob as it is."""
+    header, _, blob = path.read_bytes().partition(b"\n")
+    manifest = json.loads(header)
+    for entry in manifest["tensors"]:
+        if entry["name"] == name:
+            entry.update(fields)
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+
+
 class TestRoundTrip:
     def test_values_and_flags_survive(self, rng, tmp_path):
         store = make_store(rng)
@@ -55,6 +65,18 @@ class TestRoundTrip:
         np.testing.assert_array_equal(np.frombuffer(blob, dtype="<f8"),
                                       [1.0, 2.0, 3.0, 4.0])
 
+    def test_loaded_tensors_are_writable_views_of_one_array(self, rng, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, make_store(rng))
+        loaded, _ = load_checkpoint(path)
+        blob = loaded["a.bias"].data.base
+        assert blob is not None and blob.size == 5 + 12 + 4
+        assert all(t.data.base is blob for _, t in loaded.items())
+        for _, t in loaded.items():
+            assert t.data.flags.writeable
+        loaded["b.weight"].data[0, 0] = 123.0
+        assert blob[5] == 123.0
+
     def test_save_is_byte_deterministic(self, rng, tmp_path):
         store = make_store(rng)
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
@@ -77,12 +99,50 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
+    def test_missing_separator_rejected(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b'{"format":"relformer-ckpt/1","tensors":[]}')
+        with pytest.raises(CheckpointError, match="separator"):
+            load_checkpoint(str(path))
+
+    def test_bad_entry_rejected(self, rng, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), make_store(rng))
+        header, _, blob = path.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        del manifest["tensors"][0]["shape"]
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        with pytest.raises(CheckpointError, match="bad tensor entry"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("shape", [[-1], [2, -3], [1.5]])
+    def test_negative_or_fractional_shape_rejected(self, rng, tmp_path, shape):
+        """A -1 would otherwise reshape the rest of the blob into one tensor."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), make_store(rng))
+        rewrite_entry(path, "a.bias", shape=shape)
+        with pytest.raises(CheckpointError, match="bad shape"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f8", "float64"])
+    def test_dtype_other_than_f8_rejected(self, rng, tmp_path, dtype):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), make_store(rng))
+        rewrite_entry(path, "b.weight", dtype=dtype)
+        with pytest.raises(CheckpointError, match="unsupported dtype"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("offset", [4, -8, 8.0])
+    def test_misaligned_offset_rejected(self, rng, tmp_path, offset):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), make_store(rng))
+        rewrite_entry(path, "b.weight", byte_offset=offset)
+        with pytest.raises(CheckpointError, match="misaligned"):
+            load_checkpoint(str(path))
+
     def test_incompatible_shapes_detected(self, rng, tmp_path):
         store = make_store(rng)
-        other = ParamStore()
-        other.add("b.weight", np.zeros((3, 5)))
-        other.add("a.bias", np.zeros(5))
-        other.add("tables.lookup", np.zeros((2, 2)), trainable=False)
+        other = {"b.weight": (3, 5), "a.bias": (5,), "tables.lookup": (2, 2)}
         with pytest.raises(CheckpointError, match="b.weight"):
             check_compatible("x.ckpt", store, other)
 

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from relformer import model as model_module
+from relformer import nn
 from relformer.checkpoint import load_checkpoint, save_checkpoint
 from relformer.cli import _load_model, main
 from relformer.config import load_config
@@ -86,6 +89,40 @@ class TestDeterminism:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         assert b"reldet_map" in reports[0]
+
+
+    def test_untrained_checkpoint_bytes_are_pinned(self, tiny_run):
+        """The initial weights, hence the draw order of the initialiser, are
+        part of the output contract: a seed names one model."""
+        root, cfg, data = tiny_run
+        assert main(["train", "--config", cfg, "--data", data, "--out",
+                     str(root / "epochs0"), "--epochs", "0", "--quiet"]) == 0
+        digest = hashlib.sha256((root / "epochs0" / "model.ckpt").read_bytes()).hexdigest()
+        assert digest == "3509e50d18e71e5d5fe14b17ce5d135b70cb81d2ab4e950f8d737ee47e2edd1b"
+
+    def test_eval_and_infer_draw_no_initial_weights(self, tiny_run, monkeypatch):
+        """Loading checks the checkpoint against the tensor list alone; the
+        outputs are those of a run where the initialiser may be called."""
+        root, cfg, data = tiny_run
+        ckpt = str(root / "run1" / "model.ckpt")
+
+        def run(tag):
+            assert main(["eval", "--config", cfg, "--data", data, "--ckpt", ckpt,
+                         "--out", str(root / f"{tag}.json")]) == 0
+            assert main(["infer", "--config", cfg, "--data", data, "--ckpt", ckpt,
+                         "--out", str(root / f"{tag}_preds")]) == 0
+            preds = sorted((root / f"{tag}_preds").iterdir())
+            return [(root / f"{tag}.json").read_bytes()] + [
+                (p.name, p.read_bytes()) for p in preds]
+
+        before = run("allowed")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval/infer must not initialise parameters")
+
+        monkeypatch.setattr(nn, "init_params", refuse)
+        monkeypatch.setattr(model_module, "init_params", refuse)
+        assert run("refused") == before
 
 
 class TestCheckpointCompatibility:
@@ -179,6 +216,25 @@ class TestExitCodes:
         assert code == 3
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("dtype", "<f4", "unsupported dtype"), ("byte_offset", 4, "misaligned")],
+        ids=["f4", "misaligned"])
+    def test_unreadable_tensor_entry_exits_3(self, tiny_run, capsys, field, value,
+                                             message):
+        root, cfg, data = tiny_run
+        raw = (root / "run1" / "model.ckpt").read_bytes()
+        header, _, blob = raw.partition(b"\n")
+        manifest = json.loads(header)
+        manifest["tensors"][1][field] = value
+        bad = root / f"bad_{field}.ckpt"
+        bad.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        out = root / f"bad_{field}_report.json"
+        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", str(bad),
+                     "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_checkpoint_format_exits_3(self, tiny_run, capsys):
         root, cfg, data = tiny_run
         raw = (root / "run1" / "model.ckpt").read_bytes()
@@ -212,8 +268,8 @@ class TestFrozenLoad:
         run_cfg = load_config(cfg)
         frozen = _load_model(ckpt, run_cfg, vocab)
         assert not any(t.requires_grad for _, t in frozen.store.items())
-        tracking = RelationModel(run_cfg.model, vocab, seed=0)
-        tracking.store, _ = load_checkpoint(ckpt)
+        store, _ = load_checkpoint(ckpt)
+        tracking = RelationModel(run_cfg.model, vocab, store)
         sample = next(s for s in samples if s.tracklets)
         got = frozen.forward(frozen.build_context(sample))
         want = tracking.forward(tracking.build_context(sample))

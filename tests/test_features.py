@@ -4,9 +4,9 @@ import pytest
 from relformer.autodiff import Tensor
 from relformer.config import ModelConfig
 from relformer.errors import ConfigError, DataError
-from relformer.features import (delta_boxes, init_feature_params, init_tracklet_feature,
-                                pool_matrix, pool_to_encoder_input, spatial_feature)
-from relformer.nn import MlpSpec, ParamStore, init_mlp
+from relformer.features import (delta_boxes, init_tracklet_feature, pool_matrix,
+                                pool_to_encoder_input, spatial_feature)
+from relformer.nn import init_params, mlp_shapes
 
 from oracles import encoder_pool_oracle, mlp_oracle
 
@@ -59,22 +59,21 @@ class TestSpatialFeature:
 
 class TestInitTrackletFeature:
     def _store(self, d_a, d, hidden, rng):
-        store = ParamStore()
-        init_feature_params(store, d_a, d, hidden, 4, rng)
-        return store
+        return init_params({**mlp_shapes("feat.appearance_mlp", d_a, hidden, d // 2),
+                            **mlp_shapes("feat.spatial_mlp", 8, hidden, d // 2)}, rng)
 
     def test_zero_weights_give_zero_feature(self, rng):
         store = self._store(6, 8, 8, rng)
         for name in list(store.names()):
             store[name].data[:] = 0.0
         out = init_tracklet_feature(store, Tensor(rng.normal(size=(5, 6))),
-                                    Tensor(rng.normal(size=(5, 8))), 6, 8, 8)
+                                    Tensor(rng.normal(size=(5, 8))))
         np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
     def test_paper_scale_shape(self, rng):
         store = self._store(16, 512, 32, rng)
         out = init_tracklet_feature(store, Tensor(rng.normal(size=(7, 16))),
-                                    Tensor(rng.normal(size=(7, 8))), 16, 512, 32)
+                                    Tensor(rng.normal(size=(7, 8))))
         assert out.shape == (7, 512)
 
     def test_odd_width_is_config_error(self):
@@ -88,7 +87,7 @@ class TestInitTrackletFeature:
         store = self._store(d_a, d, hidden, rng)
         app = rng.normal(size=(4, d_a))
         spat = rng.normal(size=(4, 8))
-        out = init_tracklet_feature(store, Tensor(app), Tensor(spat), d_a, d, hidden)
+        out = init_tracklet_feature(store, Tensor(app), Tensor(spat))
         left = mlp_oracle(app, store["feat.appearance_mlp.w1"].data,
                           store["feat.appearance_mlp.b1"].data,
                           store["feat.appearance_mlp.w2"].data,
@@ -105,22 +104,18 @@ class TestInitTrackletFeature:
         store = self._store(d_a, d, hidden, rng)
         app = rng.normal(size=(4, d_a))
         spat = rng.normal(size=(4, 8))
-        full = init_tracklet_feature(store, Tensor(app), Tensor(spat),
-                                     d_a, d, hidden).data
+        full = init_tracklet_feature(store, Tensor(app), Tensor(spat)).data
         for name in store.names():
             if name.startswith("feat.spatial_mlp"):
                 store[name].data[:] = 0.0
-        masked = init_tracklet_feature(store, Tensor(app), Tensor(spat),
-                                       d_a, d, hidden).data
+        masked = init_tracklet_feature(store, Tensor(app), Tensor(spat)).data
         np.testing.assert_array_equal(masked[:, :d // 2], full[:, :d // 2])
         np.testing.assert_array_equal(masked[:, d // 2:], np.zeros((4, d // 2)))
 
 
 class TestEncoderPooling:
     def _store(self, d, hidden, l_pool, rng):
-        store = ParamStore()
-        init_mlp(store, "feat.pool_mlp", MlpSpec(l_pool * d, hidden, d), rng)
-        return store
+        return init_params(mlp_shapes("feat.pool_mlp", l_pool * d, hidden, d), rng)
 
     @staticmethod
     def _oracle(store, feature, l_pool):

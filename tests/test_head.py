@@ -6,7 +6,7 @@ from relformer.data import TimeSlot, Tracklet, VideoSample
 from relformer.head import (RelationTriplet, binarize_links, build_freq_bias,
                             classeme, classify_predicates, ensemble_merge,
                             filter_duplicates, infer_triplets)
-from relformer.nn import MlpSpec, ParamStore, init_mlp
+from relformer.nn import init_params, mlp_shapes
 
 from oracles import infer_triplets_oracle, mlp_oracle, softmax_extended_oracle
 
@@ -102,9 +102,7 @@ class TestFreqBias:
 
 class TestClassifyPredicates:
     def _setup(self, rng, m=3, n=4, n_obj=4, n_rel=5, d_q=6, d_w=3, zero_mlp=False):
-        store = ParamStore()
-        spec = MlpSpec(d_q + 2 * d_w, 8, n_rel + 1)
-        init_mlp(store, "head.classify", spec, rng)
+        store = init_params(mlp_shapes("head.classify", d_q + 2 * d_w, 8, n_rel + 1), rng)
         if zero_mlp:
             for suffix in ("w1", "b1", "w2", "b2"):
                 store[f"head.classify.{suffix}"].data[:] = 0.0
@@ -114,28 +112,28 @@ class TestClassifyPredicates:
         links = rng.integers(0, n, size=(m, 2))
         classemes = rng.normal(size=(n, d_w))
         categories = rng.integers(0, n_obj, size=n)
-        return store, spec, queries, links, classemes, categories
+        return store, queries, links, classemes, categories
 
     def test_zero_mlp_uniform_bias_exact_distribution(self, rng):
         n_rel = 5
-        store, spec, q, links, clsm, cats = self._setup(rng, n_rel=n_rel,
+        store, q, links, clsm, cats = self._setup(rng, n_rel=n_rel,
                                                         zero_mlp=True)
-        probs = classify_predicates(store, q, links, clsm, cats, spec).data
+        probs = classify_predicates(store, q, links, clsm, cats).data
         # logits = [log(1/R)] * R + [0]; softmax gives 1/(2R) per category, 1/2 empty
         np.testing.assert_allclose(probs[:, :n_rel], 1.0 / (2 * n_rel), atol=1e-12)
         np.testing.assert_allclose(probs[:, n_rel], 0.5, atol=1e-12)
 
     def test_huge_one_hot_bias_dominates(self, rng):
-        store, spec, q, links, clsm, cats = self._setup(rng, zero_mlp=True)
+        store, q, links, clsm, cats = self._setup(rng, zero_mlp=True)
         bias = store["tables.freq_bias"].data
         bias[:] = 0.0
         bias[:, :, 2] = 50.0
-        probs = classify_predicates(store, q, links, clsm, cats, spec).data
+        probs = classify_predicates(store, q, links, clsm, cats).data
         assert np.all(np.argmax(probs, axis=1) == 2)
 
     def test_matches_concat_affine_softmax_oracle(self, rng):
-        store, spec, q, links, clsm, cats = self._setup(rng)
-        probs = classify_predicates(store, q, links, clsm, cats, spec).data
+        store, q, links, clsm, cats = self._setup(rng)
+        probs = classify_predicates(store, q, links, clsm, cats).data
         joint = np.concatenate([q.data, clsm[links[:, 0]], clsm[links[:, 1]]], axis=1)
         logits = mlp_oracle(joint, store["head.classify.w1"].data,
                             store["head.classify.b1"].data,
@@ -149,14 +147,14 @@ class TestClassifyPredicates:
                                        atol=1e-12)
 
     def test_rows_sum_to_one_and_bias_shift_invariance(self, rng):
-        store, spec, q, links, clsm, cats = self._setup(rng)
-        base = classify_predicates(store, q, links, clsm, cats, spec).data
+        store, q, links, clsm, cats = self._setup(rng)
+        base = classify_predicates(store, q, links, clsm, cats).data
         np.testing.assert_allclose(base.sum(axis=1), 1.0, atol=1e-9)
         # adding a constant to a whole logit row leaves softmax unchanged;
         # emulate by shifting both the bias fiber and the empty slot
         w2 = store["head.classify.b2"]
         w2.data[:] += 3.21
-        shifted = classify_predicates(store, q, links, clsm, cats, spec).data
+        shifted = classify_predicates(store, q, links, clsm, cats).data
         np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 

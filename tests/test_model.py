@@ -6,9 +6,10 @@ from relformer.autodiff import Tensor, backward
 from relformer.config import ModelConfig
 from relformer.data import TimeSlot, Tracklet, VideoSample
 from relformer.errors import ConfigError, DataError
-from relformer.model import (RelationModel, build_anchors, cross_attend, normalize_attention,
-                             roi_pool_weights, role_attention)
-from relformer.nn import MlpSpec, ParamStore, init_mlp
+from relformer.model import (RelationModel, build_anchors, cross_attend, init_store,
+                             normalize_attention, param_shapes, roi_pool_weights,
+                             role_attention)
+from relformer.nn import ParamStore, init_params, mlp_shapes
 
 from oracles import double_softmax_oracle, mlp_oracle, roi_pool_oracle
 
@@ -170,10 +171,10 @@ class TestNormalizeAttention:
 
 class TestCrossAttend:
     def _store(self, d_v, d_q, hidden, rng):
-        store = ParamStore()
+        shapes = {}
         for role in ("subject", "object"):
-            init_mlp(store, f"dec.{role}.out", MlpSpec(d_v, hidden, d_q), rng)
-        return store
+            shapes.update(mlp_shapes(f"dec.{role}.out", d_v, hidden, d_q))
+        return init_params(shapes, rng)
 
     def test_zero_object_params_isolate_subject_channel(self, rng):
         d_v = d_q = 4
@@ -183,8 +184,7 @@ class TestCrossAttend:
                 store[name].data[:] = 0.0
         attn = rng.uniform(0.1, 0.9, size=(2, 3, 5))
         values = rng.normal(size=(3, 5, d_v))
-        out = cross_attend(Tensor(attn.copy()), Tensor(values.copy()), store, "dec",
-                           MlpSpec(d_v, 6, d_q))
+        out = cross_attend(Tensor(attn.copy()), Tensor(values.copy()), store, "dec")
         mixed = attn[0][:, :, None] * values
         want = mlp_oracle(mixed.sum(axis=1), store["dec.subject.out.w1"].data,
                           store["dec.subject.out.b1"].data,
@@ -197,8 +197,7 @@ class TestCrossAttend:
         store = self._store(d_v, d_q, 5, rng)
         v = rng.normal(size=(1, 1, d_v))
         attn = np.full((2, 1, 1), 0.5)
-        out = cross_attend(Tensor(attn), Tensor(v.copy()), store, "dec",
-                           MlpSpec(d_v, 5, d_q))
+        out = cross_attend(Tensor(attn), Tensor(v.copy()), store, "dec")
         half = (0.5 * v[0]).reshape(1, d_v)
         want = sum(
             mlp_oracle(half, store[f"dec.{role}.out.w1"].data,
@@ -213,8 +212,7 @@ class TestCrossAttend:
         store = self._store(d_v, d_q, 7, rng)
         attn = rng.uniform(0.01, 0.99, size=(2, m, n))
         values = rng.normal(size=(m, n, d_v))
-        out = cross_attend(Tensor(attn.copy()), Tensor(values.copy()), store, "dec",
-                           MlpSpec(d_v, 7, d_q))
+        out = cross_attend(Tensor(attn.copy()), Tensor(values.copy()), store, "dec")
         want = np.zeros((m, d_q))
         for r, role in enumerate(("subject", "object")):
             mixed = np.stack([attn[r, j] @ values[j] for j in range(m)])
@@ -225,11 +223,36 @@ class TestCrossAttend:
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
 
+def make_model(cfg, vocab, seed):
+    return RelationModel(cfg, vocab, init_store(cfg, vocab, seed))
+
+
 def build_toy_model(toy_model_config, vocab_sizes=(5, 6), seed=1):
     from relformer.data import Vocab
     objects = tuple(f"o{i}" for i in range(vocab_sizes[0]))
     predicates = tuple(f"p{i}" for i in range(vocab_sizes[1]))
-    return RelationModel(toy_model_config, Vocab(objects, predicates), seed=seed)
+    return make_model(toy_model_config, Vocab(objects, predicates), seed)
+
+
+class TestParamShapes:
+    def test_matches_the_initialised_store(self, toy_model_config, toy_dataset):
+        _, vocab = toy_dataset
+        store = init_store(toy_model_config, vocab, 3)
+        assert param_shapes(toy_model_config, vocab) == {
+            name: t.data.shape for name, t in store.items()}
+
+    def test_tables_are_frozen_and_embeddings_are_used(self, toy_model_config,
+                                                       toy_dataset):
+        _, vocab = toy_dataset
+        table = np.arange(len(vocab.objects) * toy_model_config.d_w, dtype=float
+                          ).reshape(len(vocab.objects), toy_model_config.d_w)
+        store = init_store(toy_model_config, vocab, 3, embeddings=table)
+        np.testing.assert_array_equal(store["tables.classeme"].data, table)
+        np.testing.assert_array_equal(store["tables.freq_bias"].data,
+                                      -np.log(len(vocab.predicates)))
+        assert not any(name.startswith("tables.") for name, _ in store.trainable_items())
+        with pytest.raises(ConfigError, match="embedding table shape"):
+            init_store(toy_model_config, vocab, 3, embeddings=table[:, 1:])
 
 
 class TestEncoder:
@@ -270,7 +293,7 @@ class TestFullModel:
         cfg = ModelConfig(d=32, d_q=32, d_v=32, d_a=16, d_w=16, l=4, l_roi=7,
                           L_e=1, L_d=1, m_c=3, m_d=2, heads=4, mlp_hidden=32)
         samples, vocab = toy_dataset
-        model = RelationModel(cfg, vocab, seed=3)
+        model = make_model(cfg, vocab, 3)
         ctx = model.build_context(samples[0])
         model.forward(ctx)
         frame_count = ctx.sample.frame_count
@@ -284,7 +307,7 @@ class TestFullModel:
     def test_roi_weights_computed_on_first_forward_and_reused(self, toy_model_config,
                                                               toy_dataset):
         samples, vocab = toy_dataset
-        model = RelationModel(toy_model_config, vocab, seed=3)
+        model = make_model(toy_model_config, vocab, 3)
         ctx = model.build_context(samples[0])
         assert ctx.roi_weights is None
         first = model.forward(ctx)
@@ -300,7 +323,7 @@ class TestFullModel:
         samples, vocab = toy_dataset
         cfg = ModelConfig(d=512, d_q=512, d_v=512, d_a=16, d_w=16, l=4, l_roi=7,
                           L_e=1, L_d=1, m_c=16, m_d=12, heads=8, mlp_hidden=32)
-        model = RelationModel(cfg, vocab, seed=0)
+        model = make_model(cfg, vocab, 0)
         ctx = model.build_context(samples[0])
         out = model.forward(ctx)
         n = len(samples[0].tracklets)
@@ -309,7 +332,7 @@ class TestFullModel:
 
     def test_forward_is_deterministic(self, toy_model_config, toy_dataset):
         samples, vocab = toy_dataset
-        model = RelationModel(toy_model_config, vocab, seed=3)
+        model = make_model(toy_model_config, vocab, 3)
         ctx = model.build_context(samples[0])
         a = model.forward(ctx)
         b = model.forward(ctx)
@@ -320,7 +343,7 @@ class TestFullModel:
                                                           toy_dataset):
         samples, vocab = toy_dataset
         sample = samples[0]
-        model = RelationModel(toy_model_config, vocab, seed=3)
+        model = make_model(toy_model_config, vocab, 3)
         base = model.forward(model.build_context(sample))
 
         perm = np.random.default_rng(0).permutation(len(sample.tracklets))
@@ -353,7 +376,7 @@ class TestFullModel:
                 probs=probs))
         sample = VideoSample(video_id="v", frame_count=frame_count,
                              tracklets=tracklets, gt_objects=[], gt_relations=[])
-        model = RelationModel(toy_model_config, vocab, seed=3)
+        model = make_model(toy_model_config, vocab, 3)
         # nonzero biases: disjoint rows become a shared constant, not zero
         model.store["decoder.layer0.value_mlp.b1"].data[:] = 0.3
         model.store["decoder.layer0.value_mlp.b2"].data[:] = -0.1
@@ -390,7 +413,7 @@ class TestFullModel:
                 appearance=rng.normal(size=(t1 - t0, 16)), category=0, probs=probs))
         sample = VideoSample(video_id="v", frame_count=frame_count,
                              tracklets=tracklets, gt_objects=[], gt_relations=[])
-        model = RelationModel(toy_model_config, vocab, seed=3)
+        model = make_model(toy_model_config, vocab, 3)
         p = "decoder.layer0.value_mlp"
         model.store[f"{p}.b1"].data[:] = rng.normal(size=toy_model_config.mlp_hidden)
         model.store[f"{p}.b2"].data[:] = rng.normal(size=toy_model_config.d_v)
@@ -415,7 +438,7 @@ class TestFullModel:
 
     def test_gradient_reaches_role_projections(self, toy_model_config, toy_dataset):
         samples, vocab = toy_dataset
-        model = RelationModel(toy_model_config, vocab, seed=3)
+        model = make_model(toy_model_config, vocab, 3)
         ctx = model.build_context(samples[0])
         out = model.forward(ctx)
         loss = ad.tsum(ad.square(out.probs)) + ad.tsum(ad.square(out.attention))

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from relformer import autodiff as ad
 from relformer.autodiff import Tensor, backward
-from relformer.errors import ConfigError, ShapeError, UsageError
-from relformer.nn import (Adam, MlpSpec, ParamStore, clip_grad_norm, init_attention,
-                          init_mlp, init_self_attention_block, layer_norm,
-                          mlp_forward, multi_head_attention,
-                          self_attention_block, softmax_lastdim)
+from relformer.errors import ConfigError, UsageError
+from relformer.nn import (Adam, ParamStore, attention_shapes, clip_grad_norm, init_params,
+                          layer_norm, mlp_forward, mlp_shapes, multi_head_attention,
+                          self_attention_block, self_attention_block_shapes,
+                          softmax_lastdim)
 
 from oracles import (adam_scalar_oracle, layer_norm_oracle, mlp_oracle,
                      slow_attention_oracle, softmax_extended_oracle)
@@ -31,77 +31,78 @@ class TestParamStore:
         assert [n for n, _ in store.trainable_items()] == ["w"]
 
 
-class TestMlp:
-    def _make(self, spec, rng, prefix="mlp"):
-        store = ParamStore()
-        init_mlp(store, prefix, spec, rng)
-        return store
+class TestInitParams:
+    def test_rule_per_name_and_shape(self, rng):
+        shapes = {"a.query_embed": (3, 2), "a.w": (4, 2), "a.g": (2,), "a.b": (2,),
+                  "tables.t": (3, 2), "tables.given": (2, 2, 2)}
+        given = {"tables.given": np.full((2, 2, 2), 7.0)}
+        store = init_params(shapes, np.random.default_rng(4), given)
+        draws = np.random.default_rng(4)
+        np.testing.assert_array_equal(store["a.query_embed"].data,
+                                      draws.normal(0.0, 0.02, size=(3, 2)))
+        np.testing.assert_array_equal(store["a.w"].data,
+                                      draws.uniform(-0.5, 0.5, size=(4, 2)))
+        np.testing.assert_array_equal(store["a.g"].data, np.ones(2))
+        np.testing.assert_array_equal(store["a.b"].data, np.zeros(2))
+        np.testing.assert_array_equal(store["tables.t"].data,
+                                      draws.normal(0.0, 1.0, size=(3, 2)))
+        np.testing.assert_array_equal(store["tables.given"].data, given["tables.given"])
+        assert [n for n, _ in store.trainable_items()] == ["a.b", "a.g", "a.query_embed",
+                                                           "a.w"]
 
-    def test_spec_validates_dims(self):
-        with pytest.raises(ConfigError, match="hidden_dim"):
-            MlpSpec(3, 0, 2)
+
+class TestMlp:
+    def _make(self, dims, rng, prefix="mlp"):
+        return init_params(mlp_shapes(prefix, *dims), rng)
 
     def test_zero_params_annihilate(self, rng):
-        spec = MlpSpec(3, 5, 2)
-        store = ParamStore()
-        init_mlp(store, "mlp", spec, rng)
+        store = self._make((3, 5, 2), rng)
         for name in ("mlp.w1", "mlp.w2", "mlp.b1", "mlp.b2"):
             store[name].data[:] = 0.0
-        out = mlp_forward(store, "mlp", spec, Tensor(rng.normal(size=(4, 3))))
+        out = mlp_forward(store, "mlp", Tensor(rng.normal(size=(4, 3))))
         np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
     def test_identity_affines_pass_nonnegative_input(self):
-        spec = MlpSpec(3, 3, 3)
         store = ParamStore()
         store.add("mlp.w1", np.eye(3))
         store.add("mlp.b1", np.zeros(3))
         store.add("mlp.w2", np.eye(3))
         store.add("mlp.b2", np.zeros(3))
         x = np.array([[0.0, 1.5, 2.0], [3.0, 0.0, 0.5]])
-        out = mlp_forward(store, "mlp", spec, Tensor(x))
+        out = mlp_forward(store, "mlp", Tensor(x))
         np.testing.assert_array_equal(out.data, x)
 
     def test_random_mlp_matches_loop_oracle(self, rng):
-        spec = MlpSpec(3, 5, 2)
-        store = self._make(spec, rng)
+        store = self._make((3, 5, 2), rng)
         x = rng.normal(size=(6, 3))
-        out = mlp_forward(store, "mlp", spec, Tensor(x))
+        out = mlp_forward(store, "mlp", Tensor(x))
         expected = mlp_oracle(x, store["mlp.w1"].data, store["mlp.b1"].data,
                               store["mlp.w2"].data, store["mlp.b2"].data)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_leading_dims_preserved(self, rng):
-        spec = MlpSpec(3, 4, 2)
-        store = self._make(spec, rng)
-        out = mlp_forward(store, "mlp", spec, Tensor(rng.normal(size=(2, 5, 3))))
+        store = self._make((3, 4, 2), rng)
+        out = mlp_forward(store, "mlp", Tensor(rng.normal(size=(2, 5, 3))))
         assert out.shape == (2, 5, 2)
-
-    def test_shape_error_names_the_mlp(self, rng):
-        spec = MlpSpec(3, 4, 2)
-        store = self._make(spec, rng)
-        with pytest.raises(ShapeError, match="mlp"):
-            mlp_forward(store, "mlp", spec, Tensor(np.zeros((2, 4))))
 
     def test_graph_free_twin_matches(self, rng):
         """Frozen parameters and a constant input record no graph, and the
         forward values are bitwise those of the graph-building run."""
-        spec = MlpSpec(4, 6, 3)
-        store = self._make(spec, rng)
+        store = self._make((4, 6, 3), rng)
         frozen = ParamStore()
         for name, t in store.items():
             frozen.add(name, t.data.copy(), trainable=False)
         x = rng.normal(size=(5, 4))
-        with_graph = mlp_forward(store, "mlp", spec, Tensor(x))
-        graph_free = mlp_forward(frozen, "mlp", spec, Tensor(x))
+        with_graph = mlp_forward(store, "mlp", Tensor(x))
+        graph_free = mlp_forward(frozen, "mlp", Tensor(x))
         assert with_graph.requires_grad and not graph_free.requires_grad
         np.testing.assert_array_equal(graph_free.data, with_graph.data)
 
     def test_deterministic_function_of_inputs(self, rng):
-        spec = MlpSpec(3, 5, 2)
-        store = self._make(spec, rng)
+        store = self._make((3, 5, 2), rng)
         x = rng.normal(size=(4, 3))
-        a = mlp_forward(store, "mlp", spec, Tensor(x)).data
-        b = mlp_forward(store, "mlp", spec, Tensor(x)).data
+        a = mlp_forward(store, "mlp", Tensor(x)).data
+        b = mlp_forward(store, "mlp", Tensor(x)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -162,21 +163,18 @@ class TestSoftmax:
 
 class TestAttention:
     def _block(self, d, rng, prefix="blk", hidden=None):
-        store = ParamStore()
-        init_self_attention_block(store, prefix, d, hidden or d, rng)
-        return store
+        return init_params(self_attention_block_shapes(prefix, d, hidden or d), rng)
 
     def test_indivisible_heads_is_config_error(self, rng):
         store = self._block(6, rng)
         with pytest.raises(ConfigError, match="heads"):
-            self_attention_block(store, "blk", Tensor(np.zeros((2, 6))), 4,
-                                 MlpSpec(6, 6, 6))
+            self_attention_block(store, "blk", Tensor(np.zeros((2, 6))), 4)
 
     def test_single_token_attends_itself(self, rng):
         d = 8
         store = self._block(d, rng)
         x = rng.normal(size=(1, d))
-        out = self_attention_block(store, "blk", Tensor(x), 2, MlpSpec(d, d, d))
+        out = self_attention_block(store, "blk", Tensor(x), 2)
         # with one token the attention mix is the value row itself
         h = layer_norm(Tensor(x), store["blk.ln1.g"], store["blk.ln1.b"]).data
         v = h @ store["blk.attn.wv"].data + store["blk.attn.bv"].data
@@ -194,13 +192,12 @@ class TestAttention:
         store["blk.ffn.w2"].data[:] = 0.0
         store["blk.ffn.b2"].data[:] = 0.0
         x = rng.normal(size=(5, d))
-        out = self_attention_block(store, "blk", Tensor(x), 4, MlpSpec(d, d, d))
+        out = self_attention_block(store, "blk", Tensor(x), 4)
         np.testing.assert_array_equal(out.data, x)
 
     def test_single_head_matches_slow_loop_oracle(self, rng):
         d = 6
-        store = ParamStore()
-        init_attention(store, "attn", d, rng)
+        store = init_params(attention_shapes("attn", d), rng)
         x = rng.normal(size=(3, d))
         out = multi_head_attention(store, "attn", Tensor(x), Tensor(x), Tensor(x),
                                    heads=1)
@@ -215,8 +212,8 @@ class TestAttention:
         d = 8
         store = self._block(d, rng)
         x = rng.normal(size=(4, d))
-        a = self_attention_block(store, "blk", Tensor(x), 2, MlpSpec(d, d, d)).data
-        b = self_attention_block(store, "blk", Tensor(x), 2, MlpSpec(d, d, d)).data
+        a = self_attention_block(store, "blk", Tensor(x), 2).data
+        b = self_attention_block(store, "blk", Tensor(x), 2).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -303,12 +300,11 @@ class TestBackwardThroughBlocks:
     def test_block_gradients_match_finite_differences(self, rng):
         from oracles import finite_difference
         d = 8
-        store = ParamStore()
-        init_self_attention_block(store, "blk", d, d, rng)
+        store = init_params(self_attention_block_shapes("blk", d, d), rng)
         x = rng.normal(size=(3, d))
 
         def loss_value():
-            out = self_attention_block(store, "blk", Tensor(x), 2, MlpSpec(d, d, d))
+            out = self_attention_block(store, "blk", Tensor(x), 2)
             return ad.tsum(ad.square(out))
 
         loss = loss_value()

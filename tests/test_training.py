@@ -4,7 +4,7 @@ import pytest
 from relformer import autodiff as ad
 from relformer.data import assign_tracklets_to_gt
 from relformer.errors import NumericsError, UsageError
-from relformer.model import RelationModel
+from relformer.model import RelationModel, init_store
 from relformer.training import (GtPredicate, build_gt_predicates, cost_matrix, hungarian,
                                 video_loss)
 
@@ -84,7 +84,8 @@ class TestGradientCoverage:
         this floor."""
         samples, vocab = toy_dataset
         sample = samples[0]
-        model = RelationModel(toy_model_config, vocab, seed=3)
+        store = init_store(toy_model_config, vocab, 3)
+        model = RelationModel(toy_model_config, vocab, store)
         assignment, _ = assign_tracklets_to_gt(sample)
         gt_set = build_gt_predicates(sample, assignment, model.anchors.count)
         assert any(not g.is_background for g in gt_set)
