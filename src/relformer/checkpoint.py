@@ -72,6 +72,10 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
                 manifest = json.loads(header.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
+            if not isinstance(manifest, dict) or not isinstance(
+                    manifest.get("tensors", []), list):
+                raise CheckpointError(
+                    f"{path}: malformed manifest: not an object with a tensors list")
             if manifest.get("format") != FORMAT:
                 raise CheckpointError(
                     f"{path}: format {manifest.get('format')!r}, expected {FORMAT!r}")
@@ -88,6 +92,10 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
             offset = entry["byte_offset"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: bad tensor entry {entry!r}") from exc
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: bad tensor name {name!r}")
+        if name in store:
+            raise CheckpointError(f"{path}: {name}: listed twice")
         if any(not isinstance(n, int) or n < 0 for n in shape):
             raise CheckpointError(f"{path}: {name}: bad shape {list(shape)!r}")
         if dtype != DTYPE:

@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .synth import SynthConfig
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false is no count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_seed(name: str, value) -> None:
-    # bool is an int subclass, and numpy seeds must be non-negative.
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    # numpy seeds must be non-negative.
+    if not _is_int(value) or value < 0:
         raise ConfigError(f"{name}: must be a non-negative integer, got {value!r}")
 
 
@@ -66,10 +72,6 @@ class TrainConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "save_interval"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"train.{name} must be an integer, got {value!r}")
         if self.lambda_cls < 0 or self.lambda_att < 0:
             raise ConfigError("train.lambda_cls/lambda_att must be >= 0")
         if self.lr < 0:
@@ -100,7 +102,6 @@ class EvalConfig:
             raise ConfigError("eval.top_k_per_query must be >= 1")
         for name in ("recall_ks", "precision_ks"):
             ks = getattr(self, name)
-            object.__setattr__(self, name, tuple(int(k) for k in ks))
             if not ks or any(k < 1 for k in ks):
                 raise ConfigError(f"eval.{name} must be positive integers")
 
@@ -123,14 +124,19 @@ _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "synth": SynthConfig,
 
 
 def _build_section(cls, payload: dict, section: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - set(fields))
+    hints = typing.get_type_hints(cls)  # field name -> type
+    unknown = sorted(set(payload) - set(hints))
     if unknown:
         raise ConfigError(f"{section}.{unknown[0]}: unknown field")
     coerced = {}
     for key, value in payload.items():
         if isinstance(value, list):
             value = tuple(value)
+        if hints[key] is int and not _is_int(value):
+            raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        if hints[key] == tuple[int, ...] and not (
+                isinstance(value, tuple) and all(_is_int(k) for k in value)):
+            raise ConfigError(f"{section}.{key} must be a list of integers, got {value!r}")
         coerced[key] = value
     try:
         return cls(**coerced)

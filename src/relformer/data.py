@@ -232,7 +232,7 @@ def compute_viou(a, b, frame_count: int) -> float:
 
 
 def assign_tracklets_to_gt(sample: VideoSample, threshold: float = 0.5,
-                           ) -> tuple[dict[int, list[int]], dict[int, tuple[int, float]]]:
+                           ) -> dict[int, list[int]]:
     """Assign detected tracklets to GT objects by vIoU.
 
     Two rules: (1) a tracklet joins its argmax-vIoU GT object when that vIoU
@@ -241,38 +241,28 @@ def assign_tracklets_to_gt(sample: VideoSample, threshold: float = 0.5,
     unassigned (the low-quality-match rescue). Ties break toward the lower id.
     A tracklet is never assigned to two GT objects.
 
-    Returns (gt_id -> sorted tracklet ids, tracklet_id -> (best gt id, vIoU)).
+    Returns gt_id -> sorted ids of the tracklets assigned to it.
     """
     tracklets = sample.tracklets
     gts = sample.gt_objects
     assigned: dict[int, int] = {}
-    best_gt: dict[int, tuple[int, float]] = {}
     if not tracklets or not gts:
-        return {g.id: [] for g in gts}, best_gt
+        return {g.id: [] for g in gts}
 
     viou = np.zeros((len(tracklets), len(gts)))
     for i, t in enumerate(tracklets):
         for j, g in enumerate(gts):
             viou[i, j] = compute_viou(t, g, sample.frame_count)
 
-    for i, t in enumerate(tracklets):
-        top = viou[i].max()
-        j = min((jj for jj in range(len(gts)) if viou[i, jj] == top),
-                key=lambda jj: gts[jj].id)
-        best_gt[t.id] = (gts[j].id, float(top))
+    for t, row in zip(tracklets, viou):
+        top = row.max()
         if top >= threshold:
-            assigned[t.id] = gts[j].id
+            assigned[t.id] = min(g.id for g, v in zip(gts, row) if v == top)
 
-    for j, g in enumerate(gts):
-        top = viou[:, j].max()
-        i = min((ii for ii in range(len(tracklets)) if viou[ii, j] == top),
-                key=lambda ii: tracklets[ii].id)
-        if top > 0.0 and tracklets[i].id not in assigned:
-            assigned[tracklets[i].id] = g.id
+    for g, column in zip(gts, viou.T):
+        top = column.max()
+        tid = min(t.id for t, v in zip(tracklets, column) if v == top)
+        if top > 0.0 and tid not in assigned:
+            assigned[tid] = g.id
 
-    by_gt: dict[int, list[int]] = {g.id: [] for g in gts}
-    for tid, gid in assigned.items():
-        by_gt[gid].append(tid)
-    for gid in by_gt:
-        by_gt[gid].sort()
-    return by_gt, best_gt
+    return {g.id: sorted(t for t, gid in assigned.items() if gid == g.id) for g in gts}

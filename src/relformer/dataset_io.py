@@ -70,6 +70,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _require_int(obj: dict, key: str, where: str) -> int:
+    value = _require(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _track_to_json(t: Tracklet, feature_ref: str, with_probs: bool) -> dict:
     entry = {
         "id": t.id,
@@ -88,8 +95,9 @@ def _track_to_json(t: Tracklet, feature_ref: str, with_probs: bool) -> dict:
 
 def _track_from_json(obj: dict, features: np.ndarray, where: str,
                      with_probs: bool) -> Tracklet:
-    for key in ("id", "start", "end", "category", "boxes", "features"):
+    for key in ("start", "end", "boxes", "features"):
         _require(obj, key, where)
+    track_id, category = (_require_int(obj, key, where) for key in ("id", "category"))
     ref = obj["features"]
     try:
         _, row_str = ref.rsplit("#", 1)
@@ -106,9 +114,9 @@ def _track_from_json(obj: dict, features: np.ndarray, where: str,
     if with_probs:
         probs = np.asarray(_require(obj, "probs", where), dtype=np.float64)
     try:
-        return Tracklet(id=int(obj["id"]), slot=TimeSlot(obj["start"], obj["end"]),
+        return Tracklet(id=track_id, slot=TimeSlot(obj["start"], obj["end"]),
                         boxes=boxes, appearance=features[row:row + rows],
-                        category=int(obj["category"]), probs=probs)
+                        category=category, probs=probs)
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
 
@@ -158,7 +166,7 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
             vocab_doc = json.load(f)
     except OSError as exc:
         raise DataError(f"{vocab_path}: cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise DataError(f"{vocab_path}: invalid JSON: {exc}") from exc
     vocab = Vocab(objects=_require(vocab_doc, "objects", "vocab.json"),
                   predicates=_require(vocab_doc, "predicates", "vocab.json"))
@@ -171,7 +179,7 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
         try:
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or not UTF-8
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
         samples.append(_sample_from_json(doc, directory, name, vocab))
     samples.sort(key=lambda s: s.video_id)
@@ -180,7 +188,7 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
 
 def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> VideoSample:
     video_id = str(_require(doc, "video_id", name))
-    frame_count = int(_require(doc, "frame_count", name))
+    frame_count = _require_int(doc, "frame_count", name)
 
     feature_cache: dict[str, np.ndarray] = {}
 
@@ -207,14 +215,15 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
     relations = []
     for i, entry in enumerate(_require(doc, "gt_relations", name)):
         where = f"{name}: gt_relations[{i}]"
-        for key in ("subject", "object", "predicate", "start", "end"):
+        subject, object_, predicate = (_require_int(entry, key, where)
+                                       for key in ("subject", "object", "predicate"))
+        for key in ("start", "end"):
             _require(entry, key, where)
-        if not (0 <= int(entry["predicate"]) < len(vocab.predicates)):
-            raise DataError(f"{where}: predicate {entry['predicate']} outside vocab")
+        if not (0 <= predicate < len(vocab.predicates)):
+            raise DataError(f"{where}: predicate {predicate} outside vocab")
         try:
             relations.append(GtRelation(
-                subject_gt_id=int(entry["subject"]), object_gt_id=int(entry["object"]),
-                predicate=int(entry["predicate"]),
+                subject_gt_id=subject, object_gt_id=object_, predicate=predicate,
                 slot=TimeSlot(entry["start"], entry["end"])))
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None

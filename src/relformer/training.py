@@ -1,13 +1,14 @@
-"""Set-matching training: ground-truth predicate targets, matching cost,
+"""Set-matching training: ground-truth relation targets, matching cost,
 Hungarian assignment, the total loss, and the optimization loop.
 
-The GT predicate set is padded with background entries to the query count m.
-The matching cost per (GT, prediction) pair combines the negative predicate
-log-probability and a binary cross-entropy on the normalized role attention
-(clamped into [1e-7, 1-1e-7], averaged over the 2n entries). The assignment
-itself is treated as a constant; gradient flows through the classification
-and attention terms of the matched pairs plus the background classification
-of the rest.
+The k real GT relations of a video are matched to k of the m predictions;
+nothing pads them to m. The matching cost of a (GT, prediction) pair
+combines the negative predicate log-probability and a binary cross-entropy
+on the normalized role attention (clamped into [1e-7, 1-1e-7], averaged over
+the 2n entries). It is built once, as a (k, m) autodiff tensor: the
+Hungarian step reads its values, and the loss sums its matched entries plus
+the no-relation classification of the m - k unmatched predictions. The
+assignment itself is treated as a constant.
 """
 
 from __future__ import annotations
@@ -24,117 +25,87 @@ from .autodiff import Tensor
 from .data import VideoSample, assign_tracklets_to_gt
 from .errors import DataError, NumericsError, UsageError
 from .head import build_freq_bias
-from .model import ModelOutput, RelationModel, VideoContext
+from .model import RelationModel, VideoContext
 from .nn import Adam, clip_grad_norm
 
 BCE_CLAMP = 1e-7
 
 
 @dataclass(frozen=True)
-class GtPredicate:
-    """One GT entry: a predicate category plus binary link targets, or a
-    background pad (predicate None, all-zero targets)."""
+class GtTargets:
+    """The k GT relations of one video as matching targets."""
 
-    predicate: int | None
-    attention: np.ndarray  # (2, n) in {0, 1}
-
-    @property
-    def is_background(self) -> bool:
-        return self.predicate is None
+    predicates: np.ndarray  # (k,) predicate ids
+    links: np.ndarray  # (2, k, n) subject/object link targets in {0, 1}
 
 
 def build_gt_predicates(sample: VideoSample, assignment: dict[int, list[int]],
-                        m: int) -> list[GtPredicate]:
-    """GT predicate set of size m. Subject/object target rows carry a 1 for
-    every tracklet assigned to the relation's GT subject/object."""
+                        m: int) -> GtTargets:
+    """Targets of the video's GT relations, laid out like the (2, m, n) role
+    attention. A subject/object link row carries a 1 for every tracklet
+    assigned to the relation's GT subject/object."""
     n = len(sample.tracklets)
-    if len(sample.gt_relations) > m:
+    k = len(sample.gt_relations)
+    if k > m:
         raise DataError(
-            f"video {sample.video_id}: {len(sample.gt_relations)} GT relations exceed "
+            f"video {sample.video_id}: {k} GT relations exceed "
             f"the {m} predicate queries; increase the anchor grid (m_c*m_d)")
     position = {t.id: i for i, t in enumerate(sample.tracklets)}
-    entries = []
-    for rel in sample.gt_relations:
-        target = np.zeros((2, n))
+    links = np.zeros((2, k, n))
+    for j, rel in enumerate(sample.gt_relations):
         for row, gt_id in ((0, rel.subject_gt_id), (1, rel.object_gt_id)):
             for tid in assignment.get(gt_id, ()):
-                target[row, position[tid]] = 1.0
-        entries.append(GtPredicate(predicate=rel.predicate, attention=target))
-    background = GtPredicate(predicate=None, attention=np.zeros((2, n)))
-    entries.extend([background] * (m - len(entries)))
-    return entries
+                links[row, j, position[tid]] = 1.0
+    predicates = np.array([rel.predicate for rel in sample.gt_relations], dtype=np.intp)
+    return GtTargets(predicates=predicates, links=links)
 
 
-def cost_matrix(gt_set: list[GtPredicate], probs: np.ndarray, attn: np.ndarray,
-                lambda_cls: float, lambda_att: float) -> np.ndarray:
-    """(m, m) matching costs, rows = GT entries, columns = predictions."""
-    m = len(gt_set)
-    n = attn.shape[2]
-    cost = np.zeros((m, m))
-    live = [j for j, g in enumerate(gt_set) if not g.is_background]
-    if not live:
-        return cost
-    logp = np.log(np.clip(probs, BCE_CLAMP, None))  # (m, R+1)
-    a = np.clip(attn, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    la = np.log(a).transpose(1, 0, 2).reshape(m, 2 * n)
-    l1a = np.log(1.0 - a).transpose(1, 0, 2).reshape(m, 2 * n)
-    targets = np.stack([gt_set[j].attention.reshape(2 * n) for j in live])
-    bce = -(targets @ la.T + (1.0 - targets) @ l1a.T) / (2 * n)  # (k, m)
-    classes = np.array([gt_set[j].predicate for j in live])
-    cls = -logp[:, classes].T  # (k, m)
-    cost[live, :] = lambda_cls * cls + lambda_att * bce
-    return cost
+def cost_matrix(gt: GtTargets, log_probs: Tensor, attention: Tensor,
+                lambda_cls: float, lambda_att: float) -> Tensor:
+    """(k, m) matching costs, rows = GT relations, columns = predictions.
+
+    ``log_probs`` is the (m, R+1) clamped log-probability, ``attention`` the
+    (2, m, n) normalized role attention.
+    """
+    _, m, n = attention.shape
+    columns = ad.transpose(ad.reshape(ad.transpose(attention, (1, 0, 2)), (m, 2 * n)))
+    a = ad.clip(columns, BCE_CLAMP, 1.0 - BCE_CLAMP)  # (2n, m)
+    targets = gt.links.transpose(1, 0, 2).reshape(-1, 2 * n)  # (k, 2n)
+    bce = ad.neg(ad.matmul(targets, ad.log(a)) + ad.matmul(1.0 - targets, ad.log(1.0 - a)))
+    cls = ad.transpose(log_probs[:, gt.predicates])
+    return ad.mul(cls, -lambda_cls) + ad.mul(ad.div(bce, 2 * n), lambda_att)
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost permutation sigma (GT row j -> prediction column sigma[j])."""
+    """Minimum-cost assignment of the k <= m rows to distinct columns:
+    GT row j -> prediction column sigma[j]."""
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise UsageError(f"hungarian needs a square cost matrix, got {cost.shape}")
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise UsageError(f"hungarian needs a (k, m) cost matrix with k <= m, "
+                         f"got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise NumericsError("hungarian needs finite costs")
     _, cols = linear_sum_assignment(cost)
     return cols
 
 
-def total_loss(gt_set: list[GtPredicate], output: ModelOutput, sigma: np.ndarray,
+def total_loss(cost: Tensor, log_probs: Tensor, sigma: np.ndarray,
+               lambda_cls: float) -> Tensor:
+    """Training loss of one video under the assignment sigma: the matched
+    costs plus the no-relation classification of every unmatched prediction."""
+    k, m = cost.shape
+    unmatched = np.setdiff1d(np.arange(m), sigma)
+    no_relation = log_probs.shape[1] - 1
+    background = ad.mul(ad.tsum(log_probs[unmatched, no_relation]), -lambda_cls)
+    return ad.tsum(cost[np.arange(k), sigma]) + background
+
+
+def video_loss(model: RelationModel, ctx: VideoContext, gt: GtTargets,
                lambda_cls: float, lambda_att: float) -> Tensor:
-    """Differentiable training loss for one video under assignment sigma."""
-    n_rel = output.probs.shape[1] - 1
-    n = output.attention.shape[2]
-    lp = ad.log(ad.clip(output.probs, BCE_CLAMP, 1.0))
-
-    live = [j for j, g in enumerate(gt_set) if not g.is_background]
-    background = [j for j, g in enumerate(gt_set) if g.is_background]
-    terms = []
-    if live:
-        cols = np.array([sigma[j] for j in live])
-        classes = np.array([gt_set[j].predicate for j in live])
-        terms.append(ad.mul(ad.tsum(lp[cols, classes]), -lambda_cls))
-
-        selected = ad.clip(output.attention[:, cols], BCE_CLAMP, 1.0 - BCE_CLAMP)
-        targets = ad.constant(np.stack([gt_set[j].attention for j in live], axis=1))
-        bce = ad.neg(targets * ad.log(selected)
-                     + (1.0 - targets) * ad.log(1.0 - selected))
-        terms.append(ad.mul(ad.tsum(bce), lambda_att / (2 * n)))
-    if background:
-        cols = np.array([sigma[j] for j in background])
-        classes = np.full(len(background), n_rel)
-        terms.append(ad.mul(ad.tsum(lp[cols, classes]), -lambda_cls))
-
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = loss + t
-    return loss
-
-
-def video_loss(model: RelationModel, ctx: VideoContext, gt_set: list[GtPredicate],
-               lambda_cls: float, lambda_att: float) -> tuple[Tensor, ModelOutput]:
     output = model.forward(ctx)
-    cost = cost_matrix(gt_set, output.probs.data, output.attention.data,
-                       lambda_cls, lambda_att)
-    sigma = hungarian(cost)
-    return total_loss(gt_set, output, sigma, lambda_cls, lambda_att), output
+    log_probs = ad.log(ad.clip(output.probs, BCE_CLAMP, 1.0))
+    cost = cost_matrix(gt, log_probs, output.attention, lambda_cls, lambda_att)
+    return total_loss(cost, log_probs, hungarian(cost.data), lambda_cls)
 
 
 @dataclass
@@ -159,14 +130,14 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     model.store["tables.freq_bias"].data[:] = build_freq_bias(
         samples, len(model.vocab.objects), len(model.vocab.predicates))
 
-    contexts, gt_sets = [], []
+    contexts, targets = [], []
     for sample in samples:
         if not sample.tracklets:
             raise DataError(f"video {sample.video_id}: cannot train on a video "
                             "with no tracklets")
-        assignment, _ = assign_tracklets_to_gt(sample, threshold=viou_threshold)
+        assignment = assign_tracklets_to_gt(sample, threshold=viou_threshold)
         contexts.append(model.build_context(sample))
-        gt_sets.append(build_gt_predicates(sample, assignment, m))
+        targets.append(build_gt_predicates(sample, assignment, m))
 
     optimizer = Adam(lr=train_cfg.lr)
     shuffle_rng = np.random.default_rng([seed, 1])
@@ -187,8 +158,8 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
                 idx = order[lo:lo + batch]
                 acc = None
                 for i in idx:
-                    loss, _ = video_loss(model, contexts[i], gt_sets[i],
-                                         train_cfg.lambda_cls, train_cfg.lambda_att)
+                    loss = video_loss(model, contexts[i], targets[i],
+                                      train_cfg.lambda_cls, train_cfg.lambda_att)
                     acc = loss if acc is None else acc + loss
                 batch_loss = ad.mul(acc, 1.0 / len(idx))
                 value = batch_loss.item()

@@ -102,16 +102,26 @@ def finite_difference(fn, param: np.ndarray, coords, h: float = 1e-5):
 
 def matching_cost_oracle(predicate, target, probs_row, attn_rows, lambda_cls,
                          lambda_att, clamp: float = 1e-7) -> float:
-    """Cost of matching one GT entry to one prediction, from the definition.
-
-    ``predicate`` None marks a background entry, which costs 0. Otherwise the
-    cost is the weighted negative log-probability of the GT predicate plus the
+    """Cost of matching one GT relation to one prediction, from the definition:
+    the weighted negative log-probability of the GT predicate plus the
     weighted mean clamped BCE between the (2, n) link targets and attention.
     """
-    if predicate is None:
-        return 0.0
     p = max(float(probs_row[predicate]), clamp)
     return -lambda_cls * math.log(p) + lambda_att * bce_oracle(target, attn_rows, clamp)
+
+
+def set_loss_oracle(predicates, links, probs, attn, sigma, lambda_cls, lambda_att,
+                    clamp: float = 1e-7) -> float:
+    """One video's set-matching loss under the assignment sigma: the matching
+    cost of every (GT relation j, prediction sigma[j]) pair, plus the weighted
+    negative no-relation log-probability of every prediction left unmatched."""
+    total = 0.0
+    for j, q in enumerate(sigma):
+        total += matching_cost_oracle(predicates[j], links[:, j], probs[q],
+                                      attn[:, q], lambda_cls, lambda_att, clamp)
+    for q in sorted(set(range(probs.shape[0])) - set(int(s) for s in sigma)):
+        total += -lambda_cls * math.log(max(float(probs[q, -1]), clamp))
+    return total
 
 
 # --- assignment --------------------------------------------------------------

@@ -115,6 +115,18 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="bad tensor entry"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("header,message", [
+        (b'[1, 2]', "malformed manifest"),
+        (b'{"format":"relformer-ckpt/1","tensors":5}', "malformed manifest"),
+        (b'{"format":"relformer-ckpt/1","tensors":[{"name":7,"shape":[],'
+         b'"dtype":"<f8","byte_offset":0}]}', "bad tensor name")],
+        ids=["not_an_object", "tensors_not_a_list", "name_not_a_string"])
+    def test_malformed_manifest_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header + b"\n" + bytes(8))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("shape", [[-1], [2, -3], [1.5]])
     def test_negative_or_fractional_shape_rejected(self, rng, tmp_path, shape):
         """A -1 would otherwise reshape the rest of the blob into one tensor."""

@@ -100,6 +100,13 @@ class TestDeterminism:
         digest = hashlib.sha256((root / "epochs0" / "model.ckpt").read_bytes()).hexdigest()
         assert digest == "3509e50d18e71e5d5fe14b17ce5d135b70cb81d2ab4e950f8d737ee47e2edd1b"
 
+    def test_trained_checkpoint_bytes_are_pinned(self, tiny_run):
+        """Two epochs of training from the pinned initial weights: matching,
+        loss, backward and Adam all leave their bits in these bytes."""
+        root, _, _ = tiny_run
+        digest = hashlib.sha256((root / "run1" / "model.ckpt").read_bytes()).hexdigest()
+        assert digest == "1be7bd89f3490697c7b69933095bdf1b87fbc4c86e258a092c71014ba5167562"
+
     def test_eval_and_infer_draw_no_initial_weights(self, tiny_run, monkeypatch):
         """Loading checks the checkpoint against the tensor list alone; the
         outputs are those of a run where the initialiser may be called."""
@@ -206,6 +213,15 @@ class TestExitCodes:
         assert code == 3
         assert "vocab.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,payload", [
+        ("synth", {"synth": {"videos": 2.0}}), ("train", {"model": {"heads": True}})])
+    def test_non_integer_config_field_exits_2(self, tmp_path, capsys, command, payload):
+        extra = ["--data", str(tmp_path / "data")] if command == "train" else []
+        cfg = write_config(tmp_path, payload)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")] + extra)
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_truncated_checkpoint_exits_3(self, tiny_run, capsys):
         root, cfg, data = tiny_run
         raw = (root / "run1" / "model.ckpt").read_bytes()
@@ -234,6 +250,21 @@ class TestExitCodes:
         assert code == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda manifest: [1, 2], "malformed manifest"),
+        (lambda manifest: {**manifest, "tensors": manifest["tensors"]
+                           + manifest["tensors"][:1]}, "listed twice"),
+    ], ids=["not_an_object", "duplicate_tensor"])
+    def test_malformed_manifest_exits_3(self, tiny_run, capsys, edit, message):
+        root, cfg, data = tiny_run
+        header, _, blob = (root / "run1" / "model.ckpt").read_bytes().partition(b"\n")
+        bad = root / "bad_manifest.ckpt"
+        bad.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
+        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", str(bad),
+                     "--out", str(root / "bad_manifest_report.json")])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
     def test_wrong_checkpoint_format_exits_3(self, tiny_run, capsys):
         root, cfg, data = tiny_run

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relformer.config import ModelConfig, RunConfig, TrainConfig, load_config
+from relformer.config import ModelConfig, RunConfig, load_config
 from relformer.errors import ConfigError
 
 
@@ -38,9 +38,36 @@ class TestModelConfig:
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [("batch_size", 2.5), ("epochs", 1.5),
                                              ("save_interval", True)])
-    def test_non_integer_counts_are_rejected(self, field, value):
+    def test_non_integer_counts_are_rejected(self, tmp_path, field, value):
+        path = write_config(tmp_path, {"train": {field: value}})
         with pytest.raises(ConfigError, match=f"train.{field} must be an integer"):
-            TrainConfig(**{field: value})
+            load_config(path)
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("section,field,value", [
+        ("model", "d", 64.0), ("model", "heads", True), ("model", "L_e", "2"),
+        ("synth", "videos", 2.0), ("synth", "frame_count", False),
+        ("eval", "top_k_per_query", 2.5)])
+    def test_non_integer_is_a_config_error(self, tmp_path, section, field, value):
+        path = write_config(tmp_path, {section: {field: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{field} must be an integer"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [[50.7, 100], [True], 50, [50, "100"]])
+    def test_non_integer_ks_are_a_config_error(self, tmp_path, value):
+        path = write_config(tmp_path, {"eval": {"recall_ks": value}})
+        with pytest.raises(ConfigError, match="eval.recall_ks must be a list of integers"):
+            load_config(path)
+
+    def test_integer_fields_keep_their_values(self, tmp_path):
+        path = write_config(tmp_path, {"model": {"d": 64, "heads": 4},
+                                       "eval": {"recall_ks": [20, 50], "top_k_per_query": 3},
+                                       "train": {"max_grad_norm": 1, "seed": None}})
+        cfg = load_config(path)
+        assert (cfg.model.d, cfg.model.heads) == (64, 4)
+        assert (cfg.eval.recall_ks, cfg.eval.top_k_per_query) == ((20, 50), 3)
+        assert (cfg.train.max_grad_norm, cfg.train.seed) == (1, None)
 
 
 class TestLoadConfig:

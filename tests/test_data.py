@@ -144,25 +144,27 @@ class TestAssignment:
     def test_noiseless_identity(self, clean_dataset):
         samples, _ = clean_dataset
         for sample in samples:
-            by_gt, best = assign_tracklets_to_gt(sample)
+            by_gt = assign_tracklets_to_gt(sample)
+            tracklets = {t.id: t for t in sample.tracklets}
             for gt in sample.gt_objects:
                 assert by_gt[gt.id] == [gt.id]
-                assert best[gt.id] == (gt.id, pytest.approx(1.0))
+                viou = compute_viou(tracklets[gt.id], gt, sample.frame_count)
+                assert viou == pytest.approx(1.0)
 
     def test_disjoint_distractor_unassigned(self):
         probs = np.array([1.0])
         gt = make_track(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3))
         good = make_track(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3), probs=probs)
         far = make_track(1, 6, 4, 10, (0.7, 0.7, 0.9, 0.9), probs=probs)
-        by_gt, _ = assign_tracklets_to_gt(self._sample([good, far], [gt]))
+        by_gt = assign_tracklets_to_gt(self._sample([good, far], [gt]))
         assert by_gt == {0: [0]}
 
     def test_low_quality_rescue_assigns_best_below_threshold(self):
         probs = np.array([1.0])
         gt = make_track(0, 0, 8, 10, (0.1, 0.1, 0.3, 0.3))
         weak = make_track(0, 0, 2, 10, (0.1, 0.1, 0.3, 0.3), probs=probs)
-        by_gt, best = assign_tracklets_to_gt(self._sample([weak], [gt]))
-        assert best[0][1] < 0.5
+        by_gt = assign_tracklets_to_gt(self._sample([weak], [gt]))
+        assert compute_viou(weak, gt, 10) < 0.5
         assert by_gt == {0: [0]}
 
     def test_three_by_two_table_matches_rule_oracle(self, rng):
@@ -177,14 +179,14 @@ class TestAssignment:
         sample = self._sample([t0, t1, t2], [gt0, gt1], frame_count)
         viou = np.array([[compute_viou(t, g, frame_count) for g in sample.gt_objects]
                          for t in sample.tracklets])
-        by_gt, _ = assign_tracklets_to_gt(sample, threshold=0.5)
+        by_gt = assign_tracklets_to_gt(sample, threshold=0.5)
         want = assignment_rules_oracle(viou, [0, 1, 2], [0, 1], 0.5)
         assert by_gt == want
 
     def test_never_assigns_one_tracklet_twice(self, toy_dataset):
         samples, _ = toy_dataset
         for sample in samples:
-            by_gt, _ = assign_tracklets_to_gt(sample)
+            by_gt = assign_tracklets_to_gt(sample)
             seen = [tid for tids in by_gt.values() for tid in tids]
             assert len(seen) == len(set(seen))
 

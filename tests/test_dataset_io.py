@@ -140,3 +140,29 @@ class TestValidation:
         path = self._write_minimal(tmp_path, add_rel)
         with pytest.raises(DataError, match="predicate 5 outside vocab"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("field,value", [("frame_count", "ten"), ("frame_count", 10.5),
+                                             ("predicate", "0"), ("predicate", True),
+                                             ("category", 0.0)])
+    def test_non_integer_field_names_file_and_field(self, tmp_path, field, value):
+        def edit(doc):
+            doc["gt_objects"].append(dict(doc["gt_objects"][0], id=1))
+            doc["gt_relations"].append(
+                {"subject": 0, "object": 1, "predicate": 0, "start": 0.0, "end": 0.2})
+            target = {"frame_count": doc, "predicate": doc["gt_relations"][0],
+                      "category": doc["tracklets"][0]}[field]
+            target[field] = value
+        path = self._write_minimal(tmp_path, edit)
+        with pytest.raises(DataError, match=f"video_v0.json.*'{field}' must be an integer"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("name", ["vocab.json", "video_v0.json"])
+    def test_non_utf8_json_names_the_file(self, tmp_path, name):
+        path = self._write_minimal(tmp_path)
+        target = os.path.join(path, name)
+        with open(target, "rb") as f:
+            raw = f.read()
+        with open(target, "wb") as f:
+            f.write(raw.replace(b'"', b'"\xff', 1))
+        with pytest.raises(DataError, match=f"{name}: invalid JSON"):
+            load_dataset(path)

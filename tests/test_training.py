@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 
 from relformer import autodiff as ad
+from relformer.config import ModelConfig
 from relformer.data import assign_tracklets_to_gt
-from relformer.errors import NumericsError, UsageError
+from relformer.errors import DataError, NumericsError, UsageError
 from relformer.model import RelationModel, init_store
-from relformer.training import (GtPredicate, build_gt_predicates, cost_matrix, hungarian,
-                                video_loss)
+from relformer.training import (BCE_CLAMP, GtTargets, build_gt_predicates, cost_matrix,
+                                hungarian, total_loss, video_loss)
 
-from oracles import hungarian_brute_force, matching_cost_oracle
+from oracles import (finite_difference, hungarian_brute_force, matching_cost_oracle,
+                     set_loss_oracle)
 
 
-def random_gt_set(rng, m, n, n_rel, live):
-    """``live`` real GT entries with random link targets, padded to m with background."""
-    entries = [GtPredicate(predicate=int(rng.integers(n_rel)),
-                           attention=(rng.uniform(size=(2, n)) < 0.3).astype(np.float64))
-               for _ in range(live)]
-    background = GtPredicate(predicate=None, attention=np.zeros((2, n)))
-    return entries + [background] * (m - live)
+def random_targets(rng, k, n, n_rel):
+    """k GT relations with random predicates and link targets."""
+    return GtTargets(predicates=rng.integers(n_rel, size=k),
+                     links=(rng.uniform(size=(2, k, n)) < 0.3).astype(np.float64))
 
 
 def random_prediction(rng, m, n, n_rel):
@@ -28,19 +27,45 @@ def random_prediction(rng, m, n, n_rel):
     return probs, attn
 
 
+def clamped_log(probs):
+    return ad.log(ad.clip(ad.constant(probs), BCE_CLAMP, 1.0))
+
+
 class TestCostMatrix:
-    @pytest.mark.parametrize("m,n,live", [(1, 1, 1), (4, 3, 2), (6, 5, 6), (5, 2, 0)])
-    def test_matches_per_pair_oracle(self, rng, m, n, live):
+    @pytest.mark.parametrize("m,n,k", [(1, 1, 1), (4, 3, 2), (6, 5, 6), (5, 2, 0)])
+    def test_matches_per_pair_oracle(self, rng, m, n, k):
         n_rel = 4
-        gt_set = random_gt_set(rng, m, n, n_rel, live)
+        gt = random_targets(rng, k, n, n_rel)
         probs, attn = random_prediction(rng, m, n, n_rel)
-        cost = cost_matrix(gt_set, probs, attn, 1.5, 30.0)
-        assert cost.shape == (m, m)
-        for j, gt in enumerate(gt_set):
+        cost = cost_matrix(gt, clamped_log(probs), ad.constant(attn), 1.5, 30.0)
+        assert cost.shape == (k, m)
+        for j in range(k):
             for q in range(m):
-                want = matching_cost_oracle(gt.predicate, gt.attention, probs[q],
+                want = matching_cost_oracle(gt.predicates[j], gt.links[:, j], probs[q],
                                             attn[:, q, :], 1.5, 30.0)
-                np.testing.assert_allclose(cost[j, q], want, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(cost.data[j, q], want, rtol=1e-12, atol=1e-12)
+
+
+class TestBuildTargets:
+    def test_links_follow_the_tracklet_assignment(self, toy_dataset):
+        samples, _ = toy_dataset
+        for sample in samples:
+            assignment = assign_tracklets_to_gt(sample)
+            gt = build_gt_predicates(sample, assignment, 48)
+            k, n = len(sample.gt_relations), len(sample.tracklets)
+            assert gt.links.shape == (2, k, n)
+            assert list(gt.predicates) == [rel.predicate for rel in sample.gt_relations]
+            for j, rel in enumerate(sample.gt_relations):
+                for row, gt_id in ((0, rel.subject_gt_id), (1, rel.object_gt_id)):
+                    linked = {sample.tracklets[i].id for i in np.flatnonzero(gt.links[row, j])}
+                    assert linked == set(assignment[gt_id])
+
+    def test_more_relations_than_queries_is_a_data_error(self, toy_dataset):
+        samples, _ = toy_dataset
+        sample = max(samples, key=lambda s: len(s.gt_relations))
+        k = len(sample.gt_relations)
+        with pytest.raises(DataError, match=f"{k} GT relations exceed"):
+            build_gt_predicates(sample, assign_tracklets_to_gt(sample), k - 1)
 
 
 class TestHungarian:
@@ -52,16 +77,18 @@ class TestHungarian:
         got = cost[np.arange(m), sigma].sum()
         assert abs(got - hungarian_brute_force(cost)) <= 1e-12 * max(1.0, got)
 
-    @pytest.mark.parametrize("m,live", [(4, 0), (5, 2), (6, 3)])
-    def test_optimal_with_background_rows(self, rng, m, live):
-        gt_set = random_gt_set(rng, m, 3, 4, live)
-        probs, attn = random_prediction(rng, m, 3, 4)
-        cost = cost_matrix(gt_set, probs, attn, 1.0, 30.0)
-        assert np.all(cost[live:] == 0.0)
+    @pytest.mark.parametrize("m,k", [(4, 0), (5, 2), (6, 3), (3, 2), (6, 2), (2, 0)])
+    def test_optimal_with_background_rows(self, rng, m, k):
+        """A (k, m) assignment costs the optimum of the square problem whose
+        m - k extra rows are zero-cost background rows."""
+        cost = rng.uniform(0.0, 10.0, size=(k, m))
         sigma = hungarian(cost)
-        assert sorted(sigma) == list(range(m))
-        got = cost[np.arange(m), sigma].sum()
-        assert abs(got - hungarian_brute_force(cost)) <= 1e-12 * max(1.0, got)
+        assert len(sigma) == k and len(set(sigma)) == k
+        assert all(0 <= q < m for q in sigma)
+        square = np.zeros((m, m))
+        square[:k] = cost
+        got = cost[np.arange(k), sigma].sum()
+        assert abs(got - hungarian_brute_force(square)) <= 1e-12 * max(1.0, got)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cost_is_a_numerics_error(self, bad):
@@ -70,9 +97,73 @@ class TestHungarian:
         with pytest.raises(NumericsError, match="finite"):
             hungarian(cost)
 
-    def test_non_square_cost_is_a_usage_error(self):
-        with pytest.raises(UsageError, match="square"):
-            hungarian(np.ones((2, 3)))
+    def test_more_rows_than_columns_is_a_usage_error(self):
+        for shape in [(3, 2), (4,), (1, 2, 2)]:
+            with pytest.raises(UsageError, match="k <= m"):
+                hungarian(np.ones(shape))
+
+
+class TestTotalLoss:
+    @pytest.mark.parametrize("m,n,k", [(1, 1, 1), (5, 3, 2), (6, 4, 6), (4, 2, 0)])
+    def test_matches_the_set_loss_oracle(self, rng, m, n, k):
+        n_rel = 3
+        gt = random_targets(rng, k, n, n_rel)
+        probs, attn = random_prediction(rng, m, n, n_rel)
+        probs[-1, -1] = 0.0  # the clamp on the no-relation term
+        log_probs = clamped_log(probs)
+        cost = cost_matrix(gt, log_probs, ad.constant(attn), 1.5, 30.0)
+        sigma = hungarian(cost.data)
+        loss = total_loss(cost, log_probs, sigma, 1.5)
+        want = set_loss_oracle(gt.predicates, gt.links, probs, attn, sigma, 1.5, 30.0)
+        np.testing.assert_allclose(loss.item(), want, rtol=1e-12)
+
+
+def fixed_sigma_loss(model, ctx, gt, sigma):
+    output = model.forward(ctx)
+    log_probs = ad.log(ad.clip(output.probs, BCE_CLAMP, 1.0))
+    cost = cost_matrix(gt, log_probs, output.attention, 1.0, 30.0)
+    return total_loss(cost, log_probs, sigma, 1.0)
+
+
+class TestLossGradient:
+    def test_full_loss_matches_finite_differences(self, toy_dataset):
+        """The gradient of one video's loss, through the encoder, decoder and
+        head, against central differences at 3 coordinates of every trainable
+        tensor. The assignment is held fixed, and every parameter is jittered
+        so that no ReLU input sits on its kink (zero biases put zero-input
+        RoI rows exactly there)."""
+        samples, vocab = toy_dataset
+        sample = samples[0]
+        cfg = ModelConfig(d=8, d_q=8, d_v=8, d_a=16, d_w=4, l=2, l_roi=3,
+                          L_e=1, L_d=1, m_c=4, m_d=2, heads=2, mlp_hidden=8)
+        store = init_store(cfg, vocab, 11)
+        rng = np.random.default_rng(7)
+        for _, t in store.trainable_items():
+            t.data += rng.normal(scale=0.05, size=t.shape)
+        model = RelationModel(cfg, vocab, store)
+        ctx = model.build_context(sample)
+        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), model.anchors.count)
+        assert len(gt.predicates) > 0
+        with_graph = video_loss(model, ctx, gt, 1.0, 30.0)
+        output = model.forward(ctx)
+        log_probs = ad.log(ad.clip(output.probs, BCE_CLAMP, 1.0))
+        sigma = hungarian(cost_matrix(gt, log_probs, output.attention, 1.0, 30.0).data)
+        loss = fixed_sigma_loss(model, ctx, gt, sigma)
+        assert loss.item() == with_graph.item()
+
+        # A central difference at step h carries rounding noise of about one
+        # ulp of the loss over h (~3e-8 here); allow four, plus 1e-6 relative.
+        h = 1e-6
+        noise = 4 * np.spacing(loss.item()) / h
+        items = store.trainable_items()
+        grads = ad.backward(loss, [t for _, t in items])
+        for (name, t), g in zip(items, grads):
+            coords = rng.choice(t.data.size, size=min(3, t.data.size), replace=False)
+            numeric = finite_difference(
+                lambda: fixed_sigma_loss(model, ctx, gt, sigma).item(), t.data, coords, h=h)
+            for c in coords:
+                exact = g.reshape(-1)[c]
+                assert abs(numeric[c] - exact) <= 1e-6 * abs(exact) + noise, (name, int(c))
 
 
 class TestGradientCoverage:
@@ -86,10 +177,10 @@ class TestGradientCoverage:
         sample = samples[0]
         store = init_store(toy_model_config, vocab, 3)
         model = RelationModel(toy_model_config, vocab, store)
-        assignment, _ = assign_tracklets_to_gt(sample)
-        gt_set = build_gt_predicates(sample, assignment, model.anchors.count)
-        assert any(not g.is_background for g in gt_set)
-        loss, _ = video_loss(model, model.build_context(sample), gt_set, 1.0, 30.0)
+        assignment = assign_tracklets_to_gt(sample)
+        gt = build_gt_predicates(sample, assignment, model.anchors.count)
+        assert len(gt.predicates) > 0
+        loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
         names = [name for name, _ in model.store.trainable_items()]
         grads = ad.backward(loss, model.store.trainable_tensors())
         dead = [name for name, g in zip(names, grads) if np.abs(g).max() < 1e-10]
