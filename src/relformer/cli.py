@@ -14,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .checkpoint import check_compatible, load_checkpoint
+from .checkpoint import load_checkpoint
 from .config import RunConfig, load_config
 from .data import Vocab
 from .dataset_io import canonical_json, load_dataset, save_dataset
@@ -22,7 +22,7 @@ from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
                      RelformerError, UsageError)
 from .head import ensemble_merge, infer_triplets, load_embedding_table, triplets_to_json
 from .metrics import evaluate
-from .model import RelationModel, init_store, param_shapes
+from .model import RelationModel, init_store
 from .synth import synth_generate
 from .training import train_loop
 
@@ -85,19 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_model(ckpt_path: str, cfg: RunConfig, vocab: Vocab) -> RelationModel:
     """The checkpoint's model, frozen: its forwards record no autodiff graph."""
-    store, manifest = load_checkpoint(ckpt_path)
-    echo, want = manifest.get("model"), cfg.model.to_dict()
-    if not isinstance(echo, dict):
-        raise CheckpointError(f"{ckpt_path}: checkpoint carries no model config echo")
-    for key in sorted(want.keys() | echo.keys()):
-        if echo.get(key) != want.get(key):
-            raise CheckpointError(
-                f"{ckpt_path}: checkpoint was trained with model.{key}={echo.get(key)!r}, "
-                f"but the run config has model.{key}={want.get(key)!r}")
-    check_compatible(ckpt_path, store, param_shapes(cfg.model, vocab))
-    for _, t in store.items():
-        t.requires_grad = False
-    return RelationModel(cfg.model, vocab, store)
+    return RelationModel(cfg.model, vocab, load_checkpoint(ckpt_path, cfg.model, vocab))
 
 
 def _predict_video(model: RelationModel, sample, top_k: int):

@@ -65,9 +65,36 @@ def read_feature_file(path: str) -> np.ndarray:
 
 
 def _require(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: must be a JSON object, got {obj!r}")
     if key not in obj:
         raise DataError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _require_list(obj: dict, key: str, where: str) -> list:
+    value = _require(obj, key, where)
+    if not isinstance(value, list):
+        raise DataError(f"{where}: field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _require_number(obj: dict, key: str, where: str) -> int | float:
+    value = _require(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{where}: field {key!r} must be a number, got {value!r}")
+    return value
+
+
+def _require_array(obj: dict, key: str, where: str) -> np.ndarray:
+    """A float64 array from a (nested) list of finite JSON numbers."""
+    try:
+        arr = np.asarray(_require(obj, key, where))
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise DataError(f"{where}: field {key!r} must be an array of finite numbers")
+    return arr.astype(np.float64, copy=False)
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:
@@ -95,16 +122,15 @@ def _track_to_json(t: Tracklet, feature_ref: str, with_probs: bool) -> dict:
 
 def _track_from_json(obj: dict, features: np.ndarray, where: str,
                      with_probs: bool) -> Tracklet:
-    for key in ("start", "end", "boxes", "features"):
-        _require(obj, key, where)
+    start, end = (_require_number(obj, key, where) for key in ("start", "end"))
     track_id, category = (_require_int(obj, key, where) for key in ("id", "category"))
-    ref = obj["features"]
+    ref = _require(obj, "features", where)
     try:
         _, row_str = ref.rsplit("#", 1)
         row = int(row_str)
     except (AttributeError, ValueError):
         raise DataError(f"{where}: bad features reference {ref!r}") from None
-    boxes = np.asarray(obj["boxes"], dtype=np.float64)
+    boxes = _require_array(obj, "boxes", where)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise DataError(f"{where}: boxes must be a list of 4-vectors")
     rows = len(boxes)
@@ -112,9 +138,9 @@ def _track_from_json(obj: dict, features: np.ndarray, where: str,
         raise DataError(f"{where}: features reference {ref!r} out of range")
     probs = None
     if with_probs:
-        probs = np.asarray(_require(obj, "probs", where), dtype=np.float64)
+        probs = _require_array(obj, "probs", where)
     try:
-        return Tracklet(id=track_id, slot=TimeSlot(obj["start"], obj["end"]),
+        return Tracklet(id=track_id, slot=TimeSlot(start, end),
                         boxes=boxes, appearance=features[row:row + rows],
                         category=category, probs=probs)
     except DataError as exc:
@@ -168,8 +194,8 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
         raise DataError(f"{vocab_path}: cannot read: {exc}") from exc
     except ValueError as exc:  # invalid JSON or not UTF-8
         raise DataError(f"{vocab_path}: invalid JSON: {exc}") from exc
-    vocab = Vocab(objects=_require(vocab_doc, "objects", "vocab.json"),
-                  predicates=_require(vocab_doc, "predicates", "vocab.json"))
+    vocab = Vocab(objects=_require_list(vocab_doc, "objects", "vocab.json"),
+                  predicates=_require_list(vocab_doc, "predicates", "vocab.json"))
 
     samples = []
     names = sorted(p for p in os.listdir(directory)
@@ -179,6 +205,8 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
         try:
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
+        except OSError as exc:  # e.g. a directory with a video file's name
+            raise DataError(f"{path}: cannot read: {exc}") from exc
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
         samples.append(_sample_from_json(doc, directory, name, vocab))
@@ -201,7 +229,7 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
 
     def tracks(key: str, with_probs: bool) -> list[Tracklet]:
         out = []
-        for i, entry in enumerate(_require(doc, key, name)):
+        for i, entry in enumerate(_require_list(doc, key, name)):
             where = f"{name}: {key}[{i}]"
             track = _track_from_json(entry, features_for(entry, where), where, with_probs)
             if track.category < 0 or track.category >= len(vocab.objects):
@@ -213,18 +241,17 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
         return out
 
     relations = []
-    for i, entry in enumerate(_require(doc, "gt_relations", name)):
+    for i, entry in enumerate(_require_list(doc, "gt_relations", name)):
         where = f"{name}: gt_relations[{i}]"
         subject, object_, predicate = (_require_int(entry, key, where)
                                        for key in ("subject", "object", "predicate"))
-        for key in ("start", "end"):
-            _require(entry, key, where)
+        start, end = (_require_number(entry, key, where) for key in ("start", "end"))
         if not (0 <= predicate < len(vocab.predicates)):
             raise DataError(f"{where}: predicate {predicate} outside vocab")
         try:
             relations.append(GtRelation(
                 subject_gt_id=subject, object_gt_id=object_, predicate=predicate,
-                slot=TimeSlot(entry["start"], entry["end"])))
+                slot=TimeSlot(start, end)))
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
 

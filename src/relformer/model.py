@@ -34,10 +34,12 @@ same sum; they differ only in float rounding.
 The encoder input is the same pooled MLP (``nn.pooled_mlp_forward``) with
 one fixed-length pooling per tracklet, i.e. m=1, which always pools first.
 
-``param_shapes`` is the one list of the model's tensors, name -> shape.
-``init_store`` fills it with random values for training, and a checkpoint
-is checked against it without drawing any; ``RelationModel`` only runs the
-forward pass over the store it is given.
+``param_shapes`` is the one list of the model's tensors, name -> shape,
+and the model config plus the vocab determine it. ``init_store`` fills it
+with random values for training; a checkpoint stores the config and vocab
+instead of a tensor table, and loading slices its blob by this list without
+drawing any random values. ``RelationModel`` only runs the forward pass over
+the store it is given.
 """
 
 from __future__ import annotations
@@ -205,9 +207,9 @@ class VideoContext:
     """
 
     sample: VideoSample
-    appearance: list[np.ndarray]     # (l_i, d_a) float64 per tracklet
-    spatial: list[np.ndarray]        # (l_i, 8) per tracklet
-    spans: list[tuple[int, int]]     # global (first, last_exclusive) frames
+    appearance: np.ndarray           # (S, d_a) float64, tracklets stacked in order
+    spatial: np.ndarray              # (S, 8), stacked likewise
+    spans: list[tuple[int, int]]     # global (first, last_exclusive) frames; l_i = last - first
     slots: np.ndarray                # (n, 2) tracklet slots
     categories: np.ndarray           # (n,) int
     classemes: np.ndarray            # (n, d_w)
@@ -229,7 +231,7 @@ def param_shapes(cfg, vocab: Vocab) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor the model reads, in initialisation order.
 
     This is the one list of the model's tensors: ``init_store`` fills it with
-    random values, and a checkpoint must hold exactly these shapes.
+    random values, and ``checkpoint.load_checkpoint`` slices a blob by it.
     """
     h = cfg.mlp_hidden
     n_obj, n_rel = len(vocab.objects), len(vocab.predicates)
@@ -279,8 +281,8 @@ class RelationModel:
     """Runs the full per-video forward pass over the store it is given.
 
     The store holds the tensors of ``param_shapes(cfg, vocab)``: from
-    ``init_store`` for training, or from a checkpoint that
-    ``checkpoint.check_compatible`` has checked against that list.
+    ``init_store`` for training, or from ``checkpoint.load_checkpoint``,
+    which accepts only a checkpoint written for the same config and vocab.
     """
 
     def __init__(self, cfg, vocab: Vocab, store: ParamStore):
@@ -293,33 +295,30 @@ class RelationModel:
 
     def build_context(self, sample: VideoSample) -> VideoContext:
         from .head import classeme
-        table = self.store["tables.classeme"].data
-        appearance, spatial, spans = [], [], []
-        for t in sample.tracklets:
+        tracks = sample.tracklets
+        if not tracks:
+            raise DataError(f"video {sample.video_id}: no tracklets to build a context for")
+        for t in tracks:
             if t.appearance.shape[1] != self.cfg.d_a:
                 raise DataError(
                     f"video {sample.video_id}: tracklet {t.id} feature width "
                     f"{t.appearance.shape[1]} != model d_a={self.cfg.d_a}")
-            appearance.append(t.appearance.astype(np.float64))
-            spatial.append(spatial_feature(t.boxes))
-            spans.append(t.slot.frame_span(sample.frame_count))
-        n = len(sample.tracklets)
-        slots = np.array([[t.slot.start, t.slot.end] for t in sample.tracklets]
-                         ).reshape(n, 2)
-        cats = np.array([t.category for t in sample.tracklets], dtype=np.int64)
-        clsm = (np.stack([classeme(t.probs, table) for t in sample.tracklets])
-                if n else np.zeros((0, self.cfg.d_w)))
-        return VideoContext(sample=sample, appearance=appearance, spatial=spatial,
-                            spans=spans, slots=slots, categories=cats,
-                            classemes=clsm)
+        table = self.store["tables.classeme"].data
+        return VideoContext(
+            sample=sample,
+            appearance=np.concatenate([t.appearance for t in tracks], dtype=np.float64),
+            spatial=np.concatenate([spatial_feature(t.boxes) for t in tracks]),
+            spans=[t.slot.frame_span(sample.frame_count) for t in tracks],
+            slots=np.array([[t.slot.start, t.slot.end] for t in tracks]),
+            categories=np.array([t.category for t in tracks], dtype=np.int64),
+            classemes=np.stack([classeme(t.probs, table) for t in tracks]))
 
     # -- forward pieces -------------------------------------------------------
 
     def _per_frame_features(self, ctx: VideoContext) -> Tensor:
         """(S, d) per-frame features of all tracklets, stacked in tracklet order."""
-        app = ad.constant(np.concatenate(ctx.appearance, axis=0))
-        spat = ad.constant(np.concatenate(ctx.spatial, axis=0))
-        return init_tracklet_feature(self.store, app, spat)
+        return init_tracklet_feature(self.store, ad.constant(ctx.appearance),
+                                     ad.constant(ctx.spatial))
 
     def encode_tracklets(self, h: Tensor) -> Tensor:
         if h.shape[0] == 0:
@@ -371,7 +370,7 @@ class RelationModel:
         from .head import binarize_links, classify_predicates
         frames = self._per_frame_features(ctx)
         pooled = pool_to_encoder_input(self.store, frames,
-                                       [len(a) for a in ctx.appearance], self.cfg.l)
+                                       [t1 - t0 for t0, t1 in ctx.spans], self.cfg.l)
         h_enc = self.encode_tracklets(pooled)
         queries, attn = self.decode(ctx, frames, h_enc)
         links = binarize_links(attn.data)

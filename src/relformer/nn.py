@@ -63,9 +63,6 @@ class ParamStore:
     def trainable_tensors(self) -> list[Tensor]:
         return [t for _, t in self.trainable_items()]
 
-    def is_trainable(self, name: str) -> bool:
-        return self[name].requires_grad
-
 
 # ---------------------------------------------------------------------------
 # parameter shapes and initialization

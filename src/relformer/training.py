@@ -22,6 +22,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import save_checkpoint
 from .data import VideoSample, assign_tracklets_to_gt
 from .errors import DataError, NumericsError, UsageError
 from .head import build_freq_bias
@@ -123,8 +124,6 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     Emits a per-step loss trace (CSV: epoch,step,loss), interval checkpoints
     when ``train_cfg.save_interval`` is set, and the final checkpoint.
     """
-    from .checkpoint import save_checkpoint
-
     os.makedirs(out_dir, exist_ok=True)
     m = model.anchors.count
     model.store["tables.freq_bias"].data[:] = build_freq_bias(
@@ -143,7 +142,6 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     shuffle_rng = np.random.default_rng([seed, 1])
     trace_path = os.path.join(out_dir, "loss_trace.csv")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
-    model_meta = model.cfg.to_dict()
 
     epoch_losses = []
     batch = train_cfg.batch_size
@@ -181,7 +179,7 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
             if (train_cfg.save_interval and (epoch + 1) % train_cfg.save_interval == 0
                     and (epoch + 1) < train_cfg.epochs):
                 save_checkpoint(os.path.join(out_dir, f"model_epoch{epoch + 1:04d}.ckpt"),
-                                model.store, model_meta)
-    save_checkpoint(ckpt_path, model.store, model_meta)
+                                model.store, model.cfg, model.vocab)
+    save_checkpoint(ckpt_path, model.store, model.cfg, model.vocab)
     return TrainResult(checkpoint_path=ckpt_path, trace_path=trace_path,
                        epoch_losses=epoch_losses)

@@ -1,163 +1,160 @@
+import dataclasses
 import json
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
 
-from relformer.checkpoint import (FORMAT, check_compatible, load_checkpoint,
-                                  save_checkpoint)
+from relformer.checkpoint import FORMAT, load_checkpoint, save_checkpoint
+from relformer.config import ModelConfig
+from relformer.data import Vocab
 from relformer.errors import CheckpointError
-from relformer.nn import ParamStore
+from relformer.model import init_store, param_shapes
+
+CFG = ModelConfig(d=4, d_q=4, d_v=4, d_a=2, d_w=2, l=1, l_roi=1, L_e=1, L_d=1,
+                  m_c=1, m_d=1, heads=1, mlp_hidden=2)
+VOCAB = Vocab(objects=("a", "b"), predicates=("p", "q"))
 
 
-def make_store(rng):
-    store = ParamStore()
-    store.add("b.weight", rng.normal(size=(3, 4)))
-    store.add("a.bias", rng.normal(size=5))
-    store.add("tables.lookup", rng.normal(size=(2, 2)), trainable=False)
-    return store
+@pytest.fixture
+def ckpt(tmp_path):
+    """A saved checkpoint of a tiny model and the store it was saved from."""
+    store = init_store(CFG, VOCAB, seed=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), store, CFG, VOCAB)
+    return path, store
 
 
-def rewrite_entry(path, name, **fields):
-    """Change fields of one manifest entry, keeping the blob as it is."""
+def rewrite_manifest(path, edit):
+    """Replace the manifest by ``edit(manifest)``, keeping the blob as it is."""
     header, _, blob = path.read_bytes().partition(b"\n")
-    manifest = json.loads(header)
-    for entry in manifest["tensors"]:
-        if entry["name"] == name:
-            entry.update(fields)
-    path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
 
 
 class TestRoundTrip:
-    def test_values_and_flags_survive(self, rng, tmp_path):
-        store = make_store(rng)
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, store, model_meta={"d": 4})
-        loaded, manifest = load_checkpoint(path)
-        assert manifest["format"] == FORMAT
-        assert manifest["model"] == {"d": 4}
+    def test_values_and_flags_survive(self, ckpt):
+        path, store = ckpt
+        loaded = load_checkpoint(str(path), CFG, VOCAB)
         assert loaded.names() == store.names()
         for name, t in store.items():
             np.testing.assert_array_equal(loaded[name].data, t.data)
-            assert loaded.is_trainable(name) == store.is_trainable(name)
+            assert not loaded[name].requires_grad
 
-    def test_manifest_is_json_line_with_per_tensor_fields(self, rng, tmp_path):
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, make_store(rng))
-        with open(path, "rb") as f:
-            header = f.readline()
-        manifest = json.loads(header)
-        entries = manifest["tensors"]
-        assert [e["name"] for e in entries] == ["a.bias", "b.weight", "tables.lookup"]
-        for e in entries:
-            assert set(e) >= {"name", "shape", "dtype", "byte_offset"}
-        assert entries[0]["byte_offset"] == 0
-        assert entries[1]["byte_offset"] == 5 * 8
+    def test_manifest_is_json_line_with_model_and_vocab(self, ckpt):
+        path, _ = ckpt
+        header, _, blob = path.read_bytes().partition(b"\n")
+        assert json.loads(header) == {
+            "format": FORMAT, "model": dataclasses.asdict(CFG),
+            "vocab": {"objects": ["a", "b"], "predicates": ["p", "q"]}}
+        count = sum(int(np.prod(s)) for s in param_shapes(CFG, VOCAB).values())
+        assert len(blob) == 8 * count
 
-    def test_blob_is_little_endian_rowmajor(self, rng, tmp_path):
-        store = ParamStore()
-        store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, store)
-        with open(path, "rb") as f:
-            raw = f.read()
-        blob = raw[raw.find(b"\n") + 1:]
-        np.testing.assert_array_equal(np.frombuffer(blob, dtype="<f8"),
-                                      [1.0, 2.0, 3.0, 4.0])
+    def test_blob_is_little_endian_rowmajor(self, ckpt):
+        """The tensors in sorted-name order, each row-major."""
+        path, store = ckpt
+        blob = path.read_bytes().partition(b"\n")[2]
+        want = np.concatenate([t.data.ravel() for _, t in store.items()])
+        assert blob == want.astype("<f8").tobytes()
 
-    def test_loaded_tensors_are_writable_views_of_one_array(self, rng, tmp_path):
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, make_store(rng))
-        loaded, _ = load_checkpoint(path)
-        blob = loaded["a.bias"].data.base
-        assert blob is not None and blob.size == 5 + 12 + 4
+    def test_loaded_tensors_are_writable_views_of_one_array(self, ckpt):
+        path, store = ckpt
+        loaded = load_checkpoint(str(path), CFG, VOCAB)
+        first = store.names()[0]
+        blob = loaded[first].data.base
+        assert blob is not None and blob.size == sum(t.data.size for _, t in store.items())
         assert all(t.data.base is blob for _, t in loaded.items())
-        for _, t in loaded.items():
-            assert t.data.flags.writeable
-        loaded["b.weight"].data[0, 0] = 123.0
-        assert blob[5] == 123.0
+        assert all(t.data.flags.writeable and not t.requires_grad
+                   for _, t in loaded.items())
+        loaded[first].data.flat[0] = 123.0
+        assert blob[0] == 123.0
 
-    def test_save_is_byte_deterministic(self, rng, tmp_path):
-        store = make_store(rng)
-        p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-        save_checkpoint(p1, store)
-        save_checkpoint(p2, store)
-        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    def test_save_is_byte_deterministic(self, ckpt, tmp_path):
+        path, store = ckpt
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(str(again), store, CFG, VOCAB)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestErrors:
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b'{"format":"other/9","tensors":[]}\n')
-        with pytest.raises(CheckpointError, match="format"):
-            load_checkpoint(str(path))
+    def test_wrong_format_rejected(self, ckpt):
+        path, _ = ckpt
+        rewrite_manifest(path, lambda m: {**m, "format": "other/9"})
+        with pytest.raises(CheckpointError, match="format 'other/9'"):
+            load_checkpoint(str(path), CFG, VOCAB)
 
-    def test_truncated_blob_rejected(self, rng, tmp_path):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), make_store(rng))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(str(path))
+    def test_format_1_asks_for_retraining(self, ckpt):
+        path, _ = ckpt
+        rewrite_manifest(path, lambda m: {**m, "format": "relformer-ckpt/1"})
+        with pytest.raises(CheckpointError, match="relformer-ckpt/1.*retrain"):
+            load_checkpoint(str(path), CFG, VOCAB)
+
+    def test_truncated_blob_rejected(self, ckpt):
+        path, _ = ckpt
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        size = len(raw.partition(b"\n")[2])
+        with pytest.raises(CheckpointError, match=f"blob has {size - 8} bytes.* {size}$"):
+            load_checkpoint(str(path), CFG, VOCAB)
+
+    @pytest.mark.parametrize("delta", [-1, 1, 7, 8])
+    def test_blob_of_any_other_length_rejected(self, ckpt, delta):
+        """``np.fromfile`` would drop 1-7 trailing bytes without a word."""
+        path, _ = ckpt
+        raw = path.read_bytes()
+        path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+        size = len(raw.partition(b"\n")[2])
+        with pytest.raises(CheckpointError, match=f"blob has {size + delta} bytes"):
+            load_checkpoint(str(path), CFG, VOCAB)
 
     def test_missing_separator_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b'{"format":"relformer-ckpt/1","tensors":[]}')
+        path.write_bytes(b'{"format":"relformer-ckpt/2"}')
         with pytest.raises(CheckpointError, match="separator"):
-            load_checkpoint(str(path))
-
-    def test_bad_entry_rejected(self, rng, tmp_path):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), make_store(rng))
-        header, _, blob = path.read_bytes().partition(b"\n")
-        manifest = json.loads(header)
-        del manifest["tensors"][0]["shape"]
-        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
-        with pytest.raises(CheckpointError, match="bad tensor entry"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), CFG, VOCAB)
 
     @pytest.mark.parametrize("header,message", [
-        (b'[1, 2]', "malformed manifest"),
-        (b'{"format":"relformer-ckpt/1","tensors":5}', "malformed manifest"),
-        (b'{"format":"relformer-ckpt/1","tensors":[{"name":7,"shape":[],'
-         b'"dtype":"<f8","byte_offset":0}]}', "bad tensor name")],
-        ids=["not_an_object", "tensors_not_a_list", "name_not_a_string"])
+        (b'[1, 2]', "not an object"),
+        (b'{"format":', "malformed manifest"),
+        (b'{"format":"\xff"}', "malformed manifest")],
+        ids=["not_an_object", "not_json", "not_utf8"])
     def test_malformed_manifest_rejected(self, tmp_path, header, message):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(header + b"\n" + bytes(8))
         with pytest.raises(CheckpointError, match=message):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), CFG, VOCAB)
 
-    @pytest.mark.parametrize("shape", [[-1], [2, -3], [1.5]])
-    def test_negative_or_fractional_shape_rejected(self, rng, tmp_path, shape):
-        """A -1 would otherwise reshape the rest of the blob into one tensor."""
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), make_store(rng))
-        rewrite_entry(path, "a.bias", shape=shape)
-        with pytest.raises(CheckpointError, match="bad shape"):
-            load_checkpoint(str(path))
+    @pytest.mark.parametrize("section", ["model", "vocab"])
+    def test_missing_section_rejected(self, ckpt, section):
+        path, _ = ckpt
+        rewrite_manifest(path, lambda m: {k: v for k, v in m.items() if k != section})
+        with pytest.raises(CheckpointError, match=f"no {section} section"):
+            load_checkpoint(str(path), CFG, VOCAB)
 
-    @pytest.mark.parametrize("dtype", ["<f4", ">f8", "float64"])
-    def test_dtype_other_than_f8_rejected(self, rng, tmp_path, dtype):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), make_store(rng))
-        rewrite_entry(path, "b.weight", dtype=dtype)
-        with pytest.raises(CheckpointError, match="unsupported dtype"):
-            load_checkpoint(str(path))
+    def test_incompatible_shapes_detected(self, ckpt):
+        """A run whose config gives other tensor shapes names the first
+        differing model field with both values."""
+        path, _ = ckpt
+        with pytest.raises(CheckpointError, match="model.d_w=2, but the run has model.d_w=4"):
+            load_checkpoint(str(path), dataclasses.replace(CFG, d_w=4), VOCAB)
 
-    @pytest.mark.parametrize("offset", [4, -8, 8.0])
-    def test_misaligned_offset_rejected(self, rng, tmp_path, offset):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), make_store(rng))
-        rewrite_entry(path, "b.weight", byte_offset=offset)
-        with pytest.raises(CheckpointError, match="misaligned"):
-            load_checkpoint(str(path))
+    def test_same_shapes_under_another_config_rejected(self, ckpt):
+        """``heads`` changes no shape, but the model it runs."""
+        path, _ = ckpt
+        other = dataclasses.replace(CFG, heads=2)
+        with pytest.raises(CheckpointError, match="model.heads=1, but the run has model.heads=2"):
+            load_checkpoint(str(path), other, VOCAB)
 
-    def test_incompatible_shapes_detected(self, rng, tmp_path):
-        store = make_store(rng)
-        other = {"b.weight": (3, 5), "a.bias": (5,), "tables.lookup": (2, 2)}
-        with pytest.raises(CheckpointError, match="b.weight"):
-            check_compatible("x.ckpt", store, other)
+    @pytest.mark.parametrize("vocab,field", [
+        (Vocab(objects=("a", "b"), predicates=("q", "p")), "predicates"),
+        (Vocab(objects=("a", "b", "c"), predicates=("p", "q")), "objects")],
+        ids=["permuted_predicates", "extra_object"])
+    def test_other_vocab_rejected(self, ckpt, vocab, field):
+        path, _ = ckpt
+        saved, run = list(getattr(VOCAB, field)), list(getattr(vocab, field))
+        message = f"vocab.{field}={saved!r}, but the run has vocab.{field}={run!r}"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(str(path), CFG, vocab)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
-            load_checkpoint(str(tmp_path / "nope.ckpt"))
+            load_checkpoint(str(tmp_path / "nope.ckpt"), CFG, VOCAB)

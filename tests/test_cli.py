@@ -6,11 +6,12 @@ import pytest
 
 from relformer import model as model_module
 from relformer import nn
-from relformer.checkpoint import load_checkpoint, save_checkpoint
+from relformer.checkpoint import load_checkpoint
 from relformer.cli import _load_model, main
 from relformer.config import load_config
 from relformer.dataset_io import load_dataset
 from relformer.model import RelationModel
+from relformer.synth import PREDICATE_RULES
 
 
 def write_config(tmp_path, payload) -> str:
@@ -58,6 +59,44 @@ TINY = {"seed": 5,
         "train": {"epochs": 2, "batch_size": 2, "lr": 1e-3}}
 
 
+# The exact manifest of every TINY checkpoint.
+TINY_HEADER = (
+    b'{"format":"relformer-ckpt/2","model":{"L_d":1,"L_e":1,"d":8,"d_a":4,"d_q":8,'
+    b'"d_v":8,"d_w":4,"heads":2,"l":2,"l_roi":3,"m_c":4,"m_d":2,"mlp_hidden":8},'
+    b'"vocab":{"objects":["person","dog","cat"],"predicates":["approaching",'
+    b'"moving-away","above","beneath","faster","bigger"]}}')
+
+
+def blob_digest(path) -> str:
+    """sha256 of the blob, after checking the manifest is TINY_HEADER."""
+    header, _, blob = path.read_bytes().partition(b"\n")
+    assert header == TINY_HEADER
+    return hashlib.sha256(blob).hexdigest()
+
+
+def write_format_1(path, tiny_run, extra: dict) -> None:
+    """A format-1 checkpoint of the trained TINY model plus ``extra`` tensors:
+    a model echo and a per-tensor table, no vocab."""
+    root, cfg, data = tiny_run
+    store = load_checkpoint(str(root / "run1" / "model.ckpt"), load_config(cfg).model,
+                            load_dataset(data)[1])
+    tensors = {**{name: t.data for name, t in store.items()}, **extra}
+    entries, offset = [], 0
+    for name in sorted(tensors):
+        entries.append({"name": name, "shape": list(tensors[name].shape), "dtype": "<f8",
+                        "byte_offset": offset, "trainable": not name.startswith("tables.")})
+        offset += tensors[name].nbytes
+    manifest = {"format": "relformer-ckpt/1", "model": TINY["model"], "tensors": entries}
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + b"".join(
+        tensors[name].astype("<f8").tobytes() for name in sorted(tensors)))
+
+
+def eval_exit_code(tiny_run, ckpt, out) -> int:
+    root, cfg, data = tiny_run
+    return main(["eval", "--config", cfg, "--data", data, "--ckpt", str(ckpt),
+                 "--out", str(out)])
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """A synthesized tiny dataset, its config, and one trained checkpoint."""
@@ -97,15 +136,15 @@ class TestDeterminism:
         root, cfg, data = tiny_run
         assert main(["train", "--config", cfg, "--data", data, "--out",
                      str(root / "epochs0"), "--epochs", "0", "--quiet"]) == 0
-        digest = hashlib.sha256((root / "epochs0" / "model.ckpt").read_bytes()).hexdigest()
-        assert digest == "3509e50d18e71e5d5fe14b17ce5d135b70cb81d2ab4e950f8d737ee47e2edd1b"
+        digest = blob_digest(root / "epochs0" / "model.ckpt")
+        assert digest == "2ff912527bf7415062b85d55dead9d67bdccfd3ab6d17bd3036a7825ec7cdd0b"
 
     def test_trained_checkpoint_bytes_are_pinned(self, tiny_run):
         """Two epochs of training from the pinned initial weights: matching,
         loss, backward and Adam all leave their bits in these bytes."""
         root, _, _ = tiny_run
-        digest = hashlib.sha256((root / "run1" / "model.ckpt").read_bytes()).hexdigest()
-        assert digest == "1be7bd89f3490697c7b69933095bdf1b87fbc4c86e258a092c71014ba5167562"
+        digest = blob_digest(root / "run1" / "model.ckpt")
+        assert digest == "54549ad4d8dfef47aa8e56cf70dcf1ad3fd4d86980e5ba535be0d547a1da3a92"
 
     def test_eval_and_infer_draw_no_initial_weights(self, tiny_run, monkeypatch):
         """Loading checks the checkpoint against the tensor list alone; the
@@ -135,40 +174,50 @@ class TestDeterminism:
 class TestCheckpointCompatibility:
     def test_checkpoint_with_slot_offset_tensors_exits_3(self, tiny_run, capsys):
         """Checkpoints written while the decoder still had slot-offset MLPs
-        carry tensors the model no longer has; eval names them and exits 3."""
-        root, cfg, data = tiny_run
-        store, manifest = load_checkpoint(str(root / "run1" / "model.ckpt"))
+        are format-1 files; eval asks for retraining and exits 3."""
+        root = tiny_run[0]
         hidden, d_q = TINY["model"]["mlp_hidden"], TINY["model"]["d_q"]
-        for name, shape in (("w1", (d_q, hidden)), ("b1", (hidden,)),
-                            ("w2", (hidden, 2)), ("b2", (2,))):
-            store.add(f"decoder.layer0.offset.{name}", np.zeros(shape))
-        old = str(root / "old.ckpt")
-        save_checkpoint(old, store, manifest["model"])
+        old = root / "old.ckpt"
+        write_format_1(old, tiny_run, {
+            f"decoder.layer0.offset.{name}": np.zeros(shape)
+            for name, shape in (("w1", (d_q, hidden)), ("b1", (hidden,)),
+                                ("w2", (hidden, 2)), ("b2", (2,)))})
         capsys.readouterr()
-        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", old,
-                     "--out", str(root / "old_report.json")])
-        assert code == 3
+        assert eval_exit_code(tiny_run, old, root / "old_report.json") == 3
         err = capsys.readouterr().err
-        assert "unexpected" in err
-        assert "decoder.layer0.offset.b1" in err
+        assert "'relformer-ckpt/1' is no longer read" in err
+        assert "retrain" in err
         assert not (root / "old_report.json").exists()
 
     def test_checkpoint_with_attention_key_bias_exits_3(self, tiny_run, capsys):
-        """Checkpoints written while attention still had a key bias carry
-        ``*.attn.bk`` tensors; eval names them and exits 3."""
-        root, cfg, data = tiny_run
-        store, manifest = load_checkpoint(str(root / "run1" / "model.ckpt"))
-        store.add("encoder.layer0.attn.bk", np.zeros(TINY["model"]["d"]))
-        old = str(root / "old_bk.ckpt")
-        save_checkpoint(old, store, manifest["model"])
+        """Checkpoints written while attention still had a key bias are
+        format-1 files too."""
+        root = tiny_run[0]
+        old = root / "old_bk.ckpt"
+        write_format_1(old, tiny_run, {"encoder.layer0.attn.bk": np.zeros(TINY["model"]["d"])})
         capsys.readouterr()
-        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", old,
-                     "--out", str(root / "old_bk_report.json")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "unexpected" in err
-        assert "encoder.layer0.attn.bk" in err
+        assert eval_exit_code(tiny_run, old, root / "old_bk_report.json") == 3
+        assert "retrain" in capsys.readouterr().err
         assert not (root / "old_bk_report.json").exists()
+
+    def test_dataset_with_permuted_predicates_exits_3(self, tiny_run, capsys):
+        """Predicate ids are positions in the vocab: under another order they
+        would silently name other predicates."""
+        root, _, _ = tiny_run
+        other = root / "permuted"
+        other.mkdir()
+        rules = list(reversed(PREDICATE_RULES))
+        cfg = write_config(other, {**TINY, "synth": {**TINY["synth"], "rules": rules}})
+        assert main(["synth", "--config", cfg, "--out", str(other / "data")]) == 0
+        capsys.readouterr()
+        for command, out in (("eval", other / "report.json"), ("infer", other / "preds")):
+            code = main([command, "--config", cfg, "--data", str(other / "data"), "--ckpt",
+                         str(root / "run1" / "model.ckpt"), "--out", str(out)])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert f"vocab.predicates={list(PREDICATE_RULES)!r}" in err
+            assert f"vocab.predicates={rules!r}" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("change,key", [({"heads": 4}, "heads"),
                                             ({"m_c": 2, "m_d": 4}, "m_c")],
@@ -192,15 +241,15 @@ class TestCheckpointCompatibility:
             assert not out.exists()
 
     def test_checkpoint_without_model_echo_exits_3(self, tiny_run, capsys):
-        root, cfg, data = tiny_run
-        store, _ = load_checkpoint(str(root / "run1" / "model.ckpt"))
-        bare = str(root / "bare.ckpt")
-        save_checkpoint(bare, store)
+        root = tiny_run[0]
+        header, _, blob = (root / "run1" / "model.ckpt").read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        del manifest["model"]
+        bare = root / "bare.ckpt"
+        bare.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
         capsys.readouterr()
-        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", bare,
-                     "--out", str(root / "bare_report.json")])
-        assert code == 3
-        assert "no model config echo" in capsys.readouterr().err
+        assert eval_exit_code(tiny_run, bare, root / "bare_report.json") == 3
+        assert "no model section" in capsys.readouterr().err
         assert not (root / "bare_report.json").exists()
 
 
@@ -223,47 +272,36 @@ class TestExitCodes:
         assert "must be an integer" in capsys.readouterr().err
 
     def test_truncated_checkpoint_exits_3(self, tiny_run, capsys):
-        root, cfg, data = tiny_run
+        root = tiny_run[0]
         raw = (root / "run1" / "model.ckpt").read_bytes()
         cut = root / "truncated.ckpt"
         cut.write_bytes(raw[:-8])
-        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", str(cut),
-                     "--out", str(root / "truncated_report.json")])
-        assert code == 3
-        assert "truncated" in capsys.readouterr().err
+        assert eval_exit_code(tiny_run, cut, root / "truncated_report.json") == 3
+        assert "blob has" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("dtype", "<f4", "unsupported dtype"), ("byte_offset", 4, "misaligned")],
-        ids=["f4", "misaligned"])
-    def test_unreadable_tensor_entry_exits_3(self, tiny_run, capsys, field, value,
-                                             message):
-        root, cfg, data = tiny_run
+    @pytest.mark.parametrize("extra", [1, 7, 8])
+    def test_overlong_checkpoint_exits_3(self, tiny_run, capsys, extra):
+        root = tiny_run[0]
         raw = (root / "run1" / "model.ckpt").read_bytes()
-        header, _, blob = raw.partition(b"\n")
-        manifest = json.loads(header)
-        manifest["tensors"][1][field] = value
-        bad = root / f"bad_{field}.ckpt"
-        bad.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
-        out = root / f"bad_{field}_report.json"
-        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", str(bad),
-                     "--out", str(out)])
-        assert code == 3
-        assert message in capsys.readouterr().err
+        long = root / f"long{extra}.ckpt"
+        long.write_bytes(raw + bytes(extra))
+        out = root / f"long{extra}_report.json"
+        assert eval_exit_code(tiny_run, long, out) == 3
+        size = len(raw.partition(b"\n")[2])
+        assert f"blob has {size + extra} bytes" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit,message", [
         (lambda manifest: [1, 2], "malformed manifest"),
-        (lambda manifest: {**manifest, "tensors": manifest["tensors"]
-                           + manifest["tensors"][:1]}, "listed twice"),
-    ], ids=["not_an_object", "duplicate_tensor"])
+        (lambda manifest: {k: v for k, v in manifest.items() if k != "vocab"},
+         "no vocab section"),
+    ], ids=["not_an_object", "no_vocab"])
     def test_malformed_manifest_exits_3(self, tiny_run, capsys, edit, message):
-        root, cfg, data = tiny_run
+        root = tiny_run[0]
         header, _, blob = (root / "run1" / "model.ckpt").read_bytes().partition(b"\n")
         bad = root / "bad_manifest.ckpt"
         bad.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
-        code = main(["eval", "--config", cfg, "--data", data, "--ckpt", str(bad),
-                     "--out", str(root / "bad_manifest_report.json")])
-        assert code == 3
+        assert eval_exit_code(tiny_run, bad, root / "bad_manifest_report.json") == 3
         assert message in capsys.readouterr().err
 
     def test_wrong_checkpoint_format_exits_3(self, tiny_run, capsys):
@@ -299,7 +337,9 @@ class TestFrozenLoad:
         run_cfg = load_config(cfg)
         frozen = _load_model(ckpt, run_cfg, vocab)
         assert not any(t.requires_grad for _, t in frozen.store.items())
-        store, _ = load_checkpoint(ckpt)
+        store = nn.ParamStore()
+        for name, t in frozen.store.items():
+            store.add(name, t.data)
         tracking = RelationModel(run_cfg.model, vocab, store)
         sample = next(s for s in samples if s.tracklets)
         got = frozen.forward(frozen.build_context(sample))

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ class TestRoundTrip:
         with pytest.raises(DataError, match="not empty"):
             save_dataset(target, samples, vocab)
         save_dataset(target, samples, vocab, force=True)
+
+
+def with_relation(doc, **fields):
+    """Add a second GT object and one relation between the two."""
+    doc["gt_objects"].append(dict(doc["gt_objects"][0], id=1))
+    doc["gt_relations"].append(
+        {"subject": 0, "object": 1, "predicate": 0, "start": 0.0, "end": 0.2, **fields})
 
 
 class TestValidation:
@@ -166,3 +174,32 @@ class TestValidation:
             f.write(raw.replace(b'"', b'"\xff', 1))
         with pytest.raises(DataError, match=f"{name}: invalid JSON"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc, ds: doc["tracklets"][0].update(start="zero"),
+         r"video_v0.json: tracklets\[0\]: field 'start' must be a number"),
+        (lambda doc, ds: with_relation(doc, start=None),
+         r"video_v0.json: gt_relations\[0\]: field 'start' must be a number"),
+        (lambda doc, ds: doc.update(tracklets=5),
+         "video_v0.json: field 'tracklets' must be a list"),
+        (lambda doc, ds: doc["tracklets"].__setitem__(0, 7),
+         r"video_v0.json: tracklets\[0\]: must be a JSON object"),
+        (lambda doc, ds: doc["tracklets"][0]["boxes"][1].pop(),
+         r"video_v0.json: tracklets\[0\]: field 'boxes' must be an array"),
+        (lambda doc, ds: doc["tracklets"][0].update(boxes="abc"),
+         r"video_v0.json: tracklets\[0\]: field 'boxes' must be an array"),
+        (lambda doc, ds: doc["tracklets"][0].update(probs=["a", "b"]),
+         r"video_v0.json: tracklets\[0\]: field 'probs' must be an array"),
+        (lambda doc, ds: doc["tracklets"][0].update(probs=[float("nan"), 1.0]),
+         r"video_v0.json: tracklets\[0\]: field 'probs' must be an array"),
+        (lambda doc, ds: (ds / "video_zz.json").mkdir(), "video_zz.json: cannot read"),
+    ], ids=["track_start_string", "relation_start_null", "tracklets_not_a_list",
+            "track_not_an_object", "ragged_boxes", "boxes_string", "probs_strings",
+            "probs_nan", "directory"])
+    def test_malformed_video_json_names_file_and_field(self, tmp_path, edit, message):
+        ds = Path(self._write_minimal(tmp_path))
+        doc = json.loads((ds / "video_v0.json").read_text())
+        edit(doc, ds)
+        (ds / "video_v0.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
+            load_dataset(str(ds))

@@ -266,6 +266,12 @@ class TestEncoder:
         with pytest.raises(DataError, match="no tracklets"):
             model.encode_tracklets(Tensor(np.zeros((0, 32))))
 
+    def test_context_of_an_empty_video_is_a_data_error(self, toy_model_config):
+        model = build_toy_model(toy_model_config)
+        sample = VideoSample(video_id="v", frame_count=8, tracklets=[], gt_objects=[])
+        with pytest.raises(DataError, match="no tracklets"):
+            model.build_context(sample)
+
     def test_zero_projections_make_identity(self, toy_model_config, rng):
         model = build_toy_model(toy_model_config)
         for k in range(toy_model_config.L_e):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from relformer import autodiff as ad
-from relformer.config import ModelConfig
+from relformer.config import ModelConfig, TrainConfig
 from relformer.data import assign_tracklets_to_gt
 from relformer.errors import DataError, NumericsError, UsageError
+from relformer.head import infer_triplets
+from relformer.metrics import evaluate
 from relformer.model import RelationModel, init_store
+from relformer.synth import SynthConfig, synth_generate
 from relformer.training import (BCE_CLAMP, GtTargets, build_gt_predicates, cost_matrix,
-                                hungarian, total_loss, video_loss)
+                                hungarian, total_loss, train_loop, video_loss)
 
 from oracles import (finite_difference, hungarian_brute_force, matching_cost_oracle,
                      set_loss_oracle)
@@ -185,3 +188,27 @@ class TestGradientCoverage:
         grads = ad.backward(loss, model.store.trainable_tensors())
         dead = [name for name, g in zip(names, grads) if np.abs(g).max() < 1e-10]
         assert dead == []
+
+
+class TestOverfit:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_video_is_learned_exactly(self, tmp_path, seed):
+        """The whole pipeline can fit one video: 150 Adam steps take the loss
+        below 5% of its start and the train-set RelDet mAP to 1 (it starts at
+        0.08 or less). Measured at these settings, the loss fell 123 -> 1.75,
+        145 -> 0.007 and 46 -> 0.002 for seeds 1, 2 and 3."""
+        samples, vocab = synth_generate(SynthConfig(
+            videos=1, frame_count=16, d_a=8, object_categories=4, objects_min=3,
+            objects_max=3, distractors=1, max_relations=6), seed=seed)
+        cfg = ModelConfig(d=16, d_q=16, d_v=16, d_a=8, d_w=8, l=2, l_roi=3, L_e=1, L_d=2,
+                          m_c=4, m_d=2, heads=2, mlp_hidden=16)
+        model = RelationModel(cfg, vocab, init_store(cfg, vocab, 0))
+        result = train_loop(samples, model, TrainConfig(lr=1e-2, batch_size=1, epochs=150),
+                            str(tmp_path), seed=0)
+        assert result.epoch_losses[-1] < 0.05 * result.epoch_losses[0]
+        predictions = {}
+        for sample in samples:
+            out = model.forward(model.build_context(sample))
+            predictions[sample.video_id] = infer_triplets(
+                out.probs.data, out.links, list(sample.tracklets), 10)
+        assert evaluate(predictions, samples).reldet_map == 1.0
