@@ -2,14 +2,17 @@
 
 A Tensor wraps a numpy array. Operations on tensors that require gradients
 build a computation graph of closures; ``backward`` walks it once in reverse
-topological order and returns the gradients of the tensors asked for, so no
-tensor stores a gradient. Two returned gradients may be one array, so
-callers must not write into them. A forward over tensors that require no
-gradient records no graph. Only the ops this package actually needs are
-provided: broadcasting arithmetic, (batched) matmul,
-reshape/transpose/concat/stack, indexing, reductions, the elementwise
-functions used by the model, and the fused pool-and-project node of the
-decoder value matrix.
+topological order, releasing it, and returns the gradients of the tensors
+asked for, so no tensor stores a gradient. Two returned gradients may be one
+array, so callers must not write into them. ``backward`` can also continue
+the gradient sums of an earlier graph over the same leaves, so a sum of
+losses can be back-propagated one loss at a time, each graph freed before
+the next is built, with the bits of one backward of the sum. A forward over
+tensors that require no gradient records no graph. Only the ops this
+package actually needs are provided: broadcasting arithmetic, (batched)
+matmul, reshape/transpose/concat/stack, indexing, reductions, the
+elementwise functions used by the model, and the fused pool-and-project
+node of the decoder value matrix.
 
 All graph construction is single-threaded per training step; concurrent
 read-only forward passes are safe because parameters are never mutated
@@ -421,22 +424,46 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
+def backward(loss: Tensor, params: Sequence[Tensor],
+             sums: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Gradients of the scalar ``loss``, one array per tensor in ``params``.
 
     A tensor the graph never reached gets zeros. Two entries may be the same
     array (a vjp can hand one gradient to two parents), so treat them as
     read-only. The graph is released on the way; calling this twice on the
     same loss node without re-running the forward pass is an error.
+
+    ``sums`` carries running gradient sums from earlier graphs over the same
+    leaves, one per tensor in ``params``. The list is taken over: it is
+    emptied, each sum seeds its leaf's accumulator before this graph's uses
+    are added, and the continued sums are returned. A tensor this graph does
+    not reach keeps its carried sum. Seeding, rather than adding this graph's
+    total at the end, keeps the order of the float adds. For losses whose
+    graphs share only leaves, one backward of their left-to-right sum walks
+    the losses one after another and adds each use of a leaf in that order;
+    a backward per loss in the same order, with carried sums, adds the same
+    uses in the same order, so its result is bit-identical.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss._done:
         raise UsageError("backward already called on this loss; re-run the forward pass")
+    grads: dict[int, np.ndarray] = {}
+    if sums is not None:
+        if len(sums) != len(params):
+            raise UsageError(f"backward: {len(sums)} carried sums for {len(params)} tensors")
+        if any(t._parents for t in params):
+            raise UsageError("backward: carried sums need leaf tensors")
+        # Only the accumulators hold the old sums, so each is freed as soon
+        # as its successor exists.
+        grads.update(zip(map(id, params), sums))
+        sums.clear()
     loss._done = True
 
     wanted = {id(t) for t in params}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    seed = np.ones_like(loss.data)
+    acc = grads.get(id(loss))
+    grads[id(loss)] = seed if acc is None else acc + seed
     leaves: dict[int, np.ndarray] = {}
     for node in reversed(_topo_order(loss)):
         g = grads.pop(id(node), None)
@@ -452,4 +479,5 @@ def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
                 grads[id(p)] = pg if acc is None else acc + pg
             node._vjp = None
             node._parents = ()
-    return [leaves.get(id(t), np.zeros_like(t.data)) for t in params]
+    leaves.update(grads)  # the carried sums of tensors this graph did not reach
+    return [leaves[id(t)] if id(t) in leaves else np.zeros_like(t.data) for t in params]

@@ -51,9 +51,10 @@ class TimeSlot:
 def _validate_boxes(boxes: np.ndarray, label: str) -> None:
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise DataError(f"{label}: boxes must be (l, 4), got {boxes.shape}")
-    if np.any(boxes < 0.0) or np.any(boxes > 1.0):
-        raise DataError(f"{label}: box coordinates must lie in [0, 1]")
-    if np.any(boxes[:, 0] >= boxes[:, 2]) or np.any(boxes[:, 1] >= boxes[:, 3]):
+    # Every comparison with NaN is false, so the checks ask for the valid case.
+    if not np.all((boxes >= 0.0) & (boxes <= 1.0)):
+        raise DataError(f"{label}: box coordinates must be finite and lie in [0, 1]")
+    if not (np.all(boxes[:, 0] < boxes[:, 2]) and np.all(boxes[:, 1] < boxes[:, 3])):
         raise DataError(f"{label}: boxes must satisfy x1<x2 and y1<y2")
 
 
@@ -90,8 +91,8 @@ class Tracklet:
             object.__setattr__(self, "probs", probs)
             if probs.ndim != 1:
                 raise DataError(f"{label}: probs must be 1-d")
-            if abs(float(probs.sum()) - 1.0) > 1e-6 or np.any(probs < 0.0):
-                raise DataError(f"{label}: probs must be a probability vector")
+            if not (abs(float(probs.sum()) - 1.0) <= 1e-6 and np.all(probs >= 0.0)):
+                raise DataError(f"{label}: probs must be a finite probability vector")
 
     @property
     def length(self) -> int:

@@ -87,13 +87,14 @@ def _require_number(obj: dict, key: str, where: str) -> int | float:
 
 
 def _require_array(obj: dict, key: str, where: str) -> np.ndarray:
-    """A float64 array from a (nested) list of finite JSON numbers."""
+    """A float64 array from a (nested) list of JSON numbers. ``Tracklet``
+    rejects NaN and infinities."""
     try:
         arr = np.asarray(_require(obj, key, where))
     except ValueError:  # ragged rows
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-        raise DataError(f"{where}: field {key!r} must be an array of finite numbers")
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DataError(f"{where}: field {key!r} must be an array of numbers")
     return arr.astype(np.float64, copy=False)
 
 
@@ -255,10 +256,10 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
 
+    tracklets, gt_objects = tracks("tracklets", True), tracks("gt_objects", False)
     try:
         return VideoSample(video_id=video_id, frame_count=frame_count,
-                           tracklets=tracks("tracklets", True),
-                           gt_objects=tracks("gt_objects", False),
+                           tracklets=tracklets, gt_objects=gt_objects,
                            gt_relations=relations)
     except DataError as exc:
         raise DataError(f"{name}: {exc}") from None

@@ -30,4 +30,4 @@ class CheckpointError(RelformerError):
 
 
 class NumericsError(RelformerError):
-    """Training diverged (non-finite loss or matching cost)."""
+    """Training diverged (non-finite loss, matching cost, gradient or parameter)."""

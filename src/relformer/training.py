@@ -9,6 +9,13 @@ the 2n entries). It is built once, as a (k, m) autodiff tensor: the
 Hungarian step reads its values, and the loss sums its matched entries plus
 the no-relation classification of the m - k unmatched predictions. The
 assignment itself is treated as a constant.
+
+A train step back-propagates each video's loss, scaled by 1/batch, straight
+after its forward, carrying the batch's gradient sums from one video to the
+next. So only one video's graph is alive at a time, and the gradients are
+bit-identical to one backward of the batch's mean loss. The loss, each
+gradient and each parameter after the Adam update must be finite, or the
+step raises ``NumericsError`` naming the video or the tensor.
 """
 
 from __future__ import annotations
@@ -109,6 +116,15 @@ def video_loss(model: RelationModel, ctx: VideoContext, gt: GtTargets,
     return total_loss(cost, log_probs, hungarian(cost.data), lambda_cls)
 
 
+def _require_finite(names: list[str], arrays: list[np.ndarray], what: str,
+                    epoch: int, step: int) -> None:
+    """NumericsError naming the first of ``arrays`` with a NaN or infinity."""
+    for name, a in zip(names, arrays):
+        if not np.isfinite(a).all():
+            raise NumericsError(f"non-finite {what} {name} at epoch {epoch} "
+                                f"step {step}; aborting")
+
+
 @dataclass
 class TrainResult:
     checkpoint_path: str
@@ -122,7 +138,8 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     """Adam training over batches of videos; deterministic for a fixed seed.
 
     Emits a per-step loss trace (CSV: epoch,step,loss), interval checkpoints
-    when ``train_cfg.save_interval`` is set, and the final checkpoint.
+    when ``train_cfg.save_interval`` is set, and the final checkpoint. A
+    step's loss is the mean of its videos' losses, summed in batch order.
     """
     os.makedirs(out_dir, exist_ok=True)
     m = model.anchors.count
@@ -143,6 +160,8 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     trace_path = os.path.join(out_dir, "loss_trace.csv")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
 
+    names = [name for name, _ in model.store.trainable_items()]
+    params = model.store.trainable_tensors()
     epoch_losses = []
     batch = train_cfg.batch_size
     with open(trace_path, "w", newline="") as f:
@@ -154,21 +173,28 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
             losses = []
             for lo in range(0, len(order), batch):
                 idx = order[lo:lo + batch]
-                acc = None
+                scale = 1.0 / len(idx)
+                total = grads = None
                 for i in idx:
                     loss = video_loss(model, contexts[i], targets[i],
                                       train_cfg.lambda_cls, train_cfg.lambda_att)
-                    acc = loss if acc is None else acc + loss
-                batch_loss = ad.mul(acc, 1.0 / len(idx))
-                value = batch_loss.item()
-                if not np.isfinite(value):
-                    raise NumericsError(
-                        f"non-finite loss at epoch {epoch} step {step}; aborting")
-                grads = ad.backward(batch_loss, model.store.trainable_tensors())
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise NumericsError(
+                            f"non-finite loss at epoch {epoch} step {step} "
+                            f"video {samples[i].video_id}; aborting")
+                    total = value if total is None else total + value
+                    # Back-propagating now frees this video's graph before the
+                    # next forward; the carried sums keep the batch's gradient
+                    # bit-identical to one backward of the mean loss.
+                    grads = ad.backward(ad.mul(loss, scale), params, grads)
+                value = total * scale
+                _require_finite(names, grads, "gradient", epoch, step)
                 if train_cfg.max_grad_norm is not None:
                     _, grads = clip_grad_norm(grads, train_cfg.max_grad_norm)
                 optimizer.step(model.store, grads)
                 del grads  # not held through the next step's forward
+                _require_finite(names, [t.data for t in params], "parameter", epoch, step)
                 writer.writerow([epoch, step, repr(value)])
                 losses.append(value)
                 step += 1

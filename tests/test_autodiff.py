@@ -239,3 +239,53 @@ class TestPoolProject:
             ad.pool_project(frames, weights[:1], w)
         with pytest.raises(ShapeError, match="rows"):
             ad.pool_project(frames, weights, Tensor(np.ones((5, 5))))
+
+
+class TestCarriedSums:
+    """A backward per loss with carried sums against one backward of the sum."""
+
+    def setup_losses(self, rng):
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        first_only = Tensor(rng.normal(size=3), requires_grad=True)
+        frozen = Tensor(rng.normal(size=3))
+        xs = [rng.normal(size=(4, 3)) for _ in range(2)]
+
+        def loss(i):
+            # w is used twice per loss, first_only by the first loss alone
+            h = ad.relu(ad.matmul(xs[i], w))
+            out = ad.tsum(ad.square(ad.matmul(h, w)))
+            return out + ad.tsum(ad.mul(first_only, frozen)) if i == 0 else out
+
+        return [w, first_only, frozen], loss
+
+    def test_equal_to_one_joint_backward(self, rng):
+        params, loss = self.setup_losses(rng)
+        joint = backward(ad.mul(loss(0) + loss(1), 0.5), params)
+
+        handed = backward(ad.mul(loss(0), 0.5), params)
+        carried = backward(ad.mul(loss(1), 0.5), params, handed)
+        assert handed == []
+        for want, got in zip(joint, carried):
+            assert np.array_equal(want, got)
+        np.testing.assert_array_equal(carried[2], np.zeros(3))
+
+        # Adding the per-loss gradients afterwards rounds differently, so the
+        # data tells the two orders apart.
+        separate = [backward(ad.mul(loss(i), 0.5), params) for i in range(2)]
+        assert not np.array_equal(separate[0][0] + separate[1][0], joint[0])
+
+    def test_unreached_tensor_keeps_its_carried_sum(self, rng):
+        params, loss = self.setup_losses(rng)
+        first = backward(loss(0), params)
+        kept = first[1]
+        carried = backward(loss(1), params, first)
+        assert carried[1] is kept
+
+    def test_carried_sums_must_pair_with_leaf_params(self, rng):
+        params, loss = self.setup_losses(rng)
+        sums = backward(loss(0), params)
+        with pytest.raises(UsageError, match="2 carried sums for 3 tensors"):
+            backward(loss(1), params, sums[:2])
+        inner = ad.mul(params[0], 2.0)
+        with pytest.raises(UsageError, match="leaf"):
+            backward(ad.tsum(inner), [inner], [np.zeros((3, 3))])

@@ -146,6 +146,21 @@ class TestDeterminism:
         digest = blob_digest(root / "run1" / "model.ckpt")
         assert digest == "54549ad4d8dfef47aa8e56cf70dcf1ad3fd4d86980e5ba535be0d547a1da3a92"
 
+    def test_ragged_last_batch_bytes_are_pinned(self, tiny_run):
+        """Four videos at batch 3: a step of three videos and one of one. The
+        pins are the bytes of one backward of each step's mean loss, which a
+        backward per video with carried gradient sums must reproduce."""
+        root, _, data = tiny_run
+        (root / "ragged").mkdir()
+        cfg = write_config(root / "ragged", {**TINY, "train": {**TINY["train"], "batch_size": 3}})
+        out = root / "ragged" / "run"
+        assert main(["train", "--config", cfg, "--data", data, "--out", str(out),
+                     "--quiet"]) == 0
+        assert blob_digest(out / "model.ckpt") == (
+            "d040029df64c19bfaff533f1e3ebbdf3f3c2f8545b6ae9304a86e3ce96e4ec2b")
+        assert hashlib.sha256((out / "loss_trace.csv").read_bytes()).hexdigest() == (
+            "458b6ee8daaa289b13ff3a0a87376b78dd2ab732b09fde4b63535a93a5c96f1a")
+
     def test_eval_and_infer_draw_no_initial_weights(self, tiny_run, monkeypatch):
         """Loading checks the checkpoint against the tensor list alone; the
         outputs are those of a run where the initialiser may be called."""

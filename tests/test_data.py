@@ -60,6 +60,18 @@ class TestTrackletValidation:
             make_track(0, 0, 4, 10, (0.1, 0.1, 0.2, 0.2),
                        probs=np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_boxes_and_probs_rejected(self, bad):
+        box = (0.1, 0.1, 0.2, 0.2)
+        for coord in range(4):
+            boxes = np.tile(box, (2, 1))
+            boxes[1, coord] = bad
+            with pytest.raises(DataError, match="tracklet 3: box coordinates must be finite"):
+                Tracklet(id=3, slot=TimeSlot(0.0, 0.2), boxes=boxes,
+                         appearance=np.zeros((2, 4)), category=0)
+        with pytest.raises(DataError, match="tracklet 0: probs must be a finite"):
+            make_track(0, 0, 4, 10, box, probs=np.array([bad, 1.0]))
+
     def test_sample_checks_slot_length_and_relation_refs(self):
         t = make_track(0, 0, 4, 10, (0.1, 0.1, 0.2, 0.2),
                        probs=np.array([1.0]))

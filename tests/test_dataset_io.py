@@ -191,11 +191,15 @@ class TestValidation:
         (lambda doc, ds: doc["tracklets"][0].update(probs=["a", "b"]),
          r"video_v0.json: tracklets\[0\]: field 'probs' must be an array"),
         (lambda doc, ds: doc["tracklets"][0].update(probs=[float("nan"), 1.0]),
-         r"video_v0.json: tracklets\[0\]: field 'probs' must be an array"),
+         r"^video_v0.json: tracklets\[0\]: tracklet \d+: probs must be a finite probability"),
+        (lambda doc, ds: doc["tracklets"][0]["boxes"][0].__setitem__(2, float("inf")),
+         r"^video_v0.json: tracklets\[0\]: tracklet \d+: box coordinates must be finite"),
+        (lambda doc, ds: doc["gt_objects"][0]["boxes"][1].__setitem__(0, float("nan")),
+         r"^video_v0.json: gt_objects\[0\]: tracklet \d+: box coordinates must be finite"),
         (lambda doc, ds: (ds / "video_zz.json").mkdir(), "video_zz.json: cannot read"),
     ], ids=["track_start_string", "relation_start_null", "tracklets_not_a_list",
             "track_not_an_object", "ragged_boxes", "boxes_string", "probs_strings",
-            "probs_nan", "directory"])
+            "probs_nan", "boxes_inf", "gt_boxes_nan", "directory"])
     def test_malformed_video_json_names_file_and_field(self, tmp_path, edit, message):
         ds = Path(self._write_minimal(tmp_path))
         doc = json.loads((ds / "video_v0.json").read_text())

@@ -1,13 +1,17 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from relformer import autodiff as ad
+from relformer import training
 from relformer.config import ModelConfig, TrainConfig
 from relformer.data import assign_tracklets_to_gt
 from relformer.errors import DataError, NumericsError, UsageError
 from relformer.head import infer_triplets
 from relformer.metrics import evaluate
 from relformer.model import RelationModel, init_store
+from relformer.nn import Adam
 from relformer.synth import SynthConfig, synth_generate
 from relformer.training import (BCE_CLAMP, GtTargets, build_gt_predicates, cost_matrix,
                                 hungarian, total_loss, train_loop, video_loss)
@@ -212,3 +216,73 @@ class TestOverfit:
             predictions[sample.video_id] = infer_triplets(
                 out.probs.data, out.links, list(sample.tracklets), 10)
         assert evaluate(predictions, samples).reldet_map == 1.0
+
+
+class TestTrainLoop:
+    def train(self, toy_model_config, toy_dataset, tmp_path):
+        """One epoch over 4 videos at batch 3."""
+        samples, vocab = toy_dataset
+        model = RelationModel(toy_model_config, vocab, init_store(toy_model_config, vocab, 0))
+        train_loop(samples[:4], model, TrainConfig(lr=1e-3, batch_size=3, epochs=1),
+                   str(tmp_path), seed=0)
+
+    def test_each_video_graph_is_freed_before_the_next_forward(
+            self, toy_model_config, toy_dataset, tmp_path, monkeypatch):
+        """The decoder's last role attention is mid-graph: the cost and the
+        loss are built on it. Each video's backward must release it before
+        the next video's forward, also within a batch."""
+        alive_at_forward = []
+        refs = []
+        forward = RelationModel.forward
+
+        def recording_forward(model, ctx):
+            alive_at_forward.append(sum(ref() is not None for ref in refs))
+            out = forward(model, ctx)
+            refs.append(weakref.ref(out.attention.data))
+            return out
+
+        monkeypatch.setattr(RelationModel, "forward", recording_forward)
+        self.train(toy_model_config, toy_dataset, tmp_path)
+        assert alive_at_forward == [0, 0, 0, 0]
+        assert all(ref() is None for ref in refs)
+
+    def test_non_finite_video_loss_names_epoch_step_and_video(
+            self, toy_model_config, toy_dataset, tmp_path, monkeypatch):
+        seen = []
+
+        def second_is_inf(model, ctx, *args):
+            seen.append(ctx.sample.video_id)
+            loss = video_loss(model, ctx, *args)
+            return ad.mul(loss, np.inf) if len(seen) == 2 else loss
+
+        monkeypatch.setattr(training, "video_loss", second_is_inf)
+        with pytest.raises(NumericsError) as err:
+            self.train(toy_model_config, toy_dataset, tmp_path)
+        assert len(seen) == 2
+        assert f"non-finite loss at epoch 0 step 0 video {seen[1]};" in str(err.value)
+
+    def test_non_finite_gradient_names_the_tensor(
+            self, toy_model_config, toy_dataset, tmp_path, monkeypatch):
+        """sqrt(0 * w) adds 0 to the loss and NaN to the gradient of w."""
+        def nan_gradient(model, ctx, *args):
+            w = model.store["head.classify.w1"]
+            return video_loss(model, ctx, *args) + ad.tsum(ad.sqrt(ad.mul(w, 0.0)))
+
+        monkeypatch.setattr(training, "video_loss", nan_gradient)
+        with pytest.raises(NumericsError,
+                           match="non-finite gradient head.classify.w1 at epoch 0 step 0"), \
+                np.errstate(divide="ignore", invalid="ignore"):
+            self.train(toy_model_config, toy_dataset, tmp_path)
+
+    def test_non_finite_parameter_after_adam_names_the_tensor(
+            self, toy_model_config, toy_dataset, tmp_path, monkeypatch):
+        class Overflowing(Adam):
+            def step(self, store, grads):
+                super().step(store, grads)
+                if self.t == 2:
+                    store["decoder.query_embed"].data[0, 0] = np.inf
+
+        monkeypatch.setattr(training, "Adam", Overflowing)
+        with pytest.raises(NumericsError,
+                           match="non-finite parameter decoder.query_embed at epoch 0 step 1"):
+            self.train(toy_model_config, toy_dataset, tmp_path)
