@@ -311,12 +311,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[i] for i in axis]))
-    else:
-        count = a.shape[axis]
+    count = a.data.size if axis is None else a.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -473,7 +468,7 @@ def backward(loss: Tensor, params: Sequence[Tensor],
             leaves[id(node)] = g
         if node._vjp is not None:
             for p, pg in zip(node._parents, node._vjp(g)):
-                if not p.requires_grad or pg is None:
+                if not p.requires_grad:
                     continue
                 acc = grads.get(id(p))
                 grads[id(p)] = pg if acc is None else acc + pg

@@ -14,13 +14,15 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .checkpoint import load_checkpoint
 from .config import RunConfig, load_config
 from .data import Vocab
 from .dataset_io import canonical_json, load_dataset, save_dataset
 from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
                      RelformerError, UsageError)
-from .head import ensemble_merge, infer_triplets, load_embedding_table, triplets_to_json
+from .head import infer_triplets, load_embedding_table, triplets_to_json
 from .metrics import evaluate
 from .model import RelationModel, init_store
 from .synth import synth_generate
@@ -88,20 +90,17 @@ def _load_model(ckpt_path: str, cfg: RunConfig, vocab: Vocab) -> RelationModel:
     return RelationModel(cfg.model, vocab, load_checkpoint(ckpt_path, cfg.model, vocab))
 
 
-def _predict_video(model: RelationModel, sample, top_k: int):
-    if not sample.tracklets:
-        return []
-    ctx = model.build_context(sample)
-    out = model.forward(ctx)
-    return infer_triplets(out.probs.data, out.links, list(sample.tracklets), top_k)
-
-
 def _predict_all(models, samples, top_k: int, threads: int):
-    """predictions[video_id] = merged triplets across models; order-stable."""
+    """predictions[video_id]: every model's queries ranked together by
+    ``infer_triplets``, so a key keeps its best score over all the models."""
 
     def one(sample):
-        per_model = [_predict_video(m, sample, top_k) for m in models]
-        return ensemble_merge(per_model)
+        if not sample.tracklets:
+            return []
+        outs = [m.forward(m.build_context(sample)) for m in models]
+        probs = np.concatenate([out.probs.data for out in outs])
+        links = np.concatenate([out.links for out in outs])
+        return infer_triplets(probs, links, list(sample.tracklets), top_k)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,5 +1,5 @@
 """Relation prediction head: link binarization, classeme features, frequency
-bias, predicate classification, and triplet assembly/filtering/ensembling.
+bias, predicate classification, and triplet assembly.
 
 The no-relation class occupies one extra logit slot after the real predicate
 categories; its frequency bias is always zero.
@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TimeSlot, Tracklet, VideoSample
-from .errors import DataError, UsageError
+from .errors import DataError
 from .nn import ParamStore, mlp_forward, softmax_lastdim
 
 
@@ -35,8 +35,6 @@ class RelationTriplet:
 
 def binarize_links(attention: np.ndarray) -> np.ndarray:
     """(m, 2) argmax tracklet index per (query, role); ties pick the lowest index."""
-    if attention.shape[2] < 1:
-        raise DataError("cannot binarize links with zero tracklets")
     return np.stack([np.argmax(attention[0], axis=1),
                      np.argmax(attention[1], axis=1)], axis=1)
 
@@ -86,9 +84,9 @@ def infer_triplets(probs: np.ndarray, links: np.ndarray, tracklets: list[Trackle
     Candidates stay arrays until deduplication, so only the surviving
     triplets are built. Duplicates of one key share its tracklet pair, hence
     its slot, so which of two equal best scores survives does not show.
+    An ensemble passes the query rows of all its models at once, so each key
+    keeps its best score over the models. ``tracklets`` must not be empty.
     """
-    if not tracklets:
-        return []
     n_rel = probs.shape[1] - 1
     k = min(top_k_per_query, n_rel)
     ids = np.array([t.id for t in tracklets], dtype=np.int64)
@@ -112,27 +110,6 @@ def infer_triplets(probs: np.ndarray, links: np.ndarray, tracklets: list[Trackle
                             predicate=int(pred[c]), score=float(score[c]),
                             slot=slots[pair[c]])
             for c in ranked.tolist()]
-
-
-def filter_duplicates(triplets: list[RelationTriplet]) -> list[RelationTriplet]:
-    """Keep the highest score per (predicate, subject, object); order by
-    descending score, then key."""
-    best: dict[tuple[int, int, int], RelationTriplet] = {}
-    for t in triplets:
-        cur = best.get(t.key())
-        if cur is None or t.score > cur.score:
-            best[t.key()] = t
-    return sorted(best.values(), key=lambda t: (-t.score, t.key()))
-
-
-def ensemble_merge(per_model: list[list[RelationTriplet]]) -> list[RelationTriplet]:
-    """Concatenate per-model predictions for one video and deduplicate."""
-    if not per_model:
-        raise UsageError("ensemble_merge needs at least one prediction list")
-    merged: list[RelationTriplet] = []
-    for preds in per_model:
-        merged.extend(preds)
-    return filter_duplicates(merged)
 
 
 def triplets_to_json(video_id: str, triplets: list[RelationTriplet]) -> dict:

@@ -263,16 +263,14 @@ def init_store(cfg, vocab: Vocab, seed: int,
                embeddings: np.ndarray | None = None) -> ParamStore:
     """A freshly initialised store for ``param_shapes(cfg, vocab)``.
 
-    ``embeddings`` replaces the random classeme table; the frequency bias
+    ``embeddings`` replaces the random classeme table; its shape is checked
+    where it is read (``head.load_embedding_table``). The frequency bias
     starts uniform, at log 1/|C_rel|.
     """
     shapes = param_shapes(cfg, vocab)
     given = {"tables.freq_bias": np.full(shapes["tables.freq_bias"],
                                          -np.log(len(vocab.predicates)))}
     if embeddings is not None:
-        if embeddings.shape != shapes["tables.classeme"]:
-            raise ConfigError(f"embedding table shape {embeddings.shape} != "
-                              f"{shapes['tables.classeme']}")
         given["tables.classeme"] = embeddings
     return init_params(shapes, np.random.default_rng(seed), given)
 
@@ -321,8 +319,6 @@ class RelationModel:
                                      ad.constant(ctx.spatial))
 
     def encode_tracklets(self, h: Tensor) -> Tensor:
-        if h.shape[0] == 0:
-            raise DataError("cannot encode a video with no tracklets")
         for k in range(self.cfg.L_e):
             h = self_attention_block(self.store, f"encoder.layer{k}", h, self.cfg.heads)
         return h

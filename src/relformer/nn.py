@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 
 
 class ParamStore:
@@ -166,8 +166,6 @@ def multi_head_attention(store: ParamStore, prefix: str, q_in: Tensor, k_in: Ten
     q_in/k_in may carry additive positional terms; v_in never does.
     """
     d = q_in.shape[-1]
-    if d % heads != 0:
-        raise ConfigError(f"{prefix}: model dim {d} not divisible by heads={heads}")
     dh = d // heads
     nq, nk = q_in.shape[0], k_in.shape[0]
 

@@ -13,9 +13,9 @@ assignment itself is treated as a constant.
 A train step back-propagates each video's loss, scaled by 1/batch, straight
 after its forward, carrying the batch's gradient sums from one video to the
 next. So only one video's graph is alive at a time, and the gradients are
-bit-identical to one backward of the batch's mean loss. The loss, each
-gradient and each parameter after the Adam update must be finite, or the
-step raises ``NumericsError`` naming the video or the tensor.
+bit-identical to one backward of the batch's mean loss. The matching cost,
+the loss, each gradient and each parameter after the Adam update must be
+finite, or the step raises ``NumericsError`` naming the video or the tensor.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .data import VideoSample, assign_tracklets_to_gt
-from .errors import DataError, NumericsError, UsageError
+from .errors import DataError, NumericsError
 from .head import build_freq_bias
 from .model import RelationModel, VideoContext
 from .nn import Adam, clip_grad_norm
@@ -86,11 +86,9 @@ def cost_matrix(gt: GtTargets, log_probs: Tensor, attention: Tensor,
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment of the k <= m rows to distinct columns:
-    GT row j -> prediction column sigma[j]."""
+    GT row j -> prediction column sigma[j]. ``build_gt_predicates`` keeps k
+    at most m."""
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
-        raise UsageError(f"hungarian needs a (k, m) cost matrix with k <= m, "
-                         f"got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise NumericsError("hungarian needs finite costs")
     _, cols = linear_sum_assignment(cost)
@@ -148,9 +146,6 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
 
     contexts, targets = [], []
     for sample in samples:
-        if not sample.tracklets:
-            raise DataError(f"video {sample.video_id}: cannot train on a video "
-                            "with no tracklets")
         assignment = assign_tracklets_to_gt(sample, threshold=viou_threshold)
         contexts.append(model.build_context(sample))
         targets.append(build_gt_predicates(sample, assignment, m))
@@ -176,13 +171,15 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
                 scale = 1.0 / len(idx)
                 total = grads = None
                 for i in idx:
-                    loss = video_loss(model, contexts[i], targets[i],
-                                      train_cfg.lambda_cls, train_cfg.lambda_att)
+                    where = f"at epoch {epoch} step {step} video {samples[i].video_id}"
+                    try:
+                        loss = video_loss(model, contexts[i], targets[i],
+                                          train_cfg.lambda_cls, train_cfg.lambda_att)
+                    except NumericsError as exc:  # a non-finite matching cost
+                        raise NumericsError(f"{exc} {where}; aborting") from exc
                     value = loss.item()
                     if not np.isfinite(value):
-                        raise NumericsError(
-                            f"non-finite loss at epoch {epoch} step {step} "
-                            f"video {samples[i].video_id}; aborting")
+                        raise NumericsError(f"non-finite loss {where}; aborting")
                     total = value if total is None else total + value
                     # Back-propagating now frees this video's graph before the
                     # next forward; the carried sums keep the batch's gradient

@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from relformer import cli
 from relformer import model as model_module
-from relformer import nn
+from relformer import nn, training
 from relformer.checkpoint import load_checkpoint
 from relformer.cli import _load_model, main
 from relformer.config import load_config
-from relformer.dataset_io import load_dataset
+from relformer.dataset_io import load_dataset, save_dataset, write_feature_file
 from relformer.model import RelationModel
 from relformer.synth import PREDICATE_RULES
 
@@ -339,6 +341,155 @@ class TestExitCodes:
                      str(root / "diverged"), "--lr", "1e300", "--quiet"])
         assert code == 4
         assert "finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("case", ["heads", "empty_video", "too_many_relations",
+                                      "no_checkpoint"])
+    def test_inputs_checked_once_keep_their_exit_codes(self, tiny_run, capsys, case):
+        """Each of these inputs is rejected by one owner, before any layer
+        below could see it: the config (2), build_context (3),
+        build_gt_predicates (3) and the --ckpt parser (2)."""
+        root, cfg, data = tiny_run
+        work = root / f"once_{case}"
+        work.mkdir()
+        if case == "heads":
+            cfg = write_config(work, {**TINY, "model": {**TINY["model"], "heads": 3}})
+            code, message = 2, "not divisible by model.heads=3"
+        elif case == "empty_video":
+            samples, vocab = load_dataset(data)
+            samples[0] = dataclasses.replace(samples[0], tracklets=())
+            data = str(work / "data")
+            save_dataset(data, samples, vocab)
+            code, message = 3, f"video {samples[0].video_id}: no tracklets"
+        elif case == "too_many_relations":
+            cfg = write_config(work, {**TINY, "model": {**TINY["model"], "m_c": 1, "m_d": 1}})
+            code, message = 3, "exceed the 1 predicate queries"
+        else:
+            code, message = 2, "no checkpoint paths"
+        command = ["train", "--config", cfg, "--data", data, "--out", str(work / "run"),
+                   "--quiet"]
+        if case == "no_checkpoint":
+            command = ["eval", "--config", cfg, "--data", data, "--ckpt", ",",
+                       "--out", str(work / "report.json")]
+        capsys.readouterr()
+        assert main(command) == code
+        assert message in capsys.readouterr().err
+        assert not (work / "run" / "model.ckpt").exists()
+        assert not (work / "report.json").exists()
+
+    def test_video_without_tracklets_predicts_nothing(self, tiny_run):
+        root, cfg, data = tiny_run
+        samples, vocab = load_dataset(data)
+        samples[0] = dataclasses.replace(samples[0], tracklets=())
+        save_dataset(str(root / "one_empty"), samples, vocab)
+        out = root / "one_empty_preds"
+        assert main(["infer", "--config", cfg, "--data", str(root / "one_empty"),
+                     "--ckpt", str(root / "run1" / "model.ckpt"), "--out", str(out)]) == 0
+        doc = json.loads((out / f"predictions_{samples[0].video_id}.json").read_text())
+        assert doc["relations"] == []
+
+
+class TestEnsemble:
+    def eval_bytes(self, tiny_run, ckpts, tag):
+        root, cfg, data = tiny_run
+        out, per_video = root / f"{tag}.json", root / f"{tag}.csv"
+        assert main(["eval", "--config", cfg, "--data", data, "--ckpt", ckpts,
+                     "--out", str(out), "--per-video", str(per_video)]) == 0
+        return out.read_bytes(), per_video.read_bytes()
+
+    def test_one_checkpoint_twice_equals_it_once(self, tiny_run):
+        ckpt = str(tiny_run[0] / "run1" / "model.ckpt")
+        assert self.eval_bytes(tiny_run, f"{ckpt},{ckpt}", "twice") == \
+            self.eval_bytes(tiny_run, ckpt, "once")
+
+    def test_two_checkpoints_keep_each_key_at_its_best_score(self, tiny_run, monkeypatch):
+        """The untrained and the trained TINY model: the ensemble predicts
+        the union of their (predicate, subject, object) keys, each at the
+        higher of the two scores, so no video gets fewer predictions."""
+        root, cfg, data = tiny_run
+        assert main(["train", "--config", cfg, "--data", data, "--out",
+                     str(root / "ensemble_epochs0"), "--epochs", "0", "--quiet"]) == 0
+        evaluate = cli.evaluate
+        seen = []
+
+        def recording(predictions, *args):
+            seen.append({vid: {t.key(): t.score for t in preds}
+                         for vid, preds in predictions.items()})
+            return evaluate(predictions, *args)
+
+        monkeypatch.setattr(cli, "evaluate", recording)
+        untrained = str(root / "ensemble_epochs0" / "model.ckpt")
+        trained = str(root / "run1" / "model.ckpt")
+        for ckpts in (untrained, trained, f"{untrained},{trained}"):
+            self.eval_bytes(tiny_run, ckpts, "ensemble")
+        a, b, both = seen
+        for vid in both:
+            assert both[vid] == {key: max(a[vid].get(key, 0.0), b[vid].get(key, 0.0))
+                                 for key in a[vid].keys() | b[vid].keys()}
+            assert len(both[vid]) >= max(len(a[vid]), len(b[vid]))
+        assert any(len(both[vid]) > max(len(a[vid]), len(b[vid])) for vid in both)
+
+
+class TestEmbeddings:
+    """``train --embeddings FILE``: a TRKF table of one row per object
+    category and d_w columns replaces the random classeme table."""
+
+    def train(self, tiny_run, table, tag):
+        root, cfg, data = tiny_run
+        path = root / f"{tag}.trkf"
+        write_feature_file(str(path), table)
+        out = root / tag
+        code = main(["train", "--config", cfg, "--data", data, "--out", str(out),
+                     "--epochs", "0", "--embeddings", str(path), "--quiet"])
+        return code, path, out
+
+    def test_table_is_the_checkpoint_classeme_table(self, tiny_run):
+        n_objects, d_w = len(load_dataset(tiny_run[2])[1].objects), TINY["model"]["d_w"]
+        table = np.arange(n_objects * d_w, dtype=np.float32).reshape(n_objects, d_w) / 8
+        code, _, out = self.train(tiny_run, table, "embedded")
+        assert code == 0
+        store = load_checkpoint(str(out / "model.ckpt"), load_config(tiny_run[1]).model,
+                                load_dataset(tiny_run[2])[1])
+        np.testing.assert_array_equal(store["tables.classeme"].data, table)
+
+    def test_table_one_column_too_wide_exits_3(self, tiny_run, capsys):
+        n_objects, d_w = len(load_dataset(tiny_run[2])[1].objects), TINY["model"]["d_w"]
+        capsys.readouterr()
+        code, path, out = self.train(tiny_run, np.zeros((n_objects, d_w + 1)), "too_wide")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "embedding table shape" in err
+        assert not out.exists()
+
+
+class TestGradClipping:
+    def test_every_adam_step_sees_a_clipped_gradient(self, tiny_run, monkeypatch):
+        """TINY's unclipped gradient norms are 22-46 over its 4 steps, so a
+        bound of 10 clips every step."""
+        root, _, data = tiny_run
+        bound = 10.0
+        norms = []
+
+        class Recording(nn.Adam):
+            def step(self, store, grads):
+                norms.append(float(np.sqrt(sum(float((g * g).sum()) for g in grads))))
+                super().step(store, grads)
+
+        monkeypatch.setattr(training, "Adam", Recording)
+        (root / "clipped").mkdir()
+        cfg = write_config(root / "clipped",
+                           {**TINY, "train": {**TINY["train"], "max_grad_norm": bound}})
+        ckpts = []
+        for run in ("a", "b"):
+            out = root / "clipped" / run
+            assert main(["train", "--config", cfg, "--data", data, "--out", str(out),
+                         "--quiet"]) == 0
+            ckpts.append((out / "model.ckpt").read_bytes())
+        assert len(norms) == 8  # 2 epochs of 2 steps, twice
+        # Rescaling by bound/norm may round the norm up by an ulp or so.
+        assert all(abs(norm - bound) <= 1e-12 * bound for norm in norms)
+        assert ckpts[0] == ckpts[1]
+        assert ckpts[0] != (root / "run1" / "model.ckpt").read_bytes()
 
 
 class TestFrozenLoad:

@@ -3,7 +3,7 @@ import pytest
 
 from relformer.autodiff import Tensor
 from relformer.config import ModelConfig
-from relformer.errors import ConfigError, DataError
+from relformer.errors import ConfigError
 from relformer.features import (delta_boxes, init_tracklet_feature, pool_matrix,
                                 pool_to_encoder_input, spatial_feature)
 from relformer.nn import init_params, mlp_shapes
@@ -21,10 +21,6 @@ class TestDeltaBoxes:
         out = delta_boxes(boxes)
         np.testing.assert_allclose(out[0], [0.05, 0.0, 0.05, 0.0])
         np.testing.assert_array_equal(out[1], np.zeros(4))
-
-    def test_single_frame_rejected(self):
-        with pytest.raises(DataError, match="at least 2"):
-            delta_boxes(np.array([[0.1, 0.1, 0.2, 0.2]]))
 
     def test_random_tracklet_matches_elementwise_oracle(self, rng):
         boxes = rng.uniform(0.0, 1.0, size=(6, 4))

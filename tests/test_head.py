@@ -4,8 +4,7 @@ import pytest
 from relformer.autodiff import Tensor
 from relformer.data import TimeSlot, Tracklet, VideoSample
 from relformer.head import (RelationTriplet, binarize_links, build_freq_bias,
-                            classeme, classify_predicates, ensemble_merge,
-                            filter_duplicates, infer_triplets)
+                            classeme, classify_predicates, infer_triplets)
 from relformer.nn import init_params, mlp_shapes
 
 from oracles import infer_triplets_oracle, mlp_oracle, softmax_extended_oracle
@@ -172,6 +171,27 @@ def _tracklets_for_inference(n=3, frame_count=10, overlap=True):
     return tracklets
 
 
+def _random_tracklets(rng, frame_count=12):
+    """1-5 tracklets with random slots; temporally disjoint pairs are common."""
+    tracklets = []
+    for tid in range(int(rng.integers(1, 6))):
+        a = int(rng.integers(0, 10))
+        b = int(rng.integers(a + 2, frame_count + 1))
+        tracklets.append(Tracklet(
+            id=3 * tid + 1, slot=TimeSlot(a / frame_count, b / frame_count),
+            boxes=np.tile([0.1, 0.1, 0.2, 0.2], (b - a, 1)),
+            appearance=np.zeros((b - a, 2)), category=0))
+    return tracklets
+
+
+def _random_queries(rng, m, n_rel, n):
+    """(probs, links) of m queries: probabilities drawn from few values, so
+    that ties are common, and links that may pair a tracklet with itself."""
+    probs = rng.choice([0.05, 0.1, 0.2, 0.3], size=(m, n_rel + 1))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, rng.integers(0, n, size=(m, 2))
+
+
 class TestInferTriplets:
     def test_truncates_to_category_count(self):
         tracklets = _tracklets_for_inference(2)
@@ -194,9 +214,6 @@ class TestInferTriplets:
         self_links = np.array([[0, 0], [0, 1]])  # query0 self-pair, query1 disjoint
         assert infer_triplets(prob_rows, self_links, [a, b]) == []
 
-    def test_empty_tracklets_give_empty_result(self):
-        assert infer_triplets(np.zeros((2, 3)), np.zeros((2, 2), dtype=int), []) == []
-
     def test_two_query_enumeration_oracle(self):
         tracklets = _tracklets_for_inference(3)
         probs = np.array([
@@ -206,13 +223,12 @@ class TestInferTriplets:
         links = np.array([[0, 1], [0, 2]])
         out = infer_triplets(probs, links, tracklets, top_k_per_query=2)
         slot = tracklets[0].slot
-        want = filter_duplicates([
+        assert out == [
             RelationTriplet(0, 1, 0, 0.4, slot),
-            RelationTriplet(0, 1, 1, 0.3, slot),
             RelationTriplet(0, 2, 2, 0.4, slot),
+            RelationTriplet(0, 1, 1, 0.3, slot),
             RelationTriplet(0, 2, 0, 0.25, slot),
-        ])
-        assert out == want
+        ]
 
     def test_slot_is_tracklet_intersection(self):
         frame_count = 10
@@ -233,19 +249,9 @@ class TestInferTriplets:
         """Random links over tracklets with self links, disjoint pairs, and
         probabilities drawn from few values so that ties are common."""
         rng = np.random.default_rng(seed)
-        frame_count = 12
-        tracklets = []
-        for tid in range(int(rng.integers(1, 6))):
-            a = int(rng.integers(0, 10))
-            b = int(rng.integers(a + 2, 13))
-            tracklets.append(Tracklet(
-                id=3 * tid + 1, slot=TimeSlot(a / frame_count, b / frame_count),
-                boxes=np.tile([0.1, 0.1, 0.2, 0.2], (b - a, 1)),
-                appearance=np.zeros((b - a, 2)), category=0))
+        tracklets = _random_tracklets(rng)
         m, n_rel = int(rng.integers(1, 30)), int(rng.integers(1, 7))
-        probs = rng.choice([0.05, 0.1, 0.2, 0.3], size=(m, n_rel + 1))
-        probs /= probs.sum(axis=1, keepdims=True)
-        links = rng.integers(0, len(tracklets), size=(m, 2))
+        probs, links = _random_queries(rng, m, n_rel, len(tracklets))
         for k in (1, 3, 10):
             got = [(t.subject_tracklet_id, t.object_tracklet_id, t.predicate, t.score,
                     t.slot.start, t.slot.end)
@@ -261,63 +267,43 @@ class TestInferTriplets:
         assert [t.predicate for t in out] == [0, 1]
 
 
-class TestFilterDuplicates:
-    def _triplet(self, pred, sub, obj, score):
-        return RelationTriplet(sub, obj, pred, score, TimeSlot(0.0, 0.5))
-
-    def test_all_unique_unchanged_up_to_order(self):
-        items = [self._triplet(0, 0, 1, 0.9), self._triplet(1, 0, 1, 0.5)]
-        assert filter_duplicates(items) == items
-
-    def test_keeps_max_score_per_key(self):
-        items = [self._triplet(0, 0, 1, 0.4), self._triplet(0, 0, 1, 0.9)]
-        out = filter_duplicates(items)
-        assert len(out) == 1 and out[0].score == 0.9
-
-    def test_random_list_matches_hash_group_oracle(self, rng):
-        items = [self._triplet(int(rng.integers(3)), int(rng.integers(3)),
-                               int(rng.integers(3)), float(rng.uniform()))
-                 for _ in range(50)]
-        out = filter_duplicates(items)
-        best = {}
-        for t in items:
-            if t.key() not in best or t.score > best[t.key()].score:
-                best[t.key()] = t
-        assert sorted(out, key=lambda t: t.key()) == \
-            sorted(best.values(), key=lambda t: t.key())
-        scores = [t.score for t in out]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_keys_unique_after_filtering(self, rng):
-        items = [self._triplet(int(rng.integers(2)), int(rng.integers(2)),
-                               int(rng.integers(2)), float(rng.uniform()))
-                 for _ in range(30)]
-        out = filter_duplicates(items)
-        keys = [t.key() for t in out]
-        assert len(keys) == len(set(keys))
-
-
 class TestEnsembleMerge:
-    def _triplet(self, pred, sub, obj, score):
-        return RelationTriplet(sub, obj, pred, score, TimeSlot(0.0, 0.5))
-
-    def test_single_model_equals_filter(self):
-        preds = [self._triplet(0, 0, 1, 0.9), self._triplet(0, 0, 1, 0.5)]
-        assert ensemble_merge([preds]) == filter_duplicates(preds)
+    """An ensemble ranks the query rows of all its models in one
+    ``infer_triplets`` call over their concatenation."""
 
     def test_shared_key_keeps_higher_score(self):
-        a = [self._triplet(0, 0, 1, 0.4)]
-        b = [self._triplet(0, 0, 1, 0.7)]
-        out = ensemble_merge([a, b])
-        assert len(out) == 1 and out[0].score == 0.7
+        tracklets = _tracklets_for_inference(2)
+        probs = np.array([[0.4, 0.3, 0.3],    # model A's query
+                          [0.7, 0.2, 0.1]])   # model B's query, same pair
+        out = infer_triplets(probs, np.array([[0, 1], [0, 1]]), tracklets,
+                             top_k_per_query=1)
+        assert [(t.predicate, t.score) for t in out] == [(0, 0.7)]
 
-    def test_three_models_match_concat_group_oracle(self, rng):
-        lists = [[self._triplet(int(rng.integers(2)), int(rng.integers(2)),
-                                int(rng.integers(2)), float(rng.uniform()))
-                  for _ in range(10)] for _ in range(3)]
-        out = ensemble_merge(lists)
-        want = filter_duplicates([t for lst in lists for t in lst])
-        assert out == want
-        in_scores = {t.score for lst in lists for t in lst}
-        assert all(t.score in in_scores for t in out)
-        assert len(out) <= sum(len(lst) for lst in lists)
+    def test_three_models_match_concat_group_oracle(self):
+        """Equals each model's own oracle list, merged by the best score per
+        (predicate, subject, object) and ranked by descending score, then key."""
+        merged_any = False
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            tracklets = _random_tracklets(rng)
+            n_rel = int(rng.integers(1, 7))
+            models = [_random_queries(rng, int(rng.integers(1, 12)), n_rel, len(tracklets))
+                      for _ in range(3)]
+            probs = np.concatenate([p for p, _ in models])
+            links = np.concatenate([l for _, l in models])
+            for k in (1, 3, 10):
+                best, total = {}, 0
+                for p, l in models:
+                    rows = infer_triplets_oracle(p, l, tracklets, k)
+                    total += len(rows)
+                    for row in rows:
+                        key = (row[2], row[0], row[1])
+                        if key not in best or row[3] > best[key][3]:
+                            best[key] = row
+                want = sorted(best.values(), key=lambda t: (-t[3], t[2], t[0], t[1]))
+                got = [(t.subject_tracklet_id, t.object_tracklet_id, t.predicate, t.score,
+                        t.slot.start, t.slot.end)
+                       for t in infer_triplets(probs, links, tracklets, top_k_per_query=k)]
+                assert got == want
+                merged_any |= len(want) < total
+        assert merged_any  # some key was predicted by more than one model

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from relformer import autodiff as ad
 from relformer.autodiff import Tensor, backward
-from relformer.errors import ConfigError, UsageError
+from relformer.errors import UsageError
 from relformer.nn import (Adam, ParamStore, attention_shapes, clip_grad_norm, init_params,
                           layer_norm, mlp_forward, mlp_shapes, multi_head_attention,
                           self_attention_block, self_attention_block_shapes,
@@ -164,11 +164,6 @@ class TestSoftmax:
 class TestAttention:
     def _block(self, d, rng, prefix="blk", hidden=None):
         return init_params(self_attention_block_shapes(prefix, d, hidden or d), rng)
-
-    def test_indivisible_heads_is_config_error(self, rng):
-        store = self._block(6, rng)
-        with pytest.raises(ConfigError, match="heads"):
-            self_attention_block(store, "blk", Tensor(np.zeros((2, 6))), 4)
 
     def test_single_token_attends_itself(self, rng):
         d = 8

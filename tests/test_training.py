@@ -7,7 +7,7 @@ from relformer import autodiff as ad
 from relformer import training
 from relformer.config import ModelConfig, TrainConfig
 from relformer.data import assign_tracklets_to_gt
-from relformer.errors import DataError, NumericsError, UsageError
+from relformer.errors import DataError, NumericsError
 from relformer.head import infer_triplets
 from relformer.metrics import evaluate
 from relformer.model import RelationModel, init_store
@@ -104,10 +104,6 @@ class TestHungarian:
         with pytest.raises(NumericsError, match="finite"):
             hungarian(cost)
 
-    def test_more_rows_than_columns_is_a_usage_error(self):
-        for shape in [(3, 2), (4,), (1, 2, 2)]:
-            with pytest.raises(UsageError, match="k <= m"):
-                hungarian(np.ones(shape))
 
 
 class TestTotalLoss:
@@ -260,6 +256,27 @@ class TestTrainLoop:
             self.train(toy_model_config, toy_dataset, tmp_path)
         assert len(seen) == 2
         assert f"non-finite loss at epoch 0 step 0 video {seen[1]};" in str(err.value)
+
+    def test_non_finite_matching_cost_names_epoch_step_and_video(
+            self, toy_model_config, toy_dataset, tmp_path, monkeypatch):
+        """NaN probabilities make the matching cost NaN, and Hungarian
+        matching stops before the loss exists."""
+        seen = []
+        forward = RelationModel.forward
+
+        def second_is_nan(model, ctx):
+            seen.append(ctx.sample.video_id)
+            out = forward(model, ctx)
+            if len(seen) == 2:
+                out.probs.data[:] = np.nan
+            return out
+
+        monkeypatch.setattr(RelationModel, "forward", second_is_nan)
+        with pytest.raises(NumericsError) as err:
+            self.train(toy_model_config, toy_dataset, tmp_path)
+        assert len(seen) == 2
+        assert str(err.value) == (f"hungarian needs finite costs at epoch 0 step 0 "
+                                  f"video {seen[1]}; aborting")
 
     def test_non_finite_gradient_names_the_tensor(
             self, toy_model_config, toy_dataset, tmp_path, monkeypatch):
