@@ -320,79 +320,85 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def project_first(m: int, n: int, k: int, frames: int, d: int, h: int) -> bool:
+def project_first(rows: int, pooled: int, k: int, frames: int, d: int, h: int) -> bool:
     """Whether pool_project should project every frame before pooling.
 
-    Pool-then-project costs m*k*(S*d + n*d*h) multiply-adds: pool the m*n
-    (query, block) pairs into k rows of width d, then multiply the m*n
-    flattened rows by the (k*d, h) matrix. Project-then-pool costs
-    k*S*h*(d + m): multiply the S frames once by that matrix viewed as
-    (d, k*h), then contract each block with its pooling weights. With d == h
-    this reduces to comparing the frame count S with m*n.
+    ``rows`` is the number U of pooled rows, the sum of the blocks' u_i, and
+    ``pooled`` is the sum of u_i * l_i over the blocks. Pool-then-project
+    costs k*d*(pooled + U*h) multiply-adds: pool every row into k bins of
+    width d, then multiply the U flattened rows by the (k*d, h) matrix.
+    Project-then-pool costs k*h*(S*d + pooled): multiply the S frames once by
+    that matrix viewed as (d, k*h), then contract each block with its pooling
+    weights. With d == h this reduces to comparing the frame count S with U.
     """
-    return k * frames * h * (d + m) < m * k * (frames * d + n * d * h)
+    return k * h * (frames * d + pooled) < k * d * (pooled + rows * h)
+
+
+def _consecutive_slices(sizes: list[int]) -> list[slice]:
+    bounds = np.cumsum([0] + sizes)
+    return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
-    """(m*n, h) rows out[q*n + i] = flatten(weights[i][q] @ frames_i) @ w.
+    """(U, h) rows, block by block: row j of block i is
+    flatten(weights[i][j] @ frames_i) @ w, and U is the sum of the u_i.
 
     ``frames`` (S, d) stacks n row blocks frames_i of l_i rows, in order;
-    ``weights[i]`` is the constant (m, k, l_i) pooling of block i into k rows
-    for each of m queries; ``w`` is (k*d, h). The contraction order is the
-    cheaper one by ``project_first``; both orders compute the same sum, and
+    ``weights[i]`` is the constant (u_i, k, l_i) pooling of block i into k
+    rows, u_i times; ``w`` is (k*d, h). The contraction order is the cheaper
+    one by ``project_first``; both orders compute the same sum, and
     pool-then-project runs exactly the arithmetic of pooling each block,
     stacking and multiplying by ``w``. Gradients flow to ``frames`` and ``w``.
     """
     frames, w = as_tensor(frames), as_tensor(w)
     if not weights:
         raise ShapeError("pool_project needs at least one block of pooling weights")
-    m, k = weights[0].shape[:2]
-    n = len(weights)
+    k = weights[0].shape[1]
     total, d = frames.shape
     h = w.shape[1]
+    counts = [wt.shape[0] for wt in weights]
     lengths = [wt.shape[2] for wt in weights]
-    if any(wt.shape[:2] != (m, k) for wt in weights) or sum(lengths) != total:
+    if any(wt.shape[1] != k for wt in weights) or sum(lengths) != total:
         raise ShapeError(f"pool_project: pooling weights {[wt.shape for wt in weights]} "
                          f"do not tile {frames.shape} frames")
     if w.shape[0] != k * d:
         raise ShapeError(f"pool_project: weight {w.shape} needs {k * d} rows")
-    bounds = np.cumsum([0] + lengths)
-    blocks = [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(n)]
+    blocks, outs = _consecutive_slices(lengths), _consecutive_slices(counts)
+    rows = sum(counts)
+    pooled = sum(u * l for u, l in zip(counts, lengths))
     f = frames.data
 
-    if not project_first(m, n, k, total, d, h):
-        pools = [wt.reshape(m * k, -1) for wt in weights]  # (m*k, l_i)
-        flat = np.empty((m, n, k * d))
-        for i, (pool, block) in enumerate(zip(pools, blocks)):
-            flat[:, i] = (pool @ f[block]).reshape(m, k * d)
-        flat = flat.reshape(m * n, k * d)
+    if not project_first(rows, pooled, k, total, d, h):
+        pools = [wt.reshape(-1, wt.shape[2]) for wt in weights]  # (u_i*k, l_i)
+        flat = np.empty((rows, k * d))
+        for pool, block, out in zip(pools, blocks, outs):
+            flat[out] = (pool @ f[block]).reshape(-1, k * d)
 
         def vjp(g):
-            g_flat = (g @ w.data.T).reshape(m, n, k * d)
+            g_flat = g @ w.data.T
             g_frames = np.empty_like(f)  # the blocks tile every row
-            for i, (pool, block) in enumerate(zip(pools, blocks)):
-                g_frames[block] = pool.T @ g_flat[:, i].reshape(m * k, d)
+            for pool, block, out in zip(pools, blocks, outs):
+                g_frames[block] = pool.T @ g_flat[out].reshape(-1, d)
             return g_frames, flat.T @ g
 
         return _node(flat @ w.data, (frames, w), vjp)
 
     # Row t*k + b of a block pairs frame t with pooling bin b.
-    pools = [wt.transpose(0, 2, 1).reshape(m, -1) for wt in weights]  # (m, l_i*k)
+    pools = [wt.transpose(0, 2, 1).reshape(len(wt), -1) for wt in weights]  # (u_i, l_i*k)
     w_frames = w.data.reshape(k, d, h).transpose(1, 0, 2).reshape(d, k * h)
     projected = f @ w_frames  # (S, k*h)
-    out = np.empty((m, n, h))
-    for i, (pool, block) in enumerate(zip(pools, blocks)):
-        out[:, i] = pool @ projected[block].reshape(-1, h)
+    result = np.empty((rows, h))
+    for pool, block, out in zip(pools, blocks, outs):
+        result[out] = pool @ projected[block].reshape(-1, h)
 
     def vjp(g):
-        g = g.reshape(m, n, h)
         g_projected = np.empty((total, k * h))
-        for i, (pool, block) in enumerate(zip(pools, blocks)):
-            g_projected[block] = (pool.T @ g[:, i]).reshape(-1, k * h)
+        for pool, block, out in zip(pools, blocks, outs):
+            g_projected[block] = (pool.T @ g[out]).reshape(-1, k * h)
         g_w = (f.T @ g_projected).reshape(d, k, h).transpose(1, 0, 2).reshape(k * d, h)
         return g_projected @ w_frames.T, g_w
 
-    return _node(out.reshape(m * n, h), (frames, w), vjp)
+    return _node(result, (frames, w), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ width d/2; the spatial feature stacks the raw boxes with their frame-to-frame
 deltas (final delta row zero-padded so the row count stays l_i). The encoder
 input pools the per-frame feature to a fixed number of rows, flattens, and
 projects back to width d: one ``nn.pooled_mlp_forward`` node over all n
-tracklets with m=1, the fused path of the decoder value matrix.
+tracklets with one pooled row each (u_i = 1), the fused path of the decoder
+value matrix.
 """
 
 from __future__ import annotations

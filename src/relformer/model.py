@@ -15,24 +15,34 @@ supervising slot boundaries (e.g. an L1 or temporal-IoU loss against the
 matched GT relation's slot) is out of scope; a slot regression fed only by
 the piecewise-constant RoI frame coverage would never get a gradient.
 
-The value matrix is the decoder's hot path. RoI pooling and the first layer
-of the value MLP are both linear, so they run as one fused autodiff node
-(``autodiff.pool_project``) over the stacked per-frame features of all n
-tracklets (S = sum of l_i frames). That node contracts in one of two orders,
-chosen from the operand shapes by comparing flop counts:
+The value matrix is the decoder's hot path. A (query, tracklet) pair's
+pooling weights depend only on the frames its slot intersection covers, and
+many anchors cover the same frames of a tracklet (all of it, the same
+clamped range, or none). So each tracklet keeps only its u_i distinct
+pooling rows, found by that integer frame range (``roi_pool_rows``); the
+value MLP runs on the U = sum of u_i rows, and one gather hands each of the
+m*n pairs its row. The gather's gradient sums the gradients of a row's
+copies.
 
-- pool-then-project pools every (query, tracklet) pair into l_roi rows, then
-  multiplies the m*n flattened rows by W1 (about m*n*l_roi*d*h);
+RoI pooling and the first layer of the value MLP are both linear, so they
+run as one fused autodiff node (``autodiff.pool_project``) over the stacked
+per-frame features of all n tracklets (S = sum of l_i frames). That node
+contracts in one of two orders, chosen from the operand shapes by comparing
+flop counts:
+
+- pool-then-project pools each of the U rows into l_roi bins, then
+  multiplies the U flattened rows by W1 (about U*l_roi*d*h);
 - project-then-pool multiplies each frame once by W1 viewed as
   (d, l_roi*h), then contracts each tracklet's block with its pooling
   weights (about S*l_roi*d*h).
 
-With d == h the rule is S < m*n: short tracklets under many queries project
-first, long tracks under few queries pool first. Both orders compute the
-same sum; they differ only in float rounding.
+With d == h the rule is S < U: short tracklets under many distinct windows
+project first, long tracks under few windows pool first. Both orders
+compute the same sum; they differ only in float rounding.
 
 The encoder input is the same pooled MLP (``nn.pooled_mlp_forward``) with
-one fixed-length pooling per tracklet, i.e. m=1, which always pools first.
+one fixed-length pooling per tracklet, i.e. u_i = 1, which always pools
+first.
 
 ``param_shapes`` is the one list of the model's tensors, name -> shape,
 and the model config plus the vocab determine it. ``init_store`` fills it
@@ -96,28 +106,25 @@ def build_anchors(m_c: int, m_d: int) -> AnchorSet:
 # ---------------------------------------------------------------------------
 
 
-def roi_pool_weights(track_slot: tuple[float, float], t0: int, l_i: int,
-                     query_slots: np.ndarray, frame_count: int,
-                     l_roi: int) -> np.ndarray:
-    """(m, l_roi, l_i) pooling weights for one tracklet against m query slots.
-
-    The slot intersection is mapped to the tracklet's continuous frame
-    coordinates and cut into l_roi equal bins; a bin averages the frames
-    whose centers it covers and falls back to the nearest covered frame when
-    it covers none. Disjoint pairs get all-zero rows.
-    """
-    m = len(query_slots)
-    weights = np.zeros((m, l_roi, l_i))
+def _roi_frame_ranges(track_slot: tuple[float, float], query_slots: np.ndarray,
+                     frame_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(valid, f0, f1) per query slot: whether it intersects the tracklet slot,
+    and the global frames [f0, f1) the intersection covers (meaningful only
+    where valid). A pair's pooling weights depend on nothing else."""
     s_i, e_i = track_slot
     inter_s = np.maximum(query_slots[:, 0], s_i)
     inter_e = np.minimum(query_slots[:, 1], e_i)
-    valid = inter_s < inter_e
-    if not np.any(valid):
-        return weights
-
     f0 = np.floor(inter_s * frame_count + 1e-9).astype(np.int64)
     f1 = np.ceil(inter_e * frame_count - 1e-9).astype(np.int64)
-    f1 = np.maximum(f1, f0 + 1)
+    return inter_s < inter_e, f0, np.maximum(f1, f0 + 1)
+
+
+def _range_pool_weights(valid: np.ndarray, f0: np.ndarray, f1: np.ndarray, t0: int,
+                        l_i: int, l_roi: int) -> np.ndarray:
+    """(u, l_roi, l_i) pooling weights of u frame ranges from ``_roi_frame_ranges``."""
+    weights = np.zeros((len(valid), l_roi, l_i))
+    if not np.any(valid):
+        return weights
     a = (f0 - t0).astype(np.float64)
     b = (f1 - t0).astype(np.float64)
 
@@ -143,6 +150,37 @@ def roi_pool_weights(track_slot: tuple[float, float], t0: int, l_i: int,
 
     weights[~valid] = 0.0
     return weights
+
+
+def roi_pool_weights(track_slot: tuple[float, float], t0: int, l_i: int,
+                     query_slots: np.ndarray, frame_count: int,
+                     l_roi: int) -> np.ndarray:
+    """(m, l_roi, l_i) pooling weights for one tracklet against m query slots.
+
+    The slot intersection is mapped to the tracklet's continuous frame
+    coordinates and cut into l_roi equal bins; a bin averages the frames
+    whose centers it covers and falls back to the nearest covered frame when
+    it covers none. Disjoint pairs get all-zero rows.
+    """
+    return _range_pool_weights(*_roi_frame_ranges(track_slot, query_slots, frame_count),
+                               t0, l_i, l_roi)
+
+
+def roi_pool_rows(track_slot: tuple[float, float], t0: int, l_i: int,
+                  query_slots: np.ndarray, frame_count: int,
+                  l_roi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``roi_pool_weights``: (u, l_roi, l_i) weights and
+    the (m,) index of each query slot's row among them.
+
+    Two slots whose intersections with the tracklet cover the same frames,
+    or that both miss it, pool with the same weights, so the integer key
+    (f0, f1), or -1 for no intersection, finds them without comparing
+    weights. Only one slot per key has its weights built.
+    """
+    valid, f0, f1 = _roi_frame_ranges(track_slot, query_slots, frame_count)
+    keys = np.where(valid, f0 * (frame_count + 2) + f1, -1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return _range_pool_weights(valid[first], f0[first], f1[first], t0, l_i, l_roi), inverse
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +237,12 @@ class VideoContext:
     """Per-video constants, built once by ``RelationModel.build_context`` and
     reused across layers and epochs.
 
-    A context belongs to the model that built it: ``roi_weights`` holds each
-    tracklet's (m, l_roi, l_i) pooling weights against that model's anchors.
-    They are filled on the first forward pass rather than in
-    ``build_context``, so building contexts for a run that never runs a
-    forward pass (``train --epochs 0``) stays cheap.
+    A context belongs to the model that built it: ``pool_rows[i]`` holds
+    tracklet i's u_i distinct (l_roi, l_i) pooling weights against that
+    model's anchors (``roi_pool_rows``), and ``pool_index[q, i]`` is the row
+    of query q's weights in their concatenation. Both are filled on the first
+    forward pass rather than in ``build_context``, so building contexts for a
+    run that never runs a forward pass (``train --epochs 0``) stays cheap.
     """
 
     sample: VideoSample
@@ -213,7 +252,8 @@ class VideoContext:
     slots: np.ndarray                # (n, 2) tracklet slots
     categories: np.ndarray           # (n,) int
     classemes: np.ndarray            # (n, d_w)
-    roi_weights: list[np.ndarray] | None = None
+    pool_rows: list[np.ndarray] | None = None   # n blocks of (u_i, l_roi, l_i)
+    pool_index: np.ndarray | None = None        # (m, n) int, into the sum of u_i rows
 
     @property
     def n(self) -> int:
@@ -324,20 +364,28 @@ class RelationModel:
         return h
 
     def build_value_matrix(self, ctx: VideoContext, frames: Tensor, prefix: str) -> Tensor:
-        """(m, n, d_v) per-query value matrices: the value MLP over RoI-pooled rows,
-        as one pooled-MLP node whose contraction order the module docstring gives.
+        """(m, n, d_v) per-query value matrices: the value MLP over each
+        tracklet's distinct RoI-pooled rows, as one pooled-MLP node whose
+        contraction order the module docstring gives, then one gather that
+        hands every (query, tracklet) pair its row.
 
-        The pooling weights against the anchors are computed on the first
-        call for a context and kept on it as ``ctx.roi_weights``.
+        The distinct pooling rows against the anchors and the gather index
+        are computed on the first call for a context and kept on it as
+        ``ctx.pool_rows`` and ``ctx.pool_index``.
         """
-        if ctx.roi_weights is None:
-            ctx.roi_weights = [
-                roi_pool_weights((s, e), t0, t1 - t0, self.anchors.slots,
-                                 ctx.sample.frame_count, self.cfg.l_roi)
-                for (s, e), (t0, t1) in zip(ctx.slots, ctx.spans)]
+        if ctx.pool_rows is None:
+            rows, index, offset = [], np.empty((self.anchors.count, ctx.n), np.int64), 0
+            for i, (slot, (t0, t1)) in enumerate(zip(ctx.slots, ctx.spans)):
+                w, inverse = roi_pool_rows(slot, t0, t1 - t0, self.anchors.slots,
+                                           ctx.sample.frame_count, self.cfg.l_roi)
+                rows.append(w)
+                index[:, i] = offset + inverse
+                offset += len(w)
+            ctx.pool_index = index
+            ctx.pool_rows = rows
         values = pooled_mlp_forward(self.store, f"{prefix}.value_mlp", frames,
-                                    ctx.roi_weights)
-        return ad.reshape(values, (self.anchors.count, ctx.n, self.cfg.d_v))
+                                    ctx.pool_rows)
+        return values[ctx.pool_index]
 
     def decode(self, ctx: VideoContext, frames: Tensor, h_enc: Tensor,
                ) -> tuple[Tensor, Tensor]:

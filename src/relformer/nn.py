@@ -116,8 +116,10 @@ def mlp_forward(store: ParamStore, prefix: str, x: Tensor) -> Tensor:
 
 def pooled_mlp_forward(store: ParamStore, prefix: str, frames: Tensor,
                        weights: list[np.ndarray]) -> Tensor:
-    """(m*n, out_dim): row q*n + i is the MLP of ``weights[i][q] @ frames_i``
-    flattened, with pooling and the first layer fused by ``ad.pool_project``."""
+    """(U, out_dim): the MLP of every pooled row, block by block. Row j of
+    block i is the MLP of ``weights[i][j] @ frames_i`` flattened, U is the
+    sum of the blocks' row counts u_i, and pooling and the first layer are
+    fused by ``ad.pool_project``."""
     h = ad.relu(ad.pool_project(frames, weights, store[f"{prefix}.w1"])
                 + store[f"{prefix}.b1"])
     return ad.matmul(h, store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]

@@ -139,7 +139,6 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     when ``train_cfg.save_interval`` is set, and the final checkpoint. A
     step's loss is the mean of its videos' losses, summed in batch order.
     """
-    os.makedirs(out_dir, exist_ok=True)
     m = model.anchors.count
     model.store["tables.freq_bias"].data[:] = build_freq_bias(
         samples, len(model.vocab.objects), len(model.vocab.predicates))
@@ -149,6 +148,8 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
         assignment = assign_tracklets_to_gt(sample, threshold=viou_threshold)
         contexts.append(model.build_context(sample))
         targets.append(build_gt_predicates(sample, assignment, m))
+    # Only once the data has passed its checks, so a rejected run leaves no --out.
+    os.makedirs(out_dir, exist_ok=True)
 
     optimizer = Adam(lr=train_cfg.lr)
     shuffle_rng = np.random.default_rng([seed, 1])

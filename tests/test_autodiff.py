@@ -170,56 +170,90 @@ class TestGetitem:
         for k, g_fd in fd.items():
             np.testing.assert_allclose(ga.reshape(-1)[k], g_fd, rtol=1e-7, atol=1e-7)
 
+    def test_gather_of_repeated_rows_matches_finite_differences(self, rng):
+        """The value matrix's gather: an (m, n) index into U rows that names
+        most rows more than once, so the VJP must sum their gradients."""
+        rows = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        index = np.array([[0, 2], [1, 2], [0, 4], [0, 3], [1, 2]])
+        scale = rng.normal(size=(5, 2, 3))
+
+        def build():
+            return ad.tsum(ad.mul(ad.square(rows[index]), scale))
+
+        [g] = backward(build(), [rows])
+        fd = finite_difference(lambda: build().item(), rows.data, range(rows.data.size))
+        for k, g_fd in fd.items():
+            assert abs(g.reshape(-1)[k] - g_fd) <= 1e-8 * max(1.0, abs(g_fd)), k
+
     def test_repeated_array_index_accumulates(self):
         a = Tensor(np.zeros(3), requires_grad=True)
         [ga] = backward(ad.tsum(a[np.array([2, 2, 0])]), [a])
         np.testing.assert_array_equal(ga, [1.0, 0.0, 2.0])
 
 
-# (m, lengths, k, d, h): shapes on each side of the contraction-order rule,
-# and the encoder input's single pooling per block (m=1).
-POOL_FIRST = (3, (9, 12), 3, 4, 5)
-PROJECT_FIRST = (8, (2, 3, 2), 3, 4, 5)
-ENCODER = (1, (2, 3, 9), 4, 4, 5)
+# (counts, lengths, k, d, h): shapes on each side of the contraction-order
+# rule, each block pooled into its own number of rows u_i, and the encoder
+# input's single pooling per block (u_i = 1).
+POOL_FIRST = ((3, 2), (9, 12), 3, 4, 5)
+PROJECT_FIRST = ((8, 5, 8), (2, 3, 2), 3, 4, 5)
+ENCODER = ((1, 1, 1), (2, 3, 9), 4, 4, 5)
 
 
 def pool_project_case(rng, shape):
-    m, lengths, k, d, h = shape
+    counts, lengths, k, d, h = shape
     frames = Tensor(rng.normal(size=(sum(lengths), d)), requires_grad=True)
-    weights = [rng.uniform(size=(m, k, l)) for l in lengths]
+    weights = [rng.uniform(size=(u, k, l)) for u, l in zip(counts, lengths)]
     weights[0][0] = 0.0  # a disjoint (query, block) pair pools to zero
     w = Tensor(rng.normal(size=(k * d, h)), requires_grad=True)
     return frames, weights, w
+
+
+def rule_args(shape):
+    """``project_first``'s arguments for a case: U, the sum of u_i * l_i, k, S, d, h."""
+    counts, lengths, k, d, h = shape
+    return (sum(counts), sum(u * l for u, l in zip(counts, lengths)), k, sum(lengths),
+            d, h)
 
 
 class TestPoolProject:
     def test_shape_rule_sides(self):
         for shape, want in ((POOL_FIRST, False), (PROJECT_FIRST, True),
                             (ENCODER, False)):
-            m, lengths, k, d, h = shape
-            assert ad.project_first(m, len(lengths), k, sum(lengths), d, h) == want
-        # with d == h the rule compares the frame count with m*n
-        assert ad.project_first(192, 7, 7, 218, 512, 512)
-        assert not ad.project_first(32, 12, 7, 2300, 128, 128)
+            assert ad.project_first(*rule_args(shape)) == want
+        # With d == h the rule compares the frame count S with the row count U.
+        # u_i = m = 192 rows for each of 7 tracks of 218 frames in all: project.
+        assert ad.project_first(192 * 7, 192 * 218, 7, 218, 512, 512)
+        assert not ad.project_first(32 * 12, 32 * 2300, 7, 2300, 128, 128)
+        # Fewer distinct rows than frames pool first.
+        assert not ad.project_first(200, 200 * 31, 7, 218, 512, 512)
+
+    def test_every_block_at_m_rows_is_the_dense_rule(self, rng):
+        """u_i = m for all n blocks is the dense (m, n) case, whose rule was
+        k*S*h*(d + m) < m*k*(S*d + n*d*h) multiply-adds."""
+        for _ in range(500):
+            m, n, k, d, h = rng.integers(1, 40, size=5)
+            total = int(rng.integers(2 * n, 60 * n))
+            dense = k * total * h * (d + m) < m * k * (total * d + n * d * h)
+            assert ad.project_first(m * n, m * total, k, total, d, h) == dense
 
     @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST, ENCODER],
                              ids=["pool_first", "project_first", "encoder"])
     def test_matches_pool_stack_matmul(self, rng, shape):
         frames, weights, w = pool_project_case(rng, shape)
-        m, lengths, k, d, h = shape
+        counts, lengths, k, d, h = shape
         bounds = np.cumsum((0,) + lengths)
-        pooled = np.stack([(wt @ frames.data[a:b]).reshape(m, k * d)
-                           for wt, a, b in zip(weights, bounds[:-1], bounds[1:])], axis=1)
-        want = pooled.reshape(-1, k * d) @ w.data
+        pooled = np.concatenate([(wt @ frames.data[a:b]).reshape(len(wt), k * d)
+                                 for wt, a, b in zip(weights, bounds[:-1], bounds[1:])])
+        want = pooled @ w.data
         got = ad.pool_project(frames, weights, w).data
-        assert got.shape == (m * len(lengths), h)
+        assert got.shape == (sum(counts), h)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("shape", [POOL_FIRST, PROJECT_FIRST, ENCODER],
                              ids=["pool_first", "project_first", "encoder"])
     def test_gradients_match_finite_differences(self, rng, shape):
         frames, weights, w = pool_project_case(rng, shape)
-        scale = rng.normal(size=(shape[0] * len(shape[1]), shape[4]))
+        scale = rng.normal(size=(sum(shape[0]), shape[4]))
 
         def build():
             return ad.tsum(ad.mul(ad.square(ad.pool_project(frames, weights, w)), scale))
@@ -237,6 +271,8 @@ class TestPoolProject:
         frames, weights, w = pool_project_case(rng, POOL_FIRST)
         with pytest.raises(ShapeError, match="tile"):
             ad.pool_project(frames, weights[:1], w)
+        with pytest.raises(ShapeError, match="tile"):
+            ad.pool_project(frames, [weights[0], weights[1][:, :2]], w)
         with pytest.raises(ShapeError, match="rows"):
             ad.pool_project(frames, weights, Tensor(np.ones((5, 5))))
 

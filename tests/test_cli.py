@@ -146,7 +146,7 @@ class TestDeterminism:
         loss, backward and Adam all leave their bits in these bytes."""
         root, _, _ = tiny_run
         digest = blob_digest(root / "run1" / "model.ckpt")
-        assert digest == "54549ad4d8dfef47aa8e56cf70dcf1ad3fd4d86980e5ba535be0d547a1da3a92"
+        assert digest == "4c7503fc2229c370ac2fa48e8ef586681245d1eea605fde799d7a21365999433"
 
     def test_ragged_last_batch_bytes_are_pinned(self, tiny_run):
         """Four videos at batch 3: a step of three videos and one of one. The
@@ -159,9 +159,44 @@ class TestDeterminism:
         assert main(["train", "--config", cfg, "--data", data, "--out", str(out),
                      "--quiet"]) == 0
         assert blob_digest(out / "model.ckpt") == (
-            "d040029df64c19bfaff533f1e3ebbdf3f3c2f8545b6ae9304a86e3ce96e4ec2b")
+            "d0a50ae0ca188a58f1878b09a367347eb49cba0b89226b6dd30c3318088327c6")
         assert hashlib.sha256((out / "loss_trace.csv").read_bytes()).hexdigest() == (
             "458b6ee8daaa289b13ff3a0a87376b78dd2ab732b09fde4b63535a93a5c96f1a")
+
+    def test_untrained_forward_outputs_are_pinned(self, tiny_run):
+        """eval and infer of the pinned untrained checkpoint: the forward pass
+        and the ranking leave their bits in these bytes. Every TINY video has
+        anchors that share a pooling row, so the value MLP runs on fewer rows
+        than there are (query, tracklet) pairs and the gather fans them out."""
+        root, cfg, data = tiny_run
+        work = root / "forward_pins"
+        ckpt = work / "run" / "model.ckpt"
+        assert main(["train", "--config", cfg, "--data", data, "--out", str(work / "run"),
+                     "--epochs", "0", "--quiet"]) == 0
+        assert blob_digest(ckpt) == (
+            "2ff912527bf7415062b85d55dead9d67bdccfd3ab6d17bd3036a7825ec7cdd0b")
+        assert main(["eval", "--config", cfg, "--data", data, "--ckpt", str(ckpt),
+                     "--out", str(work / "report.json"),
+                     "--per-video", str(work / "per_video.csv")]) == 0
+        assert main(["infer", "--config", cfg, "--data", data, "--ckpt", str(ckpt),
+                     "--out", str(work / "preds")]) == 0
+        preds = b"".join(p.read_bytes() for p in sorted((work / "preds").iterdir()))
+        digests = [hashlib.sha256(b).hexdigest() for b in (
+            (work / "report.json").read_bytes(), (work / "per_video.csv").read_bytes(),
+            preds)]
+        assert digests == [
+            "3f999aa9714c88a72efdde6451646233da4f2c5029a2b6d6adf0d0b08d49f8ba",
+            "d212ba7b13af076198d9d1d760622a172cab953d07c1ee2af6141dd3080888cf",
+            "183648d4ca4d3cb2521f9b42f977b455ad47cca5618d3c424ad8e1a4bf6992b2"]
+
+        samples, vocab = load_dataset(data)
+        model = _load_model(str(ckpt), load_config(cfg), vocab)
+        for sample in samples:
+            ctx = model.build_context(sample)
+            model.forward(ctx)
+            rows = sum(len(w) for w in ctx.pool_rows)
+            assert rows < model.anchors.count * ctx.n
+            assert ctx.pool_index.max() == rows - 1
 
     def test_eval_and_infer_draw_no_initial_weights(self, tiny_run, monkeypatch):
         """Loading checks the checkpoint against the tensor list alone; the
@@ -374,7 +409,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(command) == code
         assert message in capsys.readouterr().err
-        assert not (work / "run" / "model.ckpt").exists()
+        assert not (work / "run").exists()  # no --out left behind, not even empty
         assert not (work / "report.json").exists()
 
     def test_video_without_tracklets_predicts_nothing(self, tiny_run):

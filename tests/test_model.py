@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from relformer.config import ModelConfig
 from relformer.data import TimeSlot, Tracklet, VideoSample
 from relformer.errors import ConfigError, DataError
 from relformer.model import (RelationModel, build_anchors, cross_attend, init_store,
-                             normalize_attention, param_shapes, roi_pool_weights,
-                             role_attention)
-from relformer.nn import ParamStore, init_params, mlp_shapes
+                             normalize_attention, param_shapes, roi_pool_rows,
+                             roi_pool_weights, role_attention)
+from relformer.nn import ParamStore, init_params, mlp_shapes, pooled_mlp_forward
 
 from oracles import double_softmax_oracle, mlp_oracle, roi_pool_oracle
 
@@ -227,6 +229,50 @@ def make_model(cfg, vocab, seed):
     return RelationModel(cfg, vocab, init_store(cfg, vocab, seed))
 
 
+def expanded_pool_weights(ctx):
+    """Each tracklet's (m, l_roi, l_i) weights: its distinct pooling rows
+    fanned out to every query through ``ctx.pool_index``."""
+    offsets = np.cumsum([0] + [len(rows) for rows in ctx.pool_rows])
+    return [rows[ctx.pool_index[:, i] - offsets[i]] for i, rows in enumerate(ctx.pool_rows)]
+
+
+# Tracklet frame spans in a 40-frame video, against toy_model_config's 6
+# anchors; S is the frame count and U the number of distinct pooling rows.
+PROJECT_FIRST_SPANS = ((2, 4), (23, 25), (33, 35))  # S=6 < U=9
+POOL_FIRST_SPANS = ((0, 20), (12, 37))              # S=45 > U=11
+DEDUPED_SPANS = ((0, 4), (3, 8), (10, 16))          # U=8 < S=15 < m*n=18
+
+
+def value_matrix_case(cfg, vocab, spans):
+    """A model with random value-MLP biases and the context and per-frame
+    features of one video whose tracklets cover ``spans``."""
+    rng = np.random.default_rng(11)
+    frame_count = 40
+    tracklets = []
+    for tid, (t0, t1) in enumerate(spans):
+        probs = np.full(len(vocab.objects), 1.0 / len(vocab.objects))
+        tracklets.append(Tracklet(
+            id=tid, slot=TimeSlot(t0 / frame_count, t1 / frame_count),
+            boxes=np.tile([0.1, 0.1, 0.3, 0.3], (t1 - t0, 1)),
+            appearance=rng.normal(size=(t1 - t0, 16)), category=0, probs=probs))
+    sample = VideoSample(video_id="v", frame_count=frame_count,
+                         tracklets=tracklets, gt_objects=[], gt_relations=[])
+    model = make_model(cfg, vocab, 3)
+    p = "decoder.layer0.value_mlp"
+    model.store[f"{p}.b1"].data[:] = rng.normal(size=cfg.mlp_hidden)
+    model.store[f"{p}.b2"].data[:] = rng.normal(size=cfg.d_v)
+    ctx = model.build_context(sample)
+    return model, ctx, model._per_frame_features(ctx)
+
+
+def rule_args(model, ctx, frames, rows):
+    """``project_first``'s arguments for pooling ``rows`` (u_i per tracklet)."""
+    cfg = model.cfg
+    lengths = [t1 - t0 for t0, t1 in ctx.spans]
+    return (sum(rows), sum(u * l for u, l in zip(rows, lengths)), cfg.l_roi,
+            frames.shape[0], cfg.d, cfg.mlp_hidden)
+
+
 def build_toy_model(toy_model_config, vocab_sizes=(5, 6), seed=1):
     from relformer.data import Vocab
     objects = tuple(f"o{i}" for i in range(vocab_sizes[0]))
@@ -296,26 +342,29 @@ class TestFullModel:
         ctx = model.build_context(samples[0])
         model.forward(ctx)
         frame_count = ctx.sample.frame_count
-        for w, span in zip(ctx.roi_weights, ctx.spans):
+        for w, span in zip(expanded_pool_weights(ctx), ctx.spans):
             feat = rng.normal(size=(span[1] - span[0], 3))
             for q, (qs, qe) in enumerate(model.anchors.slots):
                 want = roi_pool_oracle(feat, span, TimeSlot(qs, qe).frame_span(frame_count),
                                        cfg.l_roi)
                 np.testing.assert_allclose(w[q] @ feat, want, atol=1e-12)
 
-    def test_roi_weights_computed_on_first_forward_and_reused(self, toy_model_config,
-                                                              toy_dataset):
+    def test_pool_rows_computed_on_first_forward_and_reused(self, toy_model_config,
+                                                            toy_dataset):
         samples, vocab = toy_dataset
         model = make_model(toy_model_config, vocab, 3)
         ctx = model.build_context(samples[0])
-        assert ctx.roi_weights is None
+        assert ctx.pool_rows is None and ctx.pool_index is None
         first = model.forward(ctx)
-        weights = ctx.roi_weights
-        assert len(weights) == ctx.n
-        for w, (t0, t1) in zip(weights, ctx.spans):
-            assert w.shape == (model.anchors.count, toy_model_config.l_roi, t1 - t0)
+        rows, index = ctx.pool_rows, ctx.pool_index
+        assert len(rows) == ctx.n
+        for w, (t0, t1) in zip(rows, ctx.spans):
+            assert w.shape[1:] == (toy_model_config.l_roi, t1 - t0)
+            assert 1 <= len(w) <= model.anchors.count
+        assert index.shape == (model.anchors.count, ctx.n)
+        assert sorted(set(index.ravel())) == list(range(sum(len(w) for w in rows)))
         again = model.forward(ctx)
-        assert ctx.roi_weights is weights
+        assert ctx.pool_rows is rows and ctx.pool_index is index
         np.testing.assert_array_equal(again.probs.data, first.probs.data)
 
     def test_output_shapes_at_reference_scale(self, toy_dataset):
@@ -395,34 +444,17 @@ class TestFullModel:
         assert np.abs(values[~disjoint] - at_zero).max(axis=1).min() > 0.0
 
     @pytest.mark.parametrize("spans,project_first", [
-        (((0, 4), (3, 8), (10, 16)), True),     # S=15 frames < m*n=18 pairs
-        (((0, 20), (12, 37)), False),           # S=45 frames > m*n=12 pairs
-    ], ids=["project_first", "pool_first"])
+        (PROJECT_FIRST_SPANS, True), (POOL_FIRST_SPANS, False), (DEDUPED_SPANS, False),
+    ], ids=["project_first", "pool_first", "deduped_pool_first"])
     def test_value_matrix_matches_per_pair_oracle(self, toy_model_config, toy_dataset,
                                                   spans, project_first):
         _, vocab = toy_dataset
-        rng = np.random.default_rng(11)
-        frame_count = 40
-        tracklets = []
-        for tid, (t0, t1) in enumerate(spans):
-            probs = np.full(len(vocab.objects), 1.0 / len(vocab.objects))
-            tracklets.append(Tracklet(
-                id=tid, slot=TimeSlot(t0 / frame_count, t1 / frame_count),
-                boxes=np.tile([0.1, 0.1, 0.3, 0.3], (t1 - t0, 1)),
-                appearance=rng.normal(size=(t1 - t0, 16)), category=0, probs=probs))
-        sample = VideoSample(video_id="v", frame_count=frame_count,
-                             tracklets=tracklets, gt_objects=[], gt_relations=[])
-        model = make_model(toy_model_config, vocab, 3)
+        model, ctx, frames = value_matrix_case(toy_model_config, vocab, spans)
+        frame_count, slots, cfg = ctx.sample.frame_count, model.anchors.slots, model.cfg
         p = "decoder.layer0.value_mlp"
-        model.store[f"{p}.b1"].data[:] = rng.normal(size=toy_model_config.mlp_hidden)
-        model.store[f"{p}.b2"].data[:] = rng.normal(size=toy_model_config.d_v)
-        ctx = model.build_context(sample)
-        frames = model._per_frame_features(ctx)
-        slots = model.anchors.slots
-        cfg = toy_model_config
-        assert ad.project_first(len(slots), ctx.n, cfg.l_roi, frames.shape[0], cfg.d,
-                                cfg.mlp_hidden) == project_first
         values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
+        rows = [len(w) for w in ctx.pool_rows]
+        assert ad.project_first(*rule_args(model, ctx, frames, rows)) == project_first
 
         params = [model.store[f"{p}.{name}"].data for name in ("w1", "b1", "w2", "b2")]
         bounds = np.cumsum([0] + [t1 - t0 for t0, t1 in spans])
@@ -443,3 +475,83 @@ class TestFullModel:
         loss = ad.tsum(ad.square(out.probs)) + ad.tsum(ad.square(out.attention))
         [g] = backward(loss, [model.store["decoder.layer0.subject.query_proj"]])
         assert np.abs(g).max() > 0.0
+
+
+class TestValueMatrixDedupe:
+    """The value MLP runs once per distinct pooling row; the gather fans the
+    rows out. Against the same pooled MLP over every (query, tracklet) pair."""
+
+    def expanded_values(self, model, ctx, frames, prefix="decoder.layer0"):
+        """(m, n, d_v) from ``pooled_mlp_forward`` over the m*n expanded rows."""
+        out = pooled_mlp_forward(model.store, f"{prefix}.value_mlp", frames,
+                                 expanded_pool_weights(ctx))
+        return ad.transpose(ad.reshape(out, (ctx.n, model.anchors.count, -1)), (1, 0, 2))
+
+    @pytest.mark.parametrize("spans,project_first", [
+        (PROJECT_FIRST_SPANS, True), (POOL_FIRST_SPANS, False)],
+        ids=["project_first", "pool_first"])
+    def test_values_equal_the_expanded_pairs(self, toy_model_config, toy_dataset, spans,
+                                             project_first):
+        _, vocab = toy_dataset
+        model, ctx, frames = value_matrix_case(toy_model_config, vocab, spans)
+        values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
+        unique = [len(w) for w in ctx.pool_rows]
+        dense = [model.anchors.count] * ctx.n
+        assert sum(unique) < sum(dense)
+        # both paths contract in the same order, so they agree bit for bit
+        for rows in (unique, dense):
+            assert ad.project_first(*rule_args(model, ctx, frames, rows)) == project_first
+        assert np.array_equal(values, self.expanded_values(model, ctx, frames).data)
+
+    def test_dedupe_can_choose_pool_first(self, toy_model_config, toy_dataset):
+        _, vocab = toy_dataset
+        model, ctx, frames = value_matrix_case(toy_model_config, vocab, DEDUPED_SPANS)
+        model.forward(ctx)
+        unique = [len(w) for w in ctx.pool_rows]
+        assert not ad.project_first(*rule_args(model, ctx, frames, unique))
+        dense = [model.anchors.count] * ctx.n
+        assert ad.project_first(*rule_args(model, ctx, frames, dense))
+
+    @pytest.mark.parametrize("spans", [PROJECT_FIRST_SPANS, POOL_FIRST_SPANS,
+                                       DEDUPED_SPANS],
+                             ids=["project_first", "pool_first", "deduped_pool_first"])
+    def test_gradients_equal_the_expanded_pairs(self, toy_model_config, toy_dataset,
+                                                spans):
+        """The gather's VJP sums the gradients of a row's copies in another
+        order than the dense path, so the two agree to rounding."""
+        _, vocab = toy_dataset
+        model, ctx, frames = value_matrix_case(toy_model_config, vocab, spans)
+        frames = Tensor(frames.data, requires_grad=True)
+        p = "decoder.layer0.value_mlp"
+        params = [frames] + [model.store[f"{p}.{name}"] for name in ("w1", "b1", "w2", "b2")]
+        scale = np.random.default_rng(5).normal(
+            size=(model.anchors.count, ctx.n, toy_model_config.d_v))
+
+        def grads(values):
+            return backward(ad.tsum(ad.mul(ad.square(values), scale)), params)
+
+        deduped = grads(model.build_value_matrix(ctx, frames, "decoder.layer0"))
+        expanded = grads(self.expanded_values(model, ctx, frames))
+        for got, want in zip(deduped, expanded):
+            assert np.abs(want).max() > 0.0
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("grid", [(3, 2), (16, 12)], ids=["toy_grid", "grid_16x12"])
+    def test_key_count_equals_unique_weight_rows(self, toy_model_config, toy_dataset,
+                                                 grid):
+        """The (f0, f1) key finds exactly the distinct rows of the dense
+        weights, and fanning them out rebuilds those weights bit for bit."""
+        samples, vocab = toy_dataset
+        cfg = dataclasses.replace(toy_model_config, m_c=grid[0], m_d=grid[1])
+        model = make_model(cfg, vocab, 3)
+        slots, total, pairs = model.anchors.slots, 0, 0
+        for sample in samples:
+            ctx = model.build_context(sample)
+            for (s, e), (t0, t1) in zip(ctx.slots, ctx.spans):
+                args = ((s, e), t0, t1 - t0, slots, sample.frame_count, cfg.l_roi)
+                dense = roi_pool_weights(*args)
+                rows, inverse = roi_pool_rows(*args)
+                assert len(rows) == len(np.unique(dense.reshape(len(slots), -1), axis=0))
+                assert np.array_equal(rows[inverse], dense)
+                total, pairs = total + len(rows), pairs + len(slots)
+        assert total < pairs
