@@ -11,8 +11,9 @@ the next is built, with the bits of one backward of the sum. A forward over
 tensors that require no gradient records no graph. Only the ops this
 package actually needs are provided: broadcasting arithmetic, (batched)
 matmul, reshape/transpose/concat/stack, indexing, reductions, the
-elementwise functions used by the model, and the fused pool-and-project
-node of the decoder value matrix.
+elementwise functions used by the model, a fused softmax, and two fused
+nodes of the decoder: pool-and-project for the value rows and
+``attend_rows`` for the attention-weighted sum over them.
 
 All graph construction is single-threaded per training step; concurrent
 read-only forward passes are safe because parameters are never mutated
@@ -24,6 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ShapeError, UsageError
 
@@ -216,6 +218,22 @@ def square(a) -> Tensor:
     return _node(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,))
 
 
+def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``, max-stabilized, as one node.
+
+    The forward is the max shift, ``exp``, sum and divide of the composed
+    ops, so it gives their bits; the VJP is out * (g - sum(g * out)).
+    """
+    a = as_tensor(a)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+
+    return _node(out, (a,), vjp)
+
+
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes through inside the range."""
     a = as_tensor(a)
@@ -399,6 +417,46 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
         return g_projected @ w_frames.T, g_w
 
     return _node(result, (frames, w), vjp)
+
+
+# ---------------------------------------------------------------------------
+# fused attention over distinct rows
+# ---------------------------------------------------------------------------
+
+
+def attend_rows(attn, rows, index: np.ndarray) -> Tensor:
+    """(R, m, d_v): out[r, q] = sum over i of attn[r, q, i] * rows[index[q, i]].
+
+    ``attn`` is (R, m, n), ``rows`` the (U, d_v) distinct rows and ``index``
+    the constant (m, n) row of each (q, i) pair. The sum is one sparse
+    (R*m, U) matrix product whose nonzeros are the attention entries, in
+    i order. That adds the same products in the same order as gathering
+    ``rows[index]``, weighting it and summing over i, so it gives those bits
+    without building the (m, n, d_v) matrix. The VJP scatters the upstream
+    gradient into the rows through the transposed matrix, and takes the
+    attention's gradient from one gather and one batched matmul. Gradients
+    flow to ``attn`` and ``rows``.
+    """
+    attn, rows = as_tensor(attn), as_tensor(rows)
+    index = np.asarray(index)
+    if attn.ndim != 3 or rows.ndim != 2 or index.shape != attn.shape[1:]:
+        raise ShapeError(f"attend_rows: attention {attn.shape}, rows {rows.shape} and "
+                         f"index {index.shape} need shapes (R, m, n), (U, d_v), (m, n)")
+    if index.size and (index.min() < 0 or index.max() >= rows.shape[0]):
+        raise ShapeError(f"attend_rows: index outside the {rows.shape[0]} rows")
+    r, m, n = attn.shape
+    u, d_v = rows.shape
+    weights = scipy.sparse.csr_matrix(
+        (attn.data.reshape(-1), np.tile(index.reshape(-1), r), np.arange(0, r * m * n + 1, n)),
+        shape=(r * m, u))
+    out = (weights @ rows.data).reshape(r, m, d_v)
+
+    def vjp(g):
+        g_rows = weights.T @ g.reshape(r * m, d_v)
+        g_attn = np.matmul(rows.data[index], g.transpose(1, 2, 0))  # (m, n, R)
+        return g_attn.transpose(2, 0, 1), g_rows
+
+    return _node(out, (attn, rows), vjp)
 
 
 # ---------------------------------------------------------------------------

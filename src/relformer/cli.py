@@ -30,7 +30,11 @@ from .training import train_loop
 
 
 def _threads(value: int | None) -> int:
-    return 1 if value is None else max(value, 1)
+    if value is None:
+        return 1
+    if value < 1:
+        raise UsageError(f"--threads: must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,14 +155,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    threads = _threads(args.threads)
     cfg = load_config(args.config, _collect_overrides(args, {}))
     samples, vocab = load_dataset(args.data)
     paths = [p for p in args.ckpt.split(",") if p]
     if not paths:
         raise UsageError("--ckpt: no checkpoint paths given")
     models = [_load_model(p, cfg, vocab) for p in paths]
-    predictions = _predict_all(models, samples, cfg.eval.top_k_per_query,
-                               _threads(args.threads))
+    predictions = _predict_all(models, samples, cfg.eval.top_k_per_query, threads)
     report = evaluate(predictions, samples, cfg.eval.viou_threshold,
                       cfg.eval.recall_ks, cfg.eval.precision_ks)
     payload = canonical_json(report.to_dict())
@@ -184,11 +188,11 @@ def _write_per_video_csv(path: str, report) -> None:
 
 
 def cmd_infer(args) -> int:
+    threads = _threads(args.threads)
     cfg = load_config(args.config, _collect_overrides(args, {}))
     samples, vocab = load_dataset(args.data)
     model = _load_model(args.ckpt, cfg, vocab)
-    predictions = _predict_all([model], samples, cfg.eval.top_k_per_query,
-                               _threads(args.threads))
+    predictions = _predict_all([model], samples, cfg.eval.top_k_per_query, threads)
     os.makedirs(args.out, exist_ok=True)
     for sample in samples:
         doc = triplets_to_json(sample.video_id, predictions[sample.video_id])

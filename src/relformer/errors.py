@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the whole package.
 
 The CLI maps these onto exit codes: ConfigError/UsageError -> 2,
-DataError/CheckpointError -> 3, NumericsError -> 4.
+DataError/CheckpointError -> 3, NumericsError -> 4, and any other
+RelformerError (a ShapeError is an internal error) -> 1.
 """
 
 

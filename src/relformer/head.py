@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TimeSlot, Tracklet, VideoSample
 from .errors import DataError
-from .nn import ParamStore, mlp_forward, softmax_lastdim
+from .nn import ParamStore, mlp_forward
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def classify_predicates(store: ParamStore, queries: Tensor, links: np.ndarray,
     bias = store["tables.freq_bias"].data
     fibers = bias[categories[links[:, 0]], categories[links[:, 1]]]
     padded = np.concatenate([fibers, np.zeros((m, 1))], axis=1)
-    return softmax_lastdim(logits + ad.constant(padded))
+    return ad.softmax(logits + ad.constant(padded), axis=-1)
 
 
 def infer_triplets(probs: np.ndarray, links: np.ndarray, tracklets: list[Tracklet],

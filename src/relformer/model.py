@@ -20,9 +20,11 @@ pooling weights depend only on the frames its slot intersection covers, and
 many anchors cover the same frames of a tracklet (all of it, the same
 clamped range, or none). So each tracklet keeps only its u_i distinct
 pooling rows, found by that integer frame range (``roi_pool_rows``); the
-value MLP runs on the U = sum of u_i rows, and one gather hands each of the
-m*n pairs its row. The gather's gradient sums the gradients of a row's
-copies.
+value MLP runs on the U = sum of u_i rows, and an (m, n) index names each
+(query, tracklet) pair's row. Cross-attention reads the rows through that
+index in one fused node (``autodiff.attend_rows``), so no (m, n, d_v) value
+matrix exists in the forward pass or in the graph; its gradient sums the
+gradients of a row's uses.
 
 RoI pooling and the first layer of the value MLP are both linear, so they
 run as one fused autodiff node (``autodiff.pool_project``) over the stacked
@@ -214,15 +216,18 @@ def normalize_attention(attn: Tensor) -> Tensor:
     return ad.mul(over_tracklets, over_roles)
 
 
-def cross_attend(attn_norm: Tensor, values: Tensor, store: ParamStore,
+def cross_attend(attn_norm: Tensor, rows: Tensor, index: np.ndarray, store: ParamStore,
                  prefix: str) -> Tensor:
-    """(m, d_q): sum over roles of F_r(attention-weighted value rows)."""
-    m, n = attn_norm.shape[1], attn_norm.shape[2]
+    """(m, d_q): sum over roles of F_r(attention-weighted value rows).
+
+    ``rows`` holds the (U, d_v) distinct value rows and ``index`` the (m, n)
+    row of each (query, tracklet) pair; one ``ad.attend_rows`` node weights
+    and sums them for both roles, without an (m, n, d_v) matrix.
+    """
+    mixed = ad.attend_rows(attn_norm, rows, index)  # (2, m, d_v)
     out = None
     for r, role in enumerate(("subject", "object")):
-        w = ad.reshape(attn_norm[r], (m, n, 1))
-        mixed = ad.tsum(ad.mul(w, values), axis=1)  # (m, d_v)
-        term = mlp_forward(store, f"{prefix}.{role}.out", mixed)
+        term = mlp_forward(store, f"{prefix}.{role}.out", mixed[r])
         out = term if out is None else out + term
     return out
 
@@ -240,7 +245,8 @@ class VideoContext:
     A context belongs to the model that built it: ``pool_rows[i]`` holds
     tracklet i's u_i distinct (l_roi, l_i) pooling weights against that
     model's anchors (``roi_pool_rows``), and ``pool_index[q, i]`` is the row
-    of query q's weights in their concatenation. Both are filled on the first
+    of query q's weights in their concatenation, which is also the row of its
+    value among a layer's value rows. Both are filled on the first
     forward pass rather than in ``build_context``, so building contexts for a
     run that never runs a forward pass (``train --epochs 0``) stays cheap.
     """
@@ -364,13 +370,14 @@ class RelationModel:
         return h
 
     def build_value_matrix(self, ctx: VideoContext, frames: Tensor, prefix: str) -> Tensor:
-        """(m, n, d_v) per-query value matrices: the value MLP over each
-        tracklet's distinct RoI-pooled rows, as one pooled-MLP node whose
-        contraction order the module docstring gives, then one gather that
-        hands every (query, tracklet) pair its row.
+        """(U, d_v) value rows: the value MLP over each tracklet's distinct
+        RoI-pooled rows, as one pooled-MLP node whose contraction order the
+        module docstring gives. Row ``ctx.pool_index[q, i]`` is the value of
+        query q for tracklet i; ``cross_attend`` reads the rows through that
+        index, so no (m, n, d_v) matrix is built.
 
-        The distinct pooling rows against the anchors and the gather index
-        are computed on the first call for a context and kept on it as
+        The distinct pooling rows against the anchors and the index are
+        computed on the first call for a context and kept on it as
         ``ctx.pool_rows`` and ``ctx.pool_index``.
         """
         if ctx.pool_rows is None:
@@ -383,9 +390,7 @@ class RelationModel:
                 offset += len(w)
             ctx.pool_index = index
             ctx.pool_rows = rows
-        values = pooled_mlp_forward(self.store, f"{prefix}.value_mlp", frames,
-                                    ctx.pool_rows)
-        return values[ctx.pool_index]
+        return pooled_mlp_forward(self.store, f"{prefix}.value_mlp", frames, ctx.pool_rows)
 
     def decode(self, ctx: VideoContext, frames: Tensor, h_enc: Tensor,
                ) -> tuple[Tensor, Tensor]:
@@ -404,7 +409,7 @@ class RelationModel:
             values = self.build_value_matrix(ctx, frames, p)
             raw = role_attention(h, h_enc, store, p)
             attn_norm = normalize_attention(raw)
-            x = x + cross_attend(attn_norm, values, store, p)
+            x = x + cross_attend(attn_norm, values, ctx.pool_index, store, p)
 
             h = layer_norm(x, store[f"{p}.ln3.g"], store[f"{p}.ln3.b"])
             x = x + mlp_forward(store, f"{p}.ffn", h)

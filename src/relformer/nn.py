@@ -126,7 +126,7 @@ def pooled_mlp_forward(store: ParamStore, prefix: str, frames: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# normalization and softmax
+# normalization
 # ---------------------------------------------------------------------------
 
 
@@ -138,14 +138,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = ad.tmean(ad.square(centered), axis=-1, keepdims=True)
     normed = centered / ad.sqrt(var + eps)
     return normed * gain + bias
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stochastic softmax over the last axis, max-stabilized."""
-    x = ad.as_tensor(x)
-    shift = x.data.max(axis=-1, keepdims=True)  # constant shift, exact for gradients
-    e = ad.exp(x - shift)
-    return e / ad.tsum(e, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ def multi_head_attention(store: ParamStore, prefix: str, q_in: Tensor, k_in: Ten
     v = split(ad.matmul(v_in, store[f"{prefix}.wv"]) + store[f"{prefix}.bv"], nk)
 
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    attn = softmax_lastdim(scores)  # (H, nq, nk)
+    attn = ad.softmax(scores, axis=-1)  # (H, nq, nk)
     mixed = ad.matmul(attn, v)  # (H, nq, dh)
     merged = ad.reshape(ad.transpose(mixed, (1, 0, 2)), (nq, d))
     return ad.matmul(merged, store[f"{prefix}.wo"]) + store[f"{prefix}.bo"]

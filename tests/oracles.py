@@ -50,6 +50,18 @@ def softmax_extended_oracle(row):
     return (e / e.sum()).astype(np.float64)
 
 
+def attend_rows_oracle(attn, rows, index):
+    """out[r, q] = sum over i of attn[r, q, i] * rows[index[q, i]], one
+    (role, query, tracklet) triple at a time."""
+    n_roles, m, n = attn.shape
+    out = np.zeros((n_roles, m, rows.shape[1]))
+    for r in range(n_roles):
+        for q in range(m):
+            for i in range(n):
+                out[r, q] += attn[r, q, i] * rows[index[q, i]]
+    return out
+
+
 def slow_attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo):
     """Single-head attention with explicit score loops."""
     n, d = x.shape

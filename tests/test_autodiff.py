@@ -6,7 +6,7 @@ from relformer.autodiff import Tensor, backward
 from relformer.errors import ShapeError, UsageError
 from relformer.nn import ParamStore
 
-from oracles import finite_difference
+from oracles import attend_rows_oracle, finite_difference
 
 
 class TestBasics:
@@ -76,9 +76,9 @@ class TestGradients:
         np.testing.assert_array_equal(g_frozen, np.zeros(4))
 
     @pytest.mark.parametrize("op_name", [
-        "add", "sub", "mul", "div", "matmul", "relu", "exp", "log", "sqrt",
-        "square", "clip", "reshape", "transpose", "concat", "stack", "getitem",
-        "getitem_repeated", "tsum", "tmean",
+        "add", "sub", "neg", "mul", "div", "matmul", "relu", "exp", "log", "sqrt",
+        "square", "softmax", "clip", "reshape", "transpose", "concat", "stack",
+        "getitem", "getitem_repeated", "tsum", "tmean",
     ])
     def test_op_gradients_match_finite_differences(self, op_name, rng):
         a_val = rng.uniform(0.3, 1.7, size=(3, 4))
@@ -90,6 +90,7 @@ class TestGradients:
             ops = {
                 "add": lambda: a + b,
                 "sub": lambda: a - b,
+                "neg": lambda: -a,
                 "mul": lambda: a * b,
                 "div": lambda: a / b,
                 "matmul": lambda: ad.matmul(a, ad.transpose(b)),
@@ -98,6 +99,7 @@ class TestGradients:
                 "log": lambda: ad.log(a),
                 "sqrt": lambda: ad.sqrt(a),
                 "square": lambda: ad.square(a),
+                "softmax": lambda: ad.softmax(a * b, axis=1),
                 "clip": lambda: ad.clip(a, 0.5, 1.5),
                 "reshape": lambda: ad.reshape(a, (2, 6)),
                 "transpose": lambda: ad.transpose(a),
@@ -189,6 +191,84 @@ class TestGetitem:
         a = Tensor(np.zeros(3), requires_grad=True)
         [ga] = backward(ad.tsum(a[np.array([2, 2, 0])]), [a])
         np.testing.assert_array_equal(ga, [1.0, 0.0, 2.0])
+
+
+def attend_rows_case(rng, m, n, d_v, spare=0):
+    """(attn (2, m, n), rows (U, d_v), index (m, n)) shaped like the decoder's:
+    column i indexes its own block of u_i rows, most named by several
+    queries, and the last ``spare`` rows are named by none."""
+    blocks, offset = [], 0
+    for _ in range(n):
+        u = int(rng.integers(1, m + 1))
+        blocks.append(offset + rng.permutation(np.arange(m) % u))
+        offset += u
+    attn = Tensor(rng.uniform(0.01, 0.99, size=(2, m, n)), requires_grad=True)
+    rows = Tensor(rng.normal(size=(offset + spare, d_v)), requires_grad=True)
+    return attn, rows, np.stack(blocks, axis=1)
+
+
+def gather_weight_sum(attn, rows, index):
+    """The composed ops the fused node replaces: per role, gather an
+    (m, n, d_v) matrix, weight it by the attention and sum over n."""
+    m, n = index.shape
+    return [ad.tsum(ad.mul(ad.reshape(attn[r], (m, n, 1)), rows[index]), axis=1)
+            for r in range(attn.shape[0])]
+
+
+class TestAttendRows:
+    @pytest.mark.parametrize("m,n,d_v", [(8, 3, 8), (192, 15, 64)],
+                             ids=["tiny_grid", "grid_16x12"])
+    def test_forward_bits_equal_gather_weight_sum(self, rng, m, n, d_v):
+        attn, rows, index = attend_rows_case(rng, m, n, d_v)
+        assert len(rows.data) < m * n  # rows repeat
+        got = ad.attend_rows(attn, rows, index).data
+        assert got.shape == (2, m, d_v)
+        for r, want in enumerate(gather_weight_sum(attn, rows, index)):
+            assert np.array_equal(got[r], want.data)
+
+    def test_matches_triple_loop_oracle(self, rng):
+        attn, rows, index = attend_rows_case(rng, 6, 4, 5, spare=2)
+        want = attend_rows_oracle(attn.data, rows.data, index)
+        got = ad.attend_rows(attn, rows, index).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_gradients_match_finite_differences(self, rng):
+        """Repeated rows sum their uses' gradients; a row no query reads
+        gets exactly zero."""
+        attn, rows, index = attend_rows_case(rng, 6, 4, 5, spare=1)
+        index[:, 1] = index[:, 0]  # two tracklets read the same rows too
+        scale = rng.normal(size=(2, 6, 5))
+
+        def build():
+            return ad.tsum(ad.mul(ad.square(ad.attend_rows(attn, rows, index)), scale))
+
+        g_attn, g_rows = backward(build(), [attn, rows])
+        assert np.array_equal(g_rows[-1], np.zeros(5))
+        for param, grad in ((attn, g_attn), (rows, g_rows)):
+            fd = finite_difference(lambda: build().item(), param.data, range(param.data.size))
+            for c, g_fd in fd.items():
+                g = grad.reshape(-1)[c]
+                assert abs(g - g_fd) <= 1e-8 * max(1.0, abs(g), abs(g_fd)), \
+                    f"coord {c}: analytic {g} vs fd {g_fd}"
+
+    def test_gradients_match_the_composed_ops(self, rng):
+        attn, rows, index = attend_rows_case(rng, 24, 5, 7, spare=1)
+        scale = rng.normal(size=(2, 24, 7))
+        fused = backward(ad.tsum(ad.mul(ad.attend_rows(attn, rows, index), scale)),
+                         [attn, rows])
+        composed = ad.stack(gather_weight_sum(attn, rows, index), axis=0)
+        for got, want in zip(fused, backward(ad.tsum(ad.mul(composed, scale)),
+                                             [attn, rows])):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_wrong_shapes_rejected(self, rng):
+        attn, rows, index = attend_rows_case(rng, 6, 4, 5)
+        with pytest.raises(ShapeError, match="index"):
+            ad.attend_rows(attn, rows, index[:, :3])
+        with pytest.raises(ShapeError, match="index"):
+            ad.attend_rows(attn, rows, index.T)
+        with pytest.raises(ShapeError, match="outside"):
+            ad.attend_rows(attn, rows, index + len(rows.data))
 
 
 # (counts, lengths, k, d, h): shapes on each side of the contraction-order

@@ -146,7 +146,7 @@ class TestDeterminism:
         loss, backward and Adam all leave their bits in these bytes."""
         root, _, _ = tiny_run
         digest = blob_digest(root / "run1" / "model.ckpt")
-        assert digest == "4c7503fc2229c370ac2fa48e8ef586681245d1eea605fde799d7a21365999433"
+        assert digest == "f2561536506b36d045f5021b139c5d5083253a3625c3bde02505d81b1d805a76"
 
     def test_ragged_last_batch_bytes_are_pinned(self, tiny_run):
         """Four videos at batch 3: a step of three videos and one of one. The
@@ -159,9 +159,9 @@ class TestDeterminism:
         assert main(["train", "--config", cfg, "--data", data, "--out", str(out),
                      "--quiet"]) == 0
         assert blob_digest(out / "model.ckpt") == (
-            "d0a50ae0ca188a58f1878b09a367347eb49cba0b89226b6dd30c3318088327c6")
+            "2ca82e232993ae254e7e64f41ed259cf7ec57690cb286988b5ced3cae650e76e")
         assert hashlib.sha256((out / "loss_trace.csv").read_bytes()).hexdigest() == (
-            "458b6ee8daaa289b13ff3a0a87376b78dd2ab732b09fde4b63535a93a5c96f1a")
+            "9c9fd93c3c362aa05abec9b8540a9d8383f75774c83bd8c3d30fdcd657fbeec0")
 
     def test_untrained_forward_outputs_are_pinned(self, tiny_run):
         """eval and infer of the pinned untrained checkpoint: the forward pass
@@ -313,6 +313,18 @@ class TestExitCodes:
                      "--out", str(root / "missing_report.json")])
         assert code == 3
         assert "vocab.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2(self, tiny_run, capsys, command, threads):
+        root, cfg, data = tiny_run
+        out = root / f"threads_{command}_{threads}"
+        code = main([command, "--config", cfg, "--data", data, "--ckpt",
+                     str(root / "run1" / "model.ckpt"), "--threads", threads,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,payload", [
         ("synth", {"synth": {"videos": 2.0}}), ("train", {"model": {"heads": True}})])

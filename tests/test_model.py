@@ -171,6 +171,12 @@ class TestNormalizeAttention:
         np.testing.assert_allclose(over_roles.sum(axis=0), 1.0, atol=1e-9)
 
 
+def dense_rows(values):
+    """(m, n, d_v) values as ``cross_attend``'s rows and index: one row per pair."""
+    m, n, d_v = values.shape
+    return Tensor(values.reshape(m * n, d_v).copy()), np.arange(m * n).reshape(m, n)
+
+
 class TestCrossAttend:
     def _store(self, d_v, d_q, hidden, rng):
         shapes = {}
@@ -186,7 +192,7 @@ class TestCrossAttend:
                 store[name].data[:] = 0.0
         attn = rng.uniform(0.1, 0.9, size=(2, 3, 5))
         values = rng.normal(size=(3, 5, d_v))
-        out = cross_attend(Tensor(attn.copy()), Tensor(values.copy()), store, "dec")
+        out = cross_attend(Tensor(attn.copy()), *dense_rows(values), store, "dec")
         mixed = attn[0][:, :, None] * values
         want = mlp_oracle(mixed.sum(axis=1), store["dec.subject.out.w1"].data,
                           store["dec.subject.out.b1"].data,
@@ -199,7 +205,7 @@ class TestCrossAttend:
         store = self._store(d_v, d_q, 5, rng)
         v = rng.normal(size=(1, 1, d_v))
         attn = np.full((2, 1, 1), 0.5)
-        out = cross_attend(Tensor(attn), Tensor(v.copy()), store, "dec")
+        out = cross_attend(Tensor(attn), *dense_rows(v), store, "dec")
         half = (0.5 * v[0]).reshape(1, d_v)
         want = sum(
             mlp_oracle(half, store[f"dec.{role}.out.w1"].data,
@@ -214,7 +220,7 @@ class TestCrossAttend:
         store = self._store(d_v, d_q, 7, rng)
         attn = rng.uniform(0.01, 0.99, size=(2, m, n))
         values = rng.normal(size=(m, n, d_v))
-        out = cross_attend(Tensor(attn.copy()), Tensor(values.copy()), store, "dec")
+        out = cross_attend(Tensor(attn.copy()), *dense_rows(values), store, "dec")
         want = np.zeros((m, d_q))
         for r, role in enumerate(("subject", "object")):
             mixed = np.stack([attn[r, j] @ values[j] for j in range(m)])
@@ -431,6 +437,7 @@ class TestFullModel:
         ctx = model.build_context(sample)
         per_frame = model._per_frame_features(ctx)
         values = model.build_value_matrix(ctx, per_frame, "decoder.layer0").data
+        values = values[ctx.pool_index]
         anchors = model.anchors.slots
         disjoint = (np.maximum(anchors[:, None, 0], ctx.slots[None, :, 0])
                     >= np.minimum(anchors[:, None, 1], ctx.slots[None, :, 1]))
@@ -454,6 +461,8 @@ class TestFullModel:
         p = "decoder.layer0.value_mlp"
         values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
         rows = [len(w) for w in ctx.pool_rows]
+        assert values.shape == (sum(rows), cfg.d_v)
+        values = values[ctx.pool_index]
         assert ad.project_first(*rule_args(model, ctx, frames, rows)) == project_first
 
         params = [model.store[f"{p}.{name}"].data for name in ("w1", "b1", "w2", "b2")]
@@ -478,8 +487,9 @@ class TestFullModel:
 
 
 class TestValueMatrixDedupe:
-    """The value MLP runs once per distinct pooling row; the gather fans the
-    rows out. Against the same pooled MLP over every (query, tracklet) pair."""
+    """The value MLP runs once per distinct pooling row. Fanned out through
+    ``ctx.pool_index``, the rows equal the same pooled MLP over every
+    (query, tracklet) pair."""
 
     def expanded_values(self, model, ctx, frames, prefix="decoder.layer0"):
         """(m, n, d_v) from ``pooled_mlp_forward`` over the m*n expanded rows."""
@@ -495,6 +505,7 @@ class TestValueMatrixDedupe:
         _, vocab = toy_dataset
         model, ctx, frames = value_matrix_case(toy_model_config, vocab, spans)
         values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
+        values = values[ctx.pool_index]
         unique = [len(w) for w in ctx.pool_rows]
         dense = [model.anchors.count] * ctx.n
         assert sum(unique) < sum(dense)
@@ -517,7 +528,7 @@ class TestValueMatrixDedupe:
                              ids=["project_first", "pool_first", "deduped_pool_first"])
     def test_gradients_equal_the_expanded_pairs(self, toy_model_config, toy_dataset,
                                                 spans):
-        """The gather's VJP sums the gradients of a row's copies in another
+        """The fan-out's VJP sums the gradients of a row's copies in another
         order than the dense path, so the two agree to rounding."""
         _, vocab = toy_dataset
         model, ctx, frames = value_matrix_case(toy_model_config, vocab, spans)
@@ -530,7 +541,8 @@ class TestValueMatrixDedupe:
         def grads(values):
             return backward(ad.tsum(ad.mul(ad.square(values), scale)), params)
 
-        deduped = grads(model.build_value_matrix(ctx, frames, "decoder.layer0"))
+        deduped = grads(model.build_value_matrix(ctx, frames, "decoder.layer0")
+                        [ctx.pool_index])
         expanded = grads(self.expanded_values(model, ctx, frames))
         for got, want in zip(deduped, expanded):
             assert np.abs(want).max() > 0.0

@@ -8,8 +8,7 @@ from relformer.autodiff import Tensor, backward
 from relformer.errors import UsageError
 from relformer.nn import (Adam, ParamStore, attention_shapes, clip_grad_norm, init_params,
                           layer_norm, mlp_forward, mlp_shapes, multi_head_attention,
-                          self_attention_block, self_attention_block_shapes,
-                          softmax_lastdim)
+                          self_attention_block, self_attention_block_shapes)
 
 from oracles import (adam_scalar_oracle, layer_norm_oracle, mlp_oracle,
                      slow_attention_oracle, softmax_extended_oracle)
@@ -138,26 +137,35 @@ class TestLayerNorm:
 
 class TestSoftmax:
     def test_uniform_row(self):
-        out = softmax_lastdim(Tensor(np.zeros((1, 4))))
+        out = ad.softmax(Tensor(np.zeros((1, 4))), axis=-1)
         np.testing.assert_allclose(out.data, 0.25)
 
     def test_stabilized_against_overflow(self):
-        out = softmax_lastdim(Tensor(np.array([[1000.0, 0.0]])))
+        out = ad.softmax(Tensor(np.array([[1000.0, 0.0]])), axis=-1)
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data[0, 0], 1.0, atol=1e-12)
         np.testing.assert_allclose(out.data[0, 1], 0.0, atol=1e-12)
 
     def test_random_rows_match_extended_precision_oracle(self, rng):
         x = rng.normal(scale=5.0, size=(7, 9))
-        out = softmax_lastdim(Tensor(x))
+        out = ad.softmax(Tensor(x), axis=-1)
         for i in range(7):
             np.testing.assert_allclose(out.data[i], softmax_extended_oracle(x[i]),
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_forward_bits_equal_the_composed_ops(self, rng, axis):
+        """The fused node runs the max shift, exp, sum and divide of the
+        composed ops, so it gives their bits."""
+        x = rng.normal(scale=5.0, size=(4, 6, 5))
+        e = ad.exp(Tensor(x) - x.max(axis=axis, keepdims=True))
+        want = e / ad.tsum(e, axis=axis, keepdims=True)
+        assert np.array_equal(ad.softmax(Tensor(x), axis=axis).data, want.data)
+
     @given(st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=16))
     @settings(max_examples=100, deadline=None)
     def test_rows_sum_to_one(self, row):
-        out = softmax_lastdim(Tensor(np.array([row])))
+        out = ad.softmax(Tensor(np.array([row])), axis=-1)
         assert abs(out.data.sum() - 1.0) <= 1e-9
 
 

@@ -190,6 +190,29 @@ class TestGradientCoverage:
         assert dead == []
 
 
+class TestGraphMemory:
+    def test_no_node_holds_a_pair_value_matrix(self, toy_model_config, toy_dataset):
+        """Cross-attention reads the distinct value rows through their index,
+        so no node of a training graph holds an (m, n, d_v) array."""
+        import dataclasses
+        cfg = dataclasses.replace(toy_model_config, m_c=16, m_d=12, d_v=24)
+        samples, vocab = toy_dataset
+        sample = samples[0]
+        model = RelationModel(cfg, vocab, init_store(cfg, vocab, 3))
+        m, n = model.anchors.count, len(sample.tracklets)
+        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), m)
+        loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
+        seen, todo, shapes = set(), [loss], set()
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                shapes.add(node.shape)
+                todo.extend(node._parents)
+        assert (2, m, n) in shapes and (m, cfg.d_v) in shapes  # the walk reached cross-attention
+        assert (m, n, cfg.d_v) not in shapes
+
+
 class TestOverfit:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_one_video_is_learned_exactly(self, tmp_path, seed):
