@@ -1,8 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a numpy array. Operations on tensors that require gradients
-build a computation graph of closures; ``backward`` walks it once in reverse
-topological order, releasing it, and returns the gradients of the tensors
+build a computation graph: each node keeps one edge, a (parent, vjp) pair,
+per parent that requires a gradient, and the edge's vjp maps the node's
+gradient to that parent's. A constant parent gets no edge, so no gradient of
+a constant is ever formed. ``backward`` walks the edges once in reverse
+topological order, releasing them, and returns the gradients of the tensors
 asked for, so no tensor stores a gradient. Two returned gradients may be one
 array, so callers must not write into them. ``backward`` can also continue
 the gradient sums of an earlier graph over the same leaves, so a sum of
@@ -22,7 +25,8 @@ during a forward.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import itertools
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -35,13 +39,12 @@ DTYPE = np.float64
 class Tensor:
     """A dense array node in the autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_done")
+    __slots__ = ("data", "requires_grad", "_edges", "_done")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._edges: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
         self._done = False
 
     @property
@@ -97,12 +100,22 @@ def constant(x) -> Tensor:
     return Tensor(x, requires_grad=False)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _node(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """A tensor holding ``data``, computed from the parents named in ``edges``.
+
+    Each edge is a (parent, vjp) pair, one per parent in argument order; a
+    parent used twice has two edges. ``vjp(g)`` returns the gradient for that
+    parent alone, given the gradient ``g`` of the output. Only the edges
+    whose parent requires a gradient are kept, in order, and the output
+    requires a gradient when one is kept; this is the one place that decides
+    which gradients exist. ``backward`` calls each kept vjp once, so two
+    edges may share work through their closures.
+    """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    kept = tuple([e for e in edges if e[0].requires_grad])
+    if kept:
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+        out._edges = kept
     return out
 
 
@@ -126,47 +139,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    return _node(a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+    return _node(a.data - b.data,
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
+    return _node(-a.data, (a, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(
-        a.data * b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    return _node(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * out / b.data, b.shape),
-        )
-
-    return _node(out, (a, b), vjp)
+    return _node(out,
+                 (a, lambda g: _unbroadcast(g / b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(-g * out / b.data, b.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -175,14 +177,9 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _node(out, (a, b), vjp)
+    return _node(np.matmul(a.data, b.data),
+                 (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
+                 (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,29 +190,29 @@ def matmul(a, b) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return _node(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
+    return _node(out, (a, lambda g: g * out))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _node(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
-    return _node(out, (a,), lambda g: (g / (2.0 * out),))
+    return _node(out, (a, lambda g: g / (2.0 * out)))
 
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    return _node(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,))
+    return _node(a.data * a.data, (a, lambda g: 2.0 * g * a.data))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -227,18 +224,14 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
-
-    return _node(out, (a,), vjp)
+    return _node(out, (a, lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True))))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes through inside the range."""
     a = as_tensor(a)
     mask = (a.data >= lo) & (a.data <= hi)
-    return _node(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+    return _node(np.clip(a.data, lo, hi), (a, lambda g: g * mask))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +242,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape)
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    return _node(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -258,29 +251,25 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _node(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
+    return _node(np.transpose(a.data, axes), (a, lambda g: np.transpose(g, inv)))
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
+    """Join along ``axis``; each part's gradient is a view of its slice of
+    the output's, as ``np.split`` gives."""
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
     out = np.concatenate([p.data for p in parts], axis=axis)
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, tuple(parts), vjp)
+    lead = (slice(None),) * (axis % out.ndim)
+    bounds = [0, *itertools.accumulate(p.shape[axis] for p in parts)]
+    return _node(out, *((p, lambda g, key=lead + (slice(lo, hi),): g[key])
+                        for p, lo, hi in zip(parts, bounds, bounds[1:])))
 
 
 def stack(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = np.stack([p.data for p in parts], axis=axis)
-
-    def vjp(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return _node(out, tuple(parts), vjp)
+    return _node(out, *((p, lambda g, i=i: np.moveaxis(g, axis, 0)[i])
+                        for i, p in enumerate(parts)))
 
 
 def _is_basic_key(key) -> bool:
@@ -302,9 +291,9 @@ def getitem(a, key) -> Tensor:
             full[key] = g
         else:  # array keys may repeat indices, so their gradients accumulate
             np.add.at(full, key, g)
-        return (full,)
+        return full
 
-    return _node(out, (a,), vjp)
+    return _node(out, (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +306,11 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        g = np.asarray(g)
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return np.broadcast_to(g, a.shape).copy()
 
-    return _node(out, (a,), vjp)
+    return _node(out, (a, vjp))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -392,14 +378,14 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
         for pool, block, out in zip(pools, blocks, outs):
             flat[out] = (pool @ f[block]).reshape(-1, k * d)
 
-        def vjp(g):
+        def frames_vjp(g):
             g_flat = g @ w.data.T
             g_frames = np.empty_like(f)  # the blocks tile every row
             for pool, block, out in zip(pools, blocks, outs):
                 g_frames[block] = pool.T @ g_flat[out].reshape(-1, d)
-            return g_frames, flat.T @ g
+            return g_frames
 
-        return _node(flat @ w.data, (frames, w), vjp)
+        return _node(flat @ w.data, (frames, frames_vjp), (w, lambda g: flat.T @ g))
 
     # Row t*k + b of a block pairs frame t with pooling bin b.
     pools = [wt.transpose(0, 2, 1).reshape(len(wt), -1) for wt in weights]  # (u_i, l_i*k)
@@ -409,14 +395,20 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
     for pool, block, out in zip(pools, blocks, outs):
         result[out] = pool @ projected[block].reshape(-1, h)
 
-    def vjp(g):
-        g_projected = np.empty((total, k * h))
-        for pool, block, out in zip(pools, blocks, outs):
-            g_projected[block] = (pool.T @ g[out]).reshape(-1, k * h)
-        g_w = (f.T @ g_projected).reshape(d, k, h).transpose(1, 0, 2).reshape(k * d, h)
-        return g_projected @ w_frames.T, g_w
+    shared: list[np.ndarray] = []
 
-    return _node(result, (frames, w), vjp)
+    def g_projected(g):
+        """The (S, k*h) block contraction both edges read, formed once."""
+        if not shared:
+            shared.append(np.empty((total, k * h)))
+            for pool, block, out in zip(pools, blocks, outs):
+                shared[0][block] = (pool.T @ g[out]).reshape(-1, k * h)
+        return shared[0]
+
+    def w_vjp(g):
+        return (f.T @ g_projected(g)).reshape(d, k, h).transpose(1, 0, 2).reshape(k * d, h)
+
+    return _node(result, (frames, lambda g: g_projected(g) @ w_frames.T), (w, w_vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +443,11 @@ def attend_rows(attn, rows, index: np.ndarray) -> Tensor:
         shape=(r * m, u))
     out = (weights @ rows.data).reshape(r, m, d_v)
 
-    def vjp(g):
-        g_rows = weights.T @ g.reshape(r * m, d_v)
+    def attn_vjp(g):
         g_attn = np.matmul(rows.data[index], g.transpose(1, 2, 0))  # (m, n, R)
-        return g_attn.transpose(2, 0, 1), g_rows
+        return g_attn.transpose(2, 0, 1)
 
-    return _node(out, (attn, rows), vjp)
+    return _node(out, (attn, attn_vjp), (rows, lambda g: weights.T @ g.reshape(r * m, d_v)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +468,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p, _ in node._edges:
+            if id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -488,7 +479,7 @@ def backward(loss: Tensor, params: Sequence[Tensor],
     """Gradients of the scalar ``loss``, one array per tensor in ``params``.
 
     A tensor the graph never reached gets zeros. Two entries may be the same
-    array (a vjp can hand one gradient to two parents), so treat them as
+    array (two edges' vjps can hand on one gradient), so treat them as
     read-only. The graph is released on the way; calling this twice on the
     same loss node without re-running the forward pass is an error.
 
@@ -511,7 +502,7 @@ def backward(loss: Tensor, params: Sequence[Tensor],
     if sums is not None:
         if len(sums) != len(params):
             raise UsageError(f"backward: {len(sums)} carried sums for {len(params)} tensors")
-        if any(t._parents for t in params):
+        if any(t._edges for t in params):
             raise UsageError("backward: carried sums need leaf tensors")
         # Only the accumulators hold the old sums, so each is freed as soon
         # as its successor exists.
@@ -525,18 +516,13 @@ def backward(loss: Tensor, params: Sequence[Tensor],
     grads[id(loss)] = seed if acc is None else acc + seed
     leaves: dict[int, np.ndarray] = {}
     for node in reversed(_topo_order(loss)):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))  # every node in the order is reached by an edge
         if id(node) in wanted:
             leaves[id(node)] = g
-        if node._vjp is not None:
-            for p, pg in zip(node._parents, node._vjp(g)):
-                if not p.requires_grad:
-                    continue
-                acc = grads.get(id(p))
-                grads[id(p)] = pg if acc is None else acc + pg
-            node._vjp = None
-            node._parents = ()
+        for p, vjp in node._edges:
+            pg = vjp(g)
+            acc = grads.get(id(p))
+            grads[id(p)] = pg if acc is None else acc + pg
+        node._edges = ()
     leaves.update(grads)  # the carried sums of tensors this graph did not reach
     return [leaves[id(t)] if id(t) in leaves else np.zeros_like(t.data) for t in params]

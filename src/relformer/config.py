@@ -22,6 +22,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_seed(name: str, value) -> None:
     # numpy seeds must be non-negative.
     if not _is_int(value) or value < 0:
@@ -134,6 +138,10 @@ def _build_section(cls, payload: dict, section: str):
             value = tuple(value)
         if hints[key] is int and not _is_int(value):
             raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        if hints[key] is float and not _is_number(value):
+            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+        if hints[key] == float | None and not (value is None or _is_number(value)):
+            raise ConfigError(f"{section}.{key} must be a number or null, got {value!r}")
         if hints[key] == tuple[int, ...] and not (
                 isinstance(value, tuple) and all(_is_int(k) for k in value)):
             raise ConfigError(f"{section}.{key} must be a list of integers, got {value!r}")

@@ -75,6 +75,39 @@ class TestGradients:
         np.testing.assert_array_equal(g_unused, np.zeros((2, 2)))
         np.testing.assert_array_equal(g_frozen, np.zeros(4))
 
+    def test_nodes_link_only_to_parents_that_need_a_gradient(self, rng):
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = ad.constant(rng.normal(size=(4, 3)))
+        assert ad.matmul(x, ad.constant(np.ones((3, 2))))._edges == ()
+        w_t = ad.transpose(w)
+        [(parent, _)] = ad.concat([x, w_t, x], axis=0)._edges
+        assert parent is w_t and w_t.requires_grad
+        assert [p is w for p, _ in ad.mul(w, w)._edges] == [True, True]
+
+    def test_no_gradient_of_a_constant_input_is_formed(self, rng):
+        """The gradient of a constant (4000, 256) input would be as large as
+        the input; backward to the weight alone stays far below that."""
+        import tracemalloc
+        a = rng.normal(size=(4000, 256))
+        w = Tensor(rng.normal(size=(256, 4)), requires_grad=True)
+        loss = ad.tsum(ad.matmul(ad.constant(a), w))
+        tracemalloc.start()
+        try:
+            [gw] = backward(loss, [w])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(gw, np.repeat(a.sum(axis=0)[:, None], 4, axis=1))
+        assert peak < 0.5 * a.nbytes
+
+    def test_concat_parts_get_views_of_one_gradient(self, rng):
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        ga, gb = backward(ad.tsum(ad.square(ad.concat([a, b], axis=1))), [a, b])
+        assert ga.base is not None and ga.base is gb.base
+        np.testing.assert_array_equal(ga, 2 * a.data)
+        np.testing.assert_array_equal(gb, 2 * b.data)
+
     @pytest.mark.parametrize("op_name", [
         "add", "sub", "neg", "mul", "div", "matmul", "relu", "exp", "log", "sqrt",
         "square", "softmax", "clip", "reshape", "transpose", "concat", "stack",

@@ -1,8 +1,9 @@
 import json
+import typing
 
 import pytest
 
-from relformer.config import ModelConfig, RunConfig, load_config
+from relformer.config import _SECTIONS, ModelConfig, RunConfig, load_config
 from relformer.errors import ConfigError
 
 
@@ -68,6 +69,40 @@ class TestIntegerFields:
         assert (cfg.model.d, cfg.model.heads) == (64, 4)
         assert (cfg.eval.recall_ks, cfg.eval.top_k_per_query) == ((20, 50), 3)
         assert (cfg.train.max_grad_norm, cfg.train.seed) == (1, None)
+
+
+# Every float field of the four sections; ``max_grad_norm`` may also be null.
+FLOAT_FIELDS = [("train", "lambda_cls"), ("train", "lambda_att"), ("train", "lr"),
+                ("train", "max_grad_norm"), ("synth", "box_jitter"), ("synth", "prob_noise"),
+                ("synth", "feature_noise"), ("eval", "viou_threshold")]
+
+
+class TestFloatFields:
+    def test_the_list_names_every_float_field(self):
+        hinted = {(section, name) for section, cls in _SECTIONS.items()
+                  for name, hint in typing.get_type_hints(cls).items()
+                  if hint in (float, float | None)}
+        assert hinted == set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("section,field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, "1e-3", [0.5]])
+    def test_non_number_is_a_config_error(self, tmp_path, section, field, value):
+        path = write_config(tmp_path, {section: {field: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{field} must be a number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("section,field", [f for f in FLOAT_FIELDS
+                                               if f != ("train", "max_grad_norm")])
+    def test_null_is_a_config_error(self, tmp_path, section, field):
+        path = write_config(tmp_path, {section: {field: None}})
+        with pytest.raises(ConfigError, match=f"{section}.{field} must be a number, got None"):
+            load_config(path)
+
+    def test_numbers_keep_their_values(self, tmp_path):
+        path = write_config(tmp_path, {"train": {"lr": 1, "max_grad_norm": None},
+                                       "synth": {"box_jitter": 0.25}})
+        cfg = load_config(path)
+        assert (cfg.train.lr, cfg.train.max_grad_norm, cfg.synth.box_jitter) == (1, None, 0.25)
 
 
 class TestLoadConfig:

@@ -54,10 +54,10 @@ def test_every_node_op_has_a_finite_difference_check():
 
 def test_checker_flags_an_unchecked_op():
     ops = node_ops(ast.parse(
-        "def a(x):\n    return _node(x, (), None)\n"
-        "def b(x):\n    def vjp(g):\n        return (g,)\n    return _node(x, (), vjp)\n"
+        "def a(x):\n    return _node(x.data, (x, lambda g: g))\n"
+        "def b(x):\n    def vjp(g):\n        return g\n    return _node(x.data, (x, vjp))\n"
         "def c(x):\n    return a(x)\n"
-        "def d(x):\n    return _node(x, (), None)\n"))
+        "def d(x):\n    return _node(x.data, (x, lambda g: g))\n"))
     assert ops == {"a", "b", "d"}
     checked = checked_ops(ast.parse(
         "@pytest.mark.parametrize('op', ['a'])\n"

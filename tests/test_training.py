@@ -193,7 +193,8 @@ class TestGradientCoverage:
 class TestGraphMemory:
     def test_no_node_holds_a_pair_value_matrix(self, toy_model_config, toy_dataset):
         """Cross-attention reads the distinct value rows through their index,
-        so no node of a training graph holds an (m, n, d_v) array."""
+        so no node of a training graph holds an (m, n, d_v) array; and the
+        graph links only to parents that require a gradient."""
         import dataclasses
         cfg = dataclasses.replace(toy_model_config, m_c=16, m_d=12, d_v=24)
         samples, vocab = toy_dataset
@@ -208,7 +209,8 @@ class TestGraphMemory:
             if id(node) not in seen:
                 seen.add(id(node))
                 shapes.add(node.shape)
-                todo.extend(node._parents)
+                assert all(parent.requires_grad for parent, _ in node._edges)
+                todo.extend(parent for parent, _ in node._edges)
         assert (2, m, n) in shapes and (m, cfg.d_v) in shapes  # the walk reached cross-attention
         assert (m, n, cfg.d_v) not in shapes
 
