@@ -389,8 +389,13 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
 
     # Row t*k + b of a block pairs frame t with pooling bin b.
     pools = [wt.transpose(0, 2, 1).reshape(len(wt), -1) for wt in weights]  # (u_i, l_i*k)
-    w_frames = w.data.reshape(k, d, h).transpose(1, 0, 2).reshape(d, k * h)
-    projected = f @ w_frames  # (S, k*h)
+
+    def w_frames():
+        """``w`` laid out as (d, k*h). A copy as large as ``w``, so the graph
+        does not keep it: the frames VJP forms it again from ``w.data``."""
+        return w.data.reshape(k, d, h).transpose(1, 0, 2).reshape(d, k * h)
+
+    projected = f @ w_frames()  # (S, k*h)
     result = np.empty((rows, h))
     for pool, block, out in zip(pools, blocks, outs):
         result[out] = pool @ projected[block].reshape(-1, h)
@@ -408,7 +413,7 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
     def w_vjp(g):
         return (f.T @ g_projected(g)).reshape(d, k, h).transpose(1, 0, 2).reshape(k * d, h)
 
-    return _node(result, (frames, lambda g: g_projected(g) @ w_frames.T), (w, w_vjp))
+    return _node(result, (frames, lambda g: g_projected(g) @ w_frames().T), (w, w_vjp))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,29 @@ def _threads(value: int | None) -> int:
     return value
 
 
+def _check_out_dir(flag: str, path: str) -> None:
+    """UsageError unless ``path`` is a directory or can be made one: the
+    nearest existing path at or above it must be a directory. Creates
+    nothing, so a run rejected later leaves no output behind."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise UsageError(f"{flag} {path}: {probe} is not a directory")
+
+
+def _check_out_file(flag: str, path: str | None) -> None:
+    """UsageError unless a file can be written at ``path``, when one is given:
+    its directory must exist, and ``path`` must not be a directory."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"{flag} {path}: directory {parent} does not exist")
+    if os.path.isdir(path):
+        raise UsageError(f"{flag} {path}: is a directory")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relformer",
@@ -127,6 +150,7 @@ def cmd_synth(args) -> int:
         "objects_min": "synth.objects_min", "objects_max": "synth.objects_max",
         "distractors": "synth.distractors"}, extra=extra))
     out = args.out
+    _check_out_dir("--out", out)
     if os.path.isdir(out) and any(not p.startswith(".") for p in os.listdir(out)) \
             and not args.force:
         raise UsageError(f"{out}: output directory not empty (pass --force)")
@@ -140,6 +164,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, _collect_overrides(args, {
         "epochs": "train.epochs", "lr": "train.lr", "batch_size": "train.batch_size",
         "save_interval": "train.save_interval"}))
+    _check_out_dir("--out", args.out)  # train_loop creates it after the data checks
     samples, vocab = load_dataset(args.data)
     if not samples:
         raise DataError(f"{args.data}: dataset has no videos to train on")
@@ -160,6 +185,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     threads = _threads(args.threads)
     cfg = load_config(args.config, _collect_overrides(args, {}))
+    _check_out_file("--out", args.out)
+    _check_out_file("--per-video", args.per_video)
     samples, vocab = load_dataset(args.data)
     paths = [p for p in args.ckpt.split(",") if p]
     if not paths:
@@ -193,6 +220,7 @@ def _write_per_video_csv(path: str, report) -> None:
 def cmd_infer(args) -> int:
     threads = _threads(args.threads)
     cfg = load_config(args.config, _collect_overrides(args, {}))
+    _check_out_dir("--out", args.out)
     samples, vocab = load_dataset(args.data)
     model = _load_model(args.ckpt, cfg, vocab)
     predictions = _predict_all([model], samples, cfg.eval.top_k_per_query, threads)

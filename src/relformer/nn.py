@@ -213,7 +213,14 @@ class Adam:
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, store: ParamStore, grads: list[np.ndarray]) -> None:
-        """One update; ``grads`` pairs with ``store.trainable_items()`` in order."""
+        """One update; ``grads`` pairs with ``store.trainable_items()`` in order.
+
+        The list is taken over, as ``autodiff.backward`` takes over its
+        carried sums: each entry is released as soon as its parameter is
+        updated, and the list is left empty. So the step holds the
+        parameters, m, v and the gradients not yet applied, never a second
+        set.
+        """
         entries = store.trainable_items()
         if len(grads) != len(entries):
             raise UsageError(f"adam_step: {len(grads)} gradients for "
@@ -221,12 +228,13 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for (name, p), g in zip(entries, grads):
+        for i, (name, p) in enumerate(entries):
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
                 m = self._m[name] = np.zeros_like(p.data)
                 v = self._v[name] = np.zeros_like(p.data)
+            g, grads[i] = grads[i], None
             # In place, in the operation order of
             #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
             #   p -= lr*(m/c1) / (sqrt(v/c2) + eps)
@@ -246,16 +254,22 @@ class Adam:
             step *= self.lr
             step /= scratch
             p.data -= step
+            del g, scratch, step  # freed before the next parameter's m and v
+        grads.clear()
 
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float
                    ) -> tuple[float, list[np.ndarray]]:
     """(global L2 norm, gradients scaled so that norm is at most ``max_norm``).
 
-    The inputs are never written; scaled gradients are new arrays.
+    The list is taken over: when the norm is above the bound, each entry is
+    replaced by its scaled copy, one at a time, and the same list is
+    returned. So no second set of gradients is ever alive. The input arrays
+    are never written; the scaled gradients are new arrays.
     """
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        grads = [g * scale for g in grads]
+        for i in range(len(grads)):
+            grads[i] = grads[i] * scale
     return norm, grads

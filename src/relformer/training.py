@@ -13,9 +13,11 @@ assignment itself is treated as a constant.
 A train step back-propagates each video's loss, scaled by 1/batch, straight
 after its forward, carrying the batch's gradient sums from one video to the
 next. So only one video's graph is alive at a time, and the gradients are
-bit-identical to one backward of the batch's mean loss. The matching cost,
-the loss, each gradient and each parameter after the Adam update must be
-finite, or the step raises ``NumericsError`` naming the video or the tensor.
+bit-identical to one backward of the batch's mean loss. Gradient clipping
+and the Adam step take the gradient list over (see ``nn.Adam.step``), and
+each gradient is freed once applied. The matching cost, the loss, each
+gradient and each parameter after the Adam update must be finite, or the
+step raises ``NumericsError`` naming the video or the tensor.
 """
 
 from __future__ import annotations
@@ -190,8 +192,7 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
                 _require_finite(names, grads, "gradient", epoch, step)
                 if train_cfg.max_grad_norm is not None:
                     _, grads = clip_grad_norm(grads, train_cfg.max_grad_norm)
-                optimizer.step(model.store, grads)
-                del grads  # not held through the next step's forward
+                optimizer.step(model.store, grads)  # empties grads
                 _require_finite(names, [t.data for t in params], "parameter", epoch, step)
                 writer.writerow([epoch, step, repr(value)])
                 losses.append(value)

@@ -380,6 +380,23 @@ class TestPoolProject:
                 assert abs(g - g_fd) <= 1e-8 * max(1.0, abs(g), abs(g_fd)), \
                     f"coord {c}: analytic {g} vs fd {g_fd}"
 
+    def test_project_first_node_keeps_no_copy_of_w(self, rng):
+        """The (d, k*h) re-laid copy of ``w`` that the projection multiplies
+        by is as large as ``w``; the frames VJP forms it again instead of the
+        graph keeping it. Here the pooling weights are far smaller than ``w``."""
+        import tracemalloc
+        shape = ((8, 8), (3, 3), 7, 64, 64)
+        assert ad.project_first(*rule_args(shape))
+        frames, weights, w = pool_project_case(rng, shape)
+        tracemalloc.start()
+        try:
+            out = ad.pool_project(frames, weights, w)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(wt.nbytes for wt in weights) < 0.05 * w.data.nbytes
+        assert retained - out.data.nbytes < w.data.nbytes
+
     def test_mismatched_blocks_rejected(self, rng):
         frames, weights, w = pool_project_case(rng, POOL_FIRST)
         with pytest.raises(ShapeError, match="tile"):

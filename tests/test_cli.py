@@ -459,6 +459,48 @@ class TestExitCodes:
         assert doc["relations"] == []
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("case", ["infer_out_is_a_file", "train_out_is_a_file",
+                                      "synth_out_is_a_file", "eval_out_has_no_directory",
+                                      "eval_per_video_has_no_directory",
+                                      "eval_out_is_a_directory"])
+    def test_unusable_output_path_exits_2_before_any_forward(
+            self, tiny_run, capsys, monkeypatch, case):
+        """Each path is refused with a UsageError naming the flag and the
+        path, before a single forward pass runs, and nothing is written."""
+        root, cfg, data = tiny_run
+        work = root / f"paths_{case}"
+        work.mkdir()
+        ckpt = str(root / "run1" / "model.ckpt")
+        command, flag = case.split("_")[:2]
+        flag = "--per-video" if flag == "per" else "--out"
+        existing = work / "existing"
+        existing.write_text("keep")
+        if case.endswith("is_a_file"):
+            path = existing
+        elif case.endswith("is_a_directory"):
+            path = work
+        else:
+            path = work / "nodir" / ("x.csv" if flag == "--per-video" else "r.json")
+        argv = {"synth": ["synth", "--config", cfg, "--out", str(path)],
+                "train": ["train", "--config", cfg, "--data", data, "--out", str(path),
+                          "--quiet"],
+                "infer": ["infer", "--config", cfg, "--data", data, "--ckpt", ckpt,
+                          "--out", str(path)],
+                "eval": ["eval", "--config", cfg, "--data", data, "--ckpt", ckpt,
+                         flag, str(path)]}[command]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the output path check")
+
+        monkeypatch.setattr(RelationModel, "forward", refuse)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"{flag} {path}" in capsys.readouterr().err
+        assert existing.read_text() == "keep"
+        assert sorted(p.name for p in work.iterdir()) == ["existing"]
+
+
 class TestEnsemble:
     def eval_bytes(self, tiny_run, ckpts, tag):
         root, cfg, data = tiny_run

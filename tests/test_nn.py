@@ -253,28 +253,52 @@ class TestAdam:
         np.testing.assert_allclose(p.data[0], expected[-1], atol=1e-12)
 
     def test_steps_are_bitwise_equal_to_the_array_formula(self, rng):
-        """Several steps on two parameters that share one gradient array, as
-        backward can hand out, against the out-of-place Adam expressions."""
+        """Several steps against the out-of-place Adam expressions, on two
+        parameters that share one gradient array, as backward can hand out,
+        and one whose gradient is a non-contiguous view."""
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        shapes = {"a": (4, 3), "b": (4, 3), "strided": (5, 4)}
         store = ParamStore()
-        a = store.add("a", rng.normal(size=(4, 3)))
-        b = store.add("b", rng.normal(size=(4, 3)))
-        want = {"a": a.data.copy(), "b": b.data.copy()}
-        m = {k: np.zeros((4, 3)) for k in want}
-        v = {k: np.zeros((4, 3)) for k in want}
+        params = {k: store.add(k, rng.normal(size=shape)) for k, shape in shapes.items()}
+        want = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
         opt = Adam(lr=lr, betas=(b1, b2), eps=eps)
         for t in range(1, 6):
             shared = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-4, 3)
-            before = shared.copy()
-            opt.step(store, [shared, shared])
-            np.testing.assert_array_equal(shared, before)
+            grads = {"a": shared, "b": shared, "strided": rng.normal(size=(8, 5)).T[:, ::2]}
+            assert not grads["strided"].flags.c_contiguous
+            before = {k: g.copy() for k, g in grads.items()}
+            opt.step(store, [grads[k] for k in store.names()])
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for k in want:
-                m[k] = b1 * m[k] + (1.0 - b1) * shared
-                v[k] = b2 * v[k] + (1.0 - b2) * (shared * shared)
+            for k, g in grads.items():
+                np.testing.assert_array_equal(g, before[k])
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
                 want[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
-        assert a.data.tobytes() == want["a"].tobytes()
-        assert b.data.tobytes() == want["b"].tobytes()
+        for k, p in params.items():
+            assert p.data.tobytes() == want[k].tobytes(), k
+
+    def test_step_takes_over_the_gradient_list(self, rng):
+        """Each gradient is released once its parameter is updated, so the
+        step's peak stays near the m and v it allocates: the parameters'
+        bytes once, not m, v and the gradients all at once."""
+        import tracemalloc
+        store = ParamStore()
+        for i in range(8):
+            store.add(f"p{i}", rng.normal(size=(256, 300)))
+        nbytes = sum(t.data.nbytes for t in store.trainable_tensors())
+        tracemalloc.start()
+        try:
+            grads = [rng.normal(size=(256, 300)) for _ in range(8)]
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            Adam(lr=1e-3).step(store, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads == []
+        assert peak - start < 1.5 * nbytes
 
     def test_clip_grad_norm(self):
         store = ParamStore()
@@ -283,6 +307,23 @@ class TestAdam:
         assert norm == pytest.approx(5.0)
         np.testing.assert_allclose(np.linalg.norm(clipped), 1.0)
         np.testing.assert_array_equal(grad, [3.0, 4.0])
+
+    def test_clip_grad_norm_replaces_one_gradient_at_a_time(self, rng):
+        """Scaling builds no second gradient set: the same list comes back,
+        each entry replaced by its scaled copy."""
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            grads = [rng.normal(size=(256, 300)) for _ in range(8)]
+            nbytes = sum(g.nbytes for g in grads)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            norm, clipped = clip_grad_norm(grads, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm > 1.0 and clipped is grads
+        assert peak - start < 0.5 * nbytes
 
     def test_shared_gradient_array_is_never_written(self):
         """backward may hand one array to two parameters (here through the
