@@ -64,7 +64,8 @@ class Tracklet:
 
     ``probs`` is the per-category classification probability vector; it is
     optional for ground-truth objects. ``appearance`` rows are stored as
-    float32 (the on-disk dtype) and widened to float64 at model input.
+    float32 (the on-disk dtype) and are the only copy a run keeps; each
+    forward pass widens its video's rows to float64 as it reads them.
     """
 
     id: int

@@ -13,6 +13,10 @@ pointing at consecutive rows of a feature file.
 
 Feature files are little-endian float32 matrices, row-major, with a 16-byte
 header: magic "TRKF", uint32 rows, uint32 cols, 4 reserved zero bytes.
+``read_feature_file`` checks the file size against the header and reads the
+payload straight into the returned float32 array, with no second copy. A NaN
+or infinite value is a ``DataError`` naming the file, so no command runs on
+it; the reader serves both the datasets and ``train --embeddings``.
 
 All JSON this package writes is canonical: sorted keys, compact separators,
 floats via repr (shortest round-trip), trailing newline. Identical data
@@ -49,19 +53,26 @@ def write_feature_file(path: str, matrix: np.ndarray) -> None:
 
 
 def read_feature_file(path: str) -> np.ndarray:
+    """The (rows, cols) float32 matrix of a TRKF file, read straight into the
+    returned array. A wrong magic or size, or a NaN or infinite value, is a
+    ``DataError`` naming the file."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            header = f.read(TRKF_HEADER_BYTES)
+            if len(header) < TRKF_HEADER_BYTES or header[:4] != TRKF_MAGIC:
+                raise DataError(f"{path}: not a TRKF feature file")
+            rows, cols, _ = (int(v) for v in np.frombuffer(header, dtype="<u4", offset=4))
+            size, expect = os.fstat(f.fileno()).st_size, TRKF_HEADER_BYTES + rows * cols * 4
+            if size != expect:
+                raise DataError(f"{path}: size {size} != expected {expect} for {rows}x{cols}")
+            matrix = np.fromfile(f, dtype="<f4", count=rows * cols).reshape(rows, cols)
     except OSError as exc:
         raise DataError(f"{path}: cannot read feature file: {exc}") from exc
-    if len(raw) < TRKF_HEADER_BYTES or raw[:4] != TRKF_MAGIC:
-        raise DataError(f"{path}: not a TRKF feature file")
-    rows, cols, _ = np.frombuffer(raw, dtype="<u4", count=3, offset=4)
-    expect = TRKF_HEADER_BYTES + int(rows) * int(cols) * 4
-    if len(raw) != expect:
-        raise DataError(f"{path}: size {len(raw)} != expected {expect} for {rows}x{cols}")
-    return np.frombuffer(raw, dtype="<f4", count=int(rows) * int(cols),
-                         offset=TRKF_HEADER_BYTES).reshape(int(rows), int(cols)).copy()
+    # min and max are NaN if any value is, and infinite if any value is; unlike
+    # np.isfinite(matrix).all(), they allocate no array of the matrix's size.
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        raise DataError(f"{path}: feature values must be finite (found NaN or infinity)")
+    return matrix
 
 
 def _require(obj: dict, key: str, where: str):

@@ -242,6 +242,12 @@ class VideoContext:
     """Per-video constants, built once by ``RelationModel.build_context`` and
     reused across layers and epochs.
 
+    A context holds no copy of the appearance features: they stay in the
+    sample's tracklets, as float32 rows, and each forward pass widens them
+    to its own float64 input (``RelationModel._per_frame_features``). So only
+    the video being run has a widened copy, and its graph keeps it until
+    that video's backward.
+
     A context belongs to the model that built it: ``pool_rows[i]`` holds
     tracklet i's u_i distinct (l_roi, l_i) pooling weights against that
     model's anchors (``roi_pool_rows``), and ``pool_index[q, i]`` is the row
@@ -252,8 +258,7 @@ class VideoContext:
     """
 
     sample: VideoSample
-    appearance: np.ndarray           # (S, d_a) float64, tracklets stacked in order
-    spatial: np.ndarray              # (S, 8), stacked likewise
+    spatial: np.ndarray              # (S, 8), tracklets stacked in order
     spans: list[tuple[int, int]]     # global (first, last_exclusive) frames; l_i = last - first
     slots: np.ndarray                # (n, 2) tracklet slots
     categories: np.ndarray           # (n,) int
@@ -350,7 +355,6 @@ class RelationModel:
         table = self.store["tables.classeme"].data
         return VideoContext(
             sample=sample,
-            appearance=np.concatenate([t.appearance for t in tracks], dtype=np.float64),
             spatial=np.concatenate([spatial_feature(t.boxes) for t in tracks]),
             spans=[t.slot.frame_span(sample.frame_count) for t in tracks],
             slots=np.array([[t.slot.start, t.slot.end] for t in tracks]),
@@ -360,8 +364,15 @@ class RelationModel:
     # -- forward pieces -------------------------------------------------------
 
     def _per_frame_features(self, ctx: VideoContext) -> Tensor:
-        """(S, d) per-frame features of all tracklets, stacked in tracklet order."""
-        return init_tracklet_feature(self.store, ad.constant(ctx.appearance),
+        """(S, d) per-frame features of all tracklets, stacked in tracklet order.
+
+        The (S, d_a) appearance input is widened from the tracklets' float32
+        rows in one pass. Widening float32 to float64 is exact, so every
+        output bit is that of a float64 copy made beforehand.
+        """
+        appearance = np.concatenate([t.appearance for t in ctx.sample.tracklets],
+                                    dtype=np.float64)
+        return init_tracklet_feature(self.store, ad.constant(appearance),
                                      ad.constant(ctx.spatial))
 
     def encode_tracklets(self, h: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -446,6 +447,36 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (work / "run").exists()  # no --out left behind, not even empty
         assert not (work / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "infer", "train", "train_embeddings"])
+    def test_non_finite_feature_value_exits_3_naming_the_file(self, tiny_run, capsys,
+                                                              command):
+        """A NaN in a TRKF file is refused where the file is read: a dataset's
+        ``.trkf`` file, or the ``train --embeddings`` table."""
+        root, cfg, data = tiny_run
+        work = root / f"nan_{command}"
+        work.mkdir()
+        out = work / "out"
+        if command == "train_embeddings":
+            n_objects = len(load_dataset(data)[1].objects)
+            table = np.zeros((n_objects, TINY["model"]["d_w"]), dtype=np.float32)
+            table[1, 2] = np.nan
+            bad = work / "table.trkf"
+            write_feature_file(str(bad), table)
+            args = ["train", "--epochs", "0", "--embeddings", str(bad), "--quiet"]
+        else:
+            shutil.copytree(data, work / "data")
+            data = str(work / "data")
+            bad = sorted((work / "data").glob("*.trkf"))[0]
+            raw = bytearray(bad.read_bytes())
+            raw[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+            bad.write_bytes(bytes(raw))
+            args = [command] + (["--quiet"] if command == "train" else
+                                ["--ckpt", str(root / "run1" / "model.ckpt")])
+        capsys.readouterr()
+        assert main(args + ["--config", cfg, "--data", data, "--out", str(out)]) == 3
+        assert f"{bad}: feature values must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_video_without_tracklets_predicts_nothing(self, tiny_run):
         root, cfg, data = tiny_run

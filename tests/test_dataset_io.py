@@ -46,6 +46,58 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="TRKF"):
             read_feature_file(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_file(self, rng, tmp_path, value):
+        path = tmp_path / "x.trkf"
+        matrix = rng.normal(size=(6, 4)).astype(np.float32)
+        matrix[3, 2] = value
+        write_feature_file(str(path), matrix)
+        with pytest.raises(DataError, match=f"^{path}: feature values must be finite"):
+            read_feature_file(str(path))
+
+    def test_empty_matrix_reads_back(self, tmp_path):
+        path = tmp_path / "x.trkf"
+        write_feature_file(str(path), np.zeros((0, 3), dtype=np.float32))
+        assert read_feature_file(str(path)).shape == (0, 3)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: raw[:15], "not a TRKF feature file"),
+        (lambda raw: raw[:-4], f"size {16 + 5 * 3 * 4 - 4} != expected {16 + 5 * 3 * 4} for 5x3"),
+        (lambda raw: raw + b"\0", f"size {16 + 5 * 3 * 4 + 1} != expected {16 + 5 * 3 * 4}"),
+    ], ids=["short_header", "short_payload", "long_payload"])
+    def test_bad_size_names_the_file(self, rng, tmp_path, edit, message):
+        path = tmp_path / "x.trkf"
+        write_feature_file(str(path), rng.normal(size=(5, 3)))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            read_feature_file(str(path))
+
+    @pytest.mark.parametrize("make", [lambda path: path.mkdir(), lambda path: None],
+                             ids=["directory", "missing"])
+    def test_unreadable_path_names_the_file(self, tmp_path, make):
+        path = tmp_path / "x.trkf"
+        make(path)
+        with pytest.raises(DataError, match=f"^{path}: cannot read feature file"):
+            read_feature_file(str(path))
+
+    def test_payload_is_read_in_one_copy(self, rng, tmp_path):
+        """The reader's peak is the returned matrix, not the file's bytes and
+        a copy of them."""
+        import tracemalloc
+        path = tmp_path / "x.trkf"
+        write_feature_file(str(path), rng.normal(size=(2000, 256)))
+        payload = 2000 * 256 * 4
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            matrix = read_feature_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (2000, 256)
+        assert peak - start < 1.5 * payload
+
 
 class TestRoundTrip:
     def test_empty_dataset_is_valid(self, tmp_path):

@@ -8,6 +8,7 @@ from relformer.autodiff import Tensor, backward
 from relformer.config import ModelConfig
 from relformer.data import TimeSlot, Tracklet, VideoSample
 from relformer.errors import ConfigError, DataError
+from relformer.features import init_tracklet_feature
 from relformer.model import (RelationModel, build_anchors, cross_attend, init_store,
                              normalize_attention, param_shapes, roi_pool_rows,
                              roi_pool_weights, role_attention)
@@ -567,3 +568,65 @@ class TestValueMatrixDedupe:
                 assert np.array_equal(rows[inverse], dense)
                 total, pairs = total + len(rows), pairs + len(slots)
         assert total < pairs
+
+
+def wide_feature_case(toy_dataset):
+    """A model with d_a = 256 and one 40-frame video of three tracklets with
+    random float32 appearance rows."""
+    _, vocab = toy_dataset
+    d_a = 256
+    cfg = ModelConfig(d=32, d_q=32, d_v=32, d_a=d_a, d_w=16, l=4, l_roi=7,
+                      L_e=1, L_d=2, m_c=3, m_d=2, heads=4, mlp_hidden=32)
+    rng = np.random.default_rng(17)
+    frame_count = 40
+    probs = np.full(len(vocab.objects), 1.0 / len(vocab.objects))
+    tracklets = [Tracklet(id=tid, slot=TimeSlot(t0 / frame_count, t1 / frame_count),
+                          boxes=np.tile([0.1, 0.1, 0.3, 0.3], (t1 - t0, 1)),
+                          appearance=rng.normal(size=(t1 - t0, d_a)).astype(np.float32),
+                          category=0, probs=probs)
+                 for tid, (t0, t1) in enumerate(((0, 30), (5, 40), (12, 38)))]
+    sample = VideoSample(video_id="v", frame_count=frame_count,
+                         tracklets=tracklets, gt_objects=[], gt_relations=[])
+    return make_model(cfg, vocab, 3), sample
+
+
+class TestFeatureWidening:
+    """Appearance rows are held once, as float32: a context keeps no widened
+    copy, and each forward widens its video's rows as it reads them."""
+
+    def test_build_context_allocates_less_than_the_float32_features(self, toy_dataset):
+        import tracemalloc
+        model, sample = wide_feature_case(toy_dataset)
+        frames = sum(t.length for t in sample.tracklets)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ctx = model.build_context(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx.spatial.shape == (frames, 8)
+        assert peak - start < frames * model.cfg.d_a * 4
+
+    def test_forward_and_gradients_equal_those_of_features_widened_beforehand(
+            self, toy_dataset):
+        model, sample = wide_feature_case(toy_dataset)
+        widened = np.concatenate([t.appearance.astype(np.float64)
+                                  for t in sample.tracklets])
+
+        class Prewidened(RelationModel):
+            def _per_frame_features(self, ctx):
+                return init_tracklet_feature(self.store, ad.constant(widened),
+                                             ad.constant(ctx.spatial))
+
+        params = model.store.trainable_tensors()
+        results = []
+        for runner in (model, Prewidened(model.cfg, model.vocab, model.store)):
+            out = runner.forward(runner.build_context(sample))
+            grads = backward(ad.tsum(out.probs), params)
+            results.append((out.attention.data, out.probs.data, grads))
+        (attn_a, probs_a, grads_a), (attn_b, probs_b, grads_b) = results
+        assert attn_a.tobytes() == attn_b.tobytes()
+        assert probs_a.tobytes() == probs_b.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads_a, grads_b))
