@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,45 +60,62 @@ def _validate_boxes(boxes: np.ndarray, label: str) -> None:
 
 
 @dataclass(frozen=True)
-class Tracklet:
-    """One object trajectory: a time slot plus per-frame boxes and features.
+class GtObject:
+    """One ground-truth object: a time slot, per-frame boxes and a category.
 
-    ``probs`` is the per-category classification probability vector; it is
-    optional for ground-truth objects. ``appearance`` rows are stored as
-    float32 (the on-disk dtype) and are the only copy a run keeps; each
-    forward pass widens its video's rows to float64 as it reads them.
+    GT objects carry no appearance features or class probabilities; they
+    serve only vIoU assignment and evaluation.
     """
 
     id: int
     slot: TimeSlot
     boxes: np.ndarray          # (l, 4) float64, normalized xyxy
-    appearance: np.ndarray     # (l, d_a) float32
     category: int
-    probs: np.ndarray | None = None
+
+    kind: ClassVar[str] = "gt object"
 
     def __post_init__(self):
-        label = f"tracklet {self.id}"
+        label = f"{self.kind} {self.id}"
         boxes = np.asarray(self.boxes, dtype=np.float64)
         object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "appearance",
-                           np.asarray(self.appearance, dtype=np.float32))
         if len(boxes) < 2:
             raise DataError(f"{label}: needs at least 2 frames, got {len(boxes)}")
         _validate_boxes(boxes, label)
-        if self.appearance.ndim != 2 or len(self.appearance) != len(boxes):
-            raise DataError(
-                f"{label}: appearance rows {self.appearance.shape} != boxes {len(boxes)}")
-        if self.probs is not None:
-            probs = np.asarray(self.probs, dtype=np.float64)
-            object.__setattr__(self, "probs", probs)
-            if probs.ndim != 1:
-                raise DataError(f"{label}: probs must be 1-d")
-            if not (abs(float(probs.sum()) - 1.0) <= 1e-6 and np.all(probs >= 0.0)):
-                raise DataError(f"{label}: probs must be a finite probability vector")
 
     @property
     def length(self) -> int:
         return len(self.boxes)
+
+
+@dataclass(frozen=True)
+class Tracklet(GtObject):
+    """One detected trajectory: a GT object's fields plus per-frame
+    appearance features and the per-category classification probabilities.
+
+    ``appearance`` rows are stored as float32 (the on-disk dtype) and are the
+    only copy a run keeps; each forward pass widens its video's rows to
+    float64 as it reads them.
+    """
+
+    appearance: np.ndarray     # (l, d_a) float32
+    probs: np.ndarray          # (|C_obj|,) float64, sums to 1
+
+    kind: ClassVar[str] = "tracklet"
+
+    def __post_init__(self):
+        super().__post_init__()
+        label = f"{self.kind} {self.id}"
+        appearance = np.asarray(self.appearance, dtype=np.float32)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        object.__setattr__(self, "appearance", appearance)
+        object.__setattr__(self, "probs", probs)
+        if appearance.ndim != 2 or len(appearance) != self.length:
+            raise DataError(
+                f"{label}: appearance rows {appearance.shape} != boxes {self.length}")
+        if probs.ndim != 1:
+            raise DataError(f"{label}: probs must be a 1-d probability vector")
+        if not (abs(float(probs.sum()) - 1.0) <= 1e-6 and np.all(probs >= 0.0)):
+            raise DataError(f"{label}: probs must be a finite probability vector")
 
 
 @dataclass(frozen=True)
@@ -142,7 +160,7 @@ class VideoSample:
     video_id: str
     frame_count: int
     tracklets: tuple[Tracklet, ...]
-    gt_objects: tuple[Tracklet, ...]
+    gt_objects: tuple[GtObject, ...]
     gt_relations: tuple[GtRelation, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -170,7 +188,7 @@ class VideoSample:
                 if rid not in gt_ids:
                     raise DataError(f"{vid}: relation {role} id {rid} not in gt_objects")
 
-    def gt_object(self, gt_id: int) -> Tracklet:
+    def gt_object(self, gt_id: int) -> GtObject:
         for t in self.gt_objects:
             if t.id == gt_id:
                 return t

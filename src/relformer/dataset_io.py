@@ -6,10 +6,13 @@ Layout:
   video_<id>.trkf           feature matrix file referenced by the JSON
 
 A video JSON holds {video_id, frame_count, tracklets, gt_objects,
-gt_relations}. Each tracklet entry is {id, start, end, category, probs,
-boxes, features}; gt_objects drop the probs field; gt_relations entries are
-{subject, object, predicate, start, end}. ``features`` is "<file>#<row>",
-pointing at consecutive rows of a feature file.
+gt_relations}, and its video_id is the <id> of its file name. Each tracklet
+entry is {id, start, end, category, probs, boxes, features}; ``features`` is
+"<file>#<row>", pointing at consecutive rows of a feature file, which holds
+the tracklets' rows only. gt_objects entries are {id, start, end, category,
+boxes}: GT objects carry no features or probs, and the GT ``features``
+references of older files are ignored. gt_relations entries are {subject,
+object, predicate, start, end}.
 
 Feature files are little-endian float32 matrices, row-major, with a 16-byte
 header: magic "TRKF", uint32 rows, uint32 cols, 4 reserved zero bytes.
@@ -30,7 +33,7 @@ import os
 
 import numpy as np
 
-from .data import GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
+from .data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
 from .errors import DataError
 
 TRKF_MAGIC = b"TRKF"
@@ -116,55 +119,60 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _track_to_json(t: Tracklet, feature_ref: str, with_probs: bool) -> dict:
-    entry = {
-        "id": t.id,
-        "start": t.slot.start,
-        "end": t.slot.end,
-        "category": t.category,
-        "boxes": [[float(v) for v in row] for row in t.boxes],
-        "features": feature_ref,
-    }
-    if with_probs:
-        if t.probs is None:
-            raise DataError(f"tracklet {t.id}: missing probs on a detected tracklet")
-        entry["probs"] = [float(v) for v in t.probs]
-    return entry
+def _gt_object_to_json(g: GtObject) -> dict:
+    return {"id": g.id, "start": g.slot.start, "end": g.slot.end, "category": g.category,
+            "boxes": [[float(v) for v in row] for row in g.boxes]}
 
 
-def _track_from_json(obj: dict, features: np.ndarray, where: str,
-                     with_probs: bool) -> Tracklet:
-    start, end = (_require_number(obj, key, where) for key in ("start", "end"))
-    track_id, category = (_require_int(obj, key, where) for key in ("id", "category"))
+def _track_to_json(t: Tracklet, feature_ref: str) -> dict:
+    return {**_gt_object_to_json(t), "features": feature_ref,
+            "probs": [float(v) for v in t.probs]}
+
+
+def _gt_fields(obj: dict, where: str) -> dict:
+    """The GtObject fields of a GT or tracklet entry, slot as start and end."""
+    fields = {key: _require_number(obj, key, where) for key in ("start", "end")}
+    fields.update((key, _require_int(obj, key, where)) for key in ("id", "category"))
+    fields["boxes"] = _require_array(obj, "boxes", where)
+    if fields["boxes"].ndim != 2 or fields["boxes"].shape[1] != 4:
+        raise DataError(f"{where}: boxes must be a list of 4-vectors")
+    return fields
+
+
+def _construct(cls, where: str, start, end, **fields):
+    try:
+        return cls(slot=TimeSlot(start, end), **fields)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def _track_from_json(obj: dict, features: np.ndarray, where: str) -> Tracklet:
+    fields = _gt_fields(obj, where)
     ref = _require(obj, "features", where)
     try:
         _, row_str = ref.rsplit("#", 1)
         row = int(row_str)
     except (AttributeError, ValueError):
         raise DataError(f"{where}: bad features reference {ref!r}") from None
-    boxes = _require_array(obj, "boxes", where)
-    if boxes.ndim != 2 or boxes.shape[1] != 4:
-        raise DataError(f"{where}: boxes must be a list of 4-vectors")
-    rows = len(boxes)
+    rows = len(fields["boxes"])
     if row < 0 or row + rows > len(features):
         raise DataError(f"{where}: features reference {ref!r} out of range")
-    probs = None
-    if with_probs:
-        probs = _require_array(obj, "probs", where)
-    try:
-        return Tracklet(id=track_id, slot=TimeSlot(start, end),
-                        boxes=boxes, appearance=features[row:row + rows],
-                        category=category, probs=probs)
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from None
+    return _construct(Tracklet, where, **fields, appearance=features[row:row + rows],
+                      probs=_require_array(obj, "probs", where))
 
 
 def save_dataset(directory: str, samples: list[VideoSample], vocab: Vocab,
                  force: bool = False) -> None:
+    """Write the layout above. ``force`` lets a non-empty ``directory`` be used,
+    removing the layout's files first and leaving any other file alone."""
     os.makedirs(directory, exist_ok=True)
     existing = [p for p in os.listdir(directory) if not p.startswith(".")]
     if existing and not force:
         raise DataError(f"{directory}: not empty (use force to overwrite)")
+    for name in existing:
+        if name == "vocab.json" or (name.startswith("video_")
+                                    and name.endswith((".json", ".trkf"))):
+            os.remove(os.path.join(directory, name))
     with open(os.path.join(directory, "vocab.json"), "w", encoding="utf-8") as f:
         f.write(canonical_json({"objects": list(vocab.objects),
                                 "predicates": list(vocab.predicates)}))
@@ -173,14 +181,12 @@ def save_dataset(directory: str, samples: list[VideoSample], vocab: Vocab,
         rows: list[np.ndarray] = []
         offset = 0
         doc = {"video_id": sample.video_id, "frame_count": sample.frame_count,
-               "tracklets": [], "gt_objects": [], "gt_relations": []}
-        for group_key, group, with_probs in (("tracklets", sample.tracklets, True),
-                                             ("gt_objects", sample.gt_objects, False)):
-            for t in group:
-                doc[group_key].append(
-                    _track_to_json(t, f"{feat_name}#{offset}", with_probs))
-                rows.append(t.appearance)
-                offset += t.length
+               "tracklets": [], "gt_objects": list(map(_gt_object_to_json, sample.gt_objects)),
+               "gt_relations": []}
+        for t in sample.tracklets:
+            doc["tracklets"].append(_track_to_json(t, f"{feat_name}#{offset}"))
+            rows.append(t.appearance)
+            offset += t.length
         for rel in sample.gt_relations:
             doc["gt_relations"].append({
                 "subject": rel.subject_gt_id, "object": rel.object_gt_id,
@@ -227,7 +233,9 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
 
 
 def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> VideoSample:
-    video_id = str(_require(doc, "video_id", name))
+    video_id = _require(doc, "video_id", name)
+    if video_id != name[len("video_"):-len(".json")]:
+        raise DataError(f"{name}: video_id {video_id!r} does not match the file name")
     frame_count = _require_int(doc, "frame_count", name)
 
     feature_cache: dict[str, np.ndarray] = {}
@@ -239,18 +247,25 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
             feature_cache[fname] = read_feature_file(os.path.join(directory, fname))
         return feature_cache[fname]
 
-    def tracks(key: str, with_probs: bool) -> list[Tracklet]:
+    def objects(key: str, parse) -> list:
         out = []
         for i, entry in enumerate(_require_list(doc, key, name)):
             where = f"{name}: {key}[{i}]"
-            track = _track_from_json(entry, features_for(entry, where), where, with_probs)
-            if track.category < 0 or track.category >= len(vocab.objects):
-                raise DataError(f"{where}: category {track.category} outside vocab")
-            if with_probs and len(track.probs) != len(vocab.objects):
-                raise DataError(f"{where}: probs length {len(track.probs)} != "
-                                f"|object vocab| {len(vocab.objects)}")
-            out.append(track)
+            obj = parse(entry, where)
+            if obj.category < 0 or obj.category >= len(vocab.objects):
+                raise DataError(f"{where}: category {obj.category} outside vocab")
+            out.append(obj)
         return out
+
+    def tracklet(entry: dict, where: str) -> Tracklet:
+        track = _track_from_json(entry, features_for(entry, where), where)
+        if len(track.probs) != len(vocab.objects):
+            raise DataError(f"{where}: probs length {len(track.probs)} != "
+                            f"|object vocab| {len(vocab.objects)}")
+        return track
+
+    def gt_object(entry: dict, where: str) -> GtObject:
+        return _construct(GtObject, where, **_gt_fields(entry, where))
 
     relations = []
     for i, entry in enumerate(_require_list(doc, "gt_relations", name)):
@@ -267,7 +282,7 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
 
-    tracklets, gt_objects = tracks("tracklets", True), tracks("gt_objects", False)
+    tracklets, gt_objects = objects("tracklets", tracklet), objects("gt_objects", gt_object)
     try:
         return VideoSample(video_id=video_id, frame_count=frame_count,
                            tracklets=tracklets, gt_objects=gt_objects,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Tracklet, VideoSample, compute_viou, restrict_track
+from .data import GtObject, VideoSample, compute_viou, restrict_track
 from .head import RelationTriplet
 
 
@@ -186,14 +186,14 @@ def tracklet_map(samples: list[VideoSample], viou_threshold: float = 0.5) -> flo
     for cat in categories:
         dets = []
         n_gt = 0
-        gt_pool: dict[str, list[Tracklet]] = {}
+        gt_pool: dict[str, list[GtObject]] = {}
         for sample in samples:
             gts = sorted((t for t in sample.gt_objects if t.category == cat),
                          key=lambda t: t.id)
             gt_pool[sample.video_id] = gts
             n_gt += len(gts)
             for t in sample.tracklets:
-                if t.category == cat and t.probs is not None:
+                if t.category == cat:
                     dets.append((float(t.probs.max()), sample.video_id, t.id, t, sample))
         dets.sort(key=lambda d: (-d[0], d[1], d[2]))
         used: set[tuple[str, int]] = set()

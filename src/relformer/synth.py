@@ -3,8 +3,8 @@
 Videos contain constant-velocity box trajectories; ground-truth predicates
 are derived purely from the generated geometry by the rule set below, so an
 independent scan of the emitted boxes reproduces the GT exactly. Detected
-tracklets are the GT tracklets with optional box jitter, slot trimming, and
-class-probability noise, plus distractor tracklets.
+tracklets add optional box jitter, slot trimming, class-probability noise and
+per-category appearance features to the GT box tracks, plus distractors.
 
 Object categories influence size and speed ranges, so predicate statistics
 correlate with category pairs (what the frequency bias is meant to pick up)
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
+from .data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
 from .errors import ConfigError
 
 MIN_SHARED_FRAMES = 4
@@ -134,7 +134,7 @@ def synth_vocab(cfg: SynthConfig) -> Vocab:
 
 
 def derive_relations(cfg: SynthConfig, frame_count: int,
-                     objects: list[Tracklet]) -> list[GtRelation]:
+                     objects: list[GtObject]) -> list[GtRelation]:
     """Scan every ordered object pair against every enabled rule."""
     relations = []
     for a in objects:
@@ -163,10 +163,9 @@ class _SceneSampler:
     """Draws one video's ground-truth objects from a shared RNG stream."""
 
     def __init__(self, cfg: SynthConfig, rng: np.random.Generator,
-                 prototypes: np.ndarray, size_scale: np.ndarray):
+                 size_scale: np.ndarray):
         self.cfg = cfg
         self.rng = rng
-        self.prototypes = prototypes
         self.size_scale = size_scale
 
     def _slot_frames(self, frame_count: int, min_len: int) -> tuple[int, int]:
@@ -204,7 +203,7 @@ class _SceneSampler:
         return base * float(self.rng.uniform(0.7, 1.4))
 
     def sample_objects(self, frame_count: int, next_id: int, count: int,
-                       ) -> list[Tracklet]:
+                       ) -> list[GtObject]:
         cfg, rng = self.cfg, self.rng
         specs = []
         for _ in range(count):
@@ -239,10 +238,9 @@ class _SceneSampler:
         objects = []
         for k, (cat, half_w, half_h, t0, t1, start, vel) in enumerate(specs):
             boxes = self._trajectory(t1 - t0, half_w, half_h, start, vel)
-            feats = np.repeat(self.prototypes[cat][None, :], t1 - t0, axis=0)
-            objects.append(Tracklet(
+            objects.append(GtObject(
                 id=next_id + k, slot=TimeSlot(t0 / frame_count, t1 / frame_count),
-                boxes=boxes, appearance=feats, category=cat, probs=None))
+                boxes=boxes, category=cat))
         return objects
 
 
@@ -257,7 +255,7 @@ def _noisy_probs(rng: np.random.Generator, category: int, n_cats: int,
 
 
 def _detect_from_gt(cfg: SynthConfig, rng: np.random.Generator, frame_count: int,
-                    gt: Tracklet, prototypes: np.ndarray, tid: int) -> Tracklet:
+                    gt: GtObject, prototypes: np.ndarray, tid: int) -> Tracklet:
     t0, t1 = gt.slot.frame_span(frame_count)
     length = t1 - t0
     if cfg.slot_trim_frames > 0:
@@ -303,7 +301,7 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[VideoSample], Voca
     prototypes = rng.normal(size=(cfg.object_categories, cfg.d_a)).astype(np.float32)
     c = cfg.object_categories
     size_scale = 0.05 + 0.11 * np.arange(c) / max(c - 1, 1)
-    sampler = _SceneSampler(cfg, rng, prototypes, size_scale)
+    sampler = _SceneSampler(cfg, rng, size_scale)
 
     samples = []
     for v in range(cfg.videos):

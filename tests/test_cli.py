@@ -478,6 +478,24 @@ class TestExitCodes:
         assert f"{bad}: feature values must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_video_id_differing_from_its_file_name_exits_3(self, tiny_run, capsys, command):
+        """Two videos with one id would write one predictions file and be
+        scored against one prediction list; each id must be its file's."""
+        root, cfg, data = tiny_run
+        work = root / f"video_id_{command}"
+        shutil.copytree(data, work / "data")
+        first, second = sorted((work / "data").glob("video_*.json"))[:2]
+        doc = json.loads(second.read_text())
+        doc["video_id"] = json.loads(first.read_text())["video_id"]
+        second.write_text(json.dumps(doc))
+        out = work / "out"
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--data", str(work / "data"),
+                     "--ckpt", str(root / "run1" / "model.ckpt"), "--out", str(out)]) == 3
+        assert f"{second.name}: video_id " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_video_without_tracklets_predicts_nothing(self, tiny_run):
         root, cfg, data = tiny_run
         samples, vocab = load_dataset(data)
@@ -530,6 +548,36 @@ class TestOutputPaths:
         assert f"{flag} {path}" in capsys.readouterr().err
         assert existing.read_text() == "keep"
         assert sorted(p.name for p in work.iterdir()) == ["existing"]
+
+
+class TestSynthOutput:
+    def synth(self, tmp_path, out, videos, seed, *extra) -> int:
+        cfg = write_config(tmp_path, TINY)
+        return main(["synth", "--config", cfg, "--out", str(out), "--videos", str(videos),
+                     "--seed", str(seed), *extra])
+
+    def test_force_leaves_exactly_the_new_dataset(self, tmp_path):
+        """A forced synth over a larger dataset keeps none of its videos, and
+        its files equal those of a synth into an empty directory."""
+        forced, fresh = tmp_path / "forced", tmp_path / "fresh"
+        assert self.synth(tmp_path, forced, 5, 1) == 0
+        assert self.synth(tmp_path, forced, 3, 2, "--force") == 0
+        assert self.synth(tmp_path, fresh, 3, 2) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in forced.iterdir()) == names
+        for name in names:
+            assert (forced / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert len(load_dataset(str(forced))[0]) == 3
+
+    def test_non_empty_directory_without_force_exits_2_and_changes_nothing(
+            self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert self.synth(tmp_path, out, 2, 1) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert self.synth(tmp_path, out, 3, 2) == 2
+        assert "output directory not empty (pass --force)" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestEnsemble:

@@ -3,20 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relformer.data import (GtRelation, TimeSlot, Tracklet, VideoSample,
+from relformer.data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample,
                             assign_tracklets_to_gt, box_iou, compute_viou, restrict_track)
 from relformer.errors import DataError
 
 from oracles import assignment_rules_oracle, track_frames, viou_oracle
 
 
-def make_track(tid, start_frame, n_frames, frame_count, box, category=0,
-               probs=None, d_a=4):
+def make_gt(tid, start_frame, n_frames, frame_count, box, category=0, cls=GtObject,
+            **extra):
     boxes = np.tile(np.asarray(box, dtype=np.float64), (n_frames, 1))
-    return Tracklet(id=tid, slot=TimeSlot(start_frame / frame_count,
-                                          (start_frame + n_frames) / frame_count),
-                    boxes=boxes, appearance=np.zeros((n_frames, d_a)),
-                    category=category, probs=probs)
+    return cls(id=tid, slot=TimeSlot(start_frame / frame_count,
+                                     (start_frame + n_frames) / frame_count),
+               boxes=boxes, category=category, **extra)
+
+
+def make_track(tid, start_frame, n_frames, frame_count, box, category=0,
+               probs=(1.0,), d_a=4):
+    return make_gt(tid, start_frame, n_frames, frame_count, box, category, Tracklet,
+                   appearance=np.zeros((n_frames, d_a)), probs=probs)
 
 
 class TestTimeSlot:
@@ -44,6 +49,28 @@ class TestTimeSlot:
         assert (got.start, got.end) == (0.4, 0.6)
 
 
+class TestGtObjectValidation:
+    def test_needs_two_frames_naming_the_object(self):
+        with pytest.raises(DataError, match="^gt object 4: needs at least 2 frames"):
+            make_gt(4, 0, 1, 10, (0.1, 0.1, 0.2, 0.2))
+
+    @pytest.mark.parametrize("box,message", [
+        ((0.3, 0.1, 0.2, 0.2), "boxes must satisfy x1<x2 and y1<y2"),
+        ((0.1, 0.1, 0.2, 1.5), "box coordinates must be finite and lie in"),
+        ((0.1, np.nan, 0.2, 0.2), "box coordinates must be finite and lie in"),
+        ((0.1, 0.1, np.inf, 0.2), "box coordinates must be finite and lie in"),
+        ((-np.inf, 0.1, 0.2, 0.2), "box coordinates must be finite and lie in"),
+    ], ids=["inverted", "outside", "nan", "inf", "-inf"])
+    def test_bad_boxes_name_the_object(self, box, message):
+        with pytest.raises(DataError, match=f"^gt object 2: {message}"):
+            make_gt(2, 0, 3, 10, box)
+
+    def test_carries_no_features_or_probs(self):
+        g = make_gt(0, 0, 3, 10, (0.1, 0.1, 0.2, 0.2))
+        assert not hasattr(g, "appearance") and not hasattr(g, "probs")
+        assert g.length == 3 and g.boxes.dtype == np.float64
+
+
 class TestTrackletValidation:
     def test_needs_two_frames(self):
         with pytest.raises(DataError, match="at least 2 frames"):
@@ -53,7 +80,7 @@ class TestTrackletValidation:
         boxes = np.tile([0.3, 0.1, 0.2, 0.2], (4, 1))  # x1 > x2
         with pytest.raises(DataError, match="tracklet 7"):
             Tracklet(id=7, slot=TimeSlot(0.0, 0.4), boxes=boxes,
-                     appearance=np.zeros((4, 3)), category=0)
+                     appearance=np.zeros((4, 3)), category=0, probs=[1.0])
 
     def test_probs_must_sum_to_one(self):
         with pytest.raises(DataError, match="probability"):
@@ -68,14 +95,18 @@ class TestTrackletValidation:
             boxes[1, coord] = bad
             with pytest.raises(DataError, match="tracklet 3: box coordinates must be finite"):
                 Tracklet(id=3, slot=TimeSlot(0.0, 0.2), boxes=boxes,
-                         appearance=np.zeros((2, 4)), category=0)
+                         appearance=np.zeros((2, 4)), category=0, probs=[1.0])
         with pytest.raises(DataError, match="tracklet 0: probs must be a finite"):
             make_track(0, 0, 4, 10, box, probs=np.array([bad, 1.0]))
+
+    def test_probs_are_required(self):
+        with pytest.raises(DataError, match="tracklet 0: probs must be a 1-d"):
+            make_track(0, 0, 4, 10, (0.1, 0.1, 0.2, 0.2), probs=None)
 
     def test_sample_checks_slot_length_and_relation_refs(self):
         t = make_track(0, 0, 4, 10, (0.1, 0.1, 0.2, 0.2),
                        probs=np.array([1.0]))
-        g = make_track(0, 0, 4, 10, (0.1, 0.1, 0.2, 0.2))
+        g = make_gt(0, 0, 4, 10, (0.1, 0.1, 0.2, 0.2))
         with pytest.raises(DataError, match="not in gt_objects"):
             VideoSample(video_id="v", frame_count=10, tracklets=[t], gt_objects=[g],
                         gt_relations=[GtRelation(0, 1, 0, TimeSlot(0.0, 0.4))])
@@ -83,19 +114,19 @@ class TestTrackletValidation:
 
 class TestViou:
     def test_identical_tracklets_give_one(self):
-        a = make_track(0, 2, 5, 10, (0.1, 0.2, 0.4, 0.5))
+        a = make_gt(0, 2, 5, 10, (0.1, 0.2, 0.4, 0.5))
         assert compute_viou(a, a, 10) == 1.0
 
     def test_temporally_disjoint_give_zero(self):
-        a = make_track(0, 0, 3, 10, (0.1, 0.1, 0.3, 0.3))
-        b = make_track(1, 5, 3, 10, (0.1, 0.1, 0.3, 0.3))
+        a = make_gt(0, 0, 3, 10, (0.1, 0.1, 0.3, 0.3))
+        b = make_gt(1, 5, 3, 10, (0.1, 0.1, 0.3, 0.3))
         assert compute_viou(a, b, 10) == 0.0
 
     def test_half_iou_two_shared_frames_over_union_six(self):
         # 4-frame tracklets overlapping on 2 frames; per-frame IoU exactly 0.5
         # (one box is the half-area left part of the other): (0.5+0.5)/6 = 1/6.
-        a = make_track(0, 0, 4, 12, (0.0, 0.0, 0.1, 0.2))
-        b = make_track(1, 2, 4, 12, (0.0, 0.0, 0.2, 0.2))
+        a = make_gt(0, 0, 4, 12, (0.0, 0.0, 0.1, 0.2))
+        b = make_gt(1, 2, 4, 12, (0.0, 0.0, 0.2, 0.2))
         np.testing.assert_allclose(compute_viou(a, b, 12), 1.0 / 6.0, atol=1e-12)
 
     def test_matches_frame_dict_oracle_on_random_tracks(self, rng):
@@ -112,29 +143,28 @@ class TestViou:
                 boxes = np.clip(boxes, 0.0, 1.0)
                 boxes[:, 2] = np.maximum(boxes[:, 2], boxes[:, 0] + 1e-3)
                 boxes[:, 3] = np.maximum(boxes[:, 3], boxes[:, 1] + 1e-3)
-                tracks.append(make_track(tid, start, n, frame_count, boxes[0]))
-                tracks[-1] = Tracklet(id=tid, slot=tracks[-1].slot, boxes=boxes,
-                                      appearance=np.zeros((n, 4)), category=0)
+                tracks.append(GtObject(id=tid, boxes=boxes, category=0, slot=TimeSlot(
+                    start / frame_count, (start + n) / frame_count)))
             got = compute_viou(tracks[0], tracks[1], frame_count)
             want = viou_oracle(track_frames(tracks[0], frame_count),
                                track_frames(tracks[1], frame_count))
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_symmetry_and_bounds(self, rng):
-        a = make_track(0, 0, 6, 12, (0.1, 0.1, 0.4, 0.4))
-        b = make_track(1, 3, 6, 12, (0.2, 0.2, 0.5, 0.5))
+        a = make_gt(0, 0, 6, 12, (0.1, 0.1, 0.4, 0.4))
+        b = make_gt(1, 3, 6, 12, (0.2, 0.2, 0.5, 0.5))
         ab = compute_viou(a, b, 12)
         ba = compute_viou(b, a, 12)
         assert ab == ba
         assert 0.0 < ab < 1.0
 
     def test_one_only_for_identical(self):
-        a = make_track(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3))
-        shifted = make_track(1, 0, 4, 10, (0.1, 0.1, 0.3, 0.30001))
+        a = make_gt(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3))
+        shifted = make_gt(1, 0, 4, 10, (0.1, 0.1, 0.3, 0.30001))
         assert compute_viou(a, shifted, 10) < 1.0
 
     def test_restrict_track(self):
-        a = make_track(0, 2, 6, 10, (0.1, 0.1, 0.3, 0.3))
+        a = make_gt(0, 2, 6, 10, (0.1, 0.1, 0.3, 0.3))
         part = restrict_track(a, TimeSlot(0.4, 0.6), 10)
         assert part.boxes.shape == (2, 4)
         assert part.slot.frame_span(10) == (4, 6)
@@ -165,7 +195,7 @@ class TestAssignment:
 
     def test_disjoint_distractor_unassigned(self):
         probs = np.array([1.0])
-        gt = make_track(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3))
+        gt = make_gt(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3))
         good = make_track(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3), probs=probs)
         far = make_track(1, 6, 4, 10, (0.7, 0.7, 0.9, 0.9), probs=probs)
         by_gt = assign_tracklets_to_gt(self._sample([good, far], [gt]))
@@ -173,7 +203,7 @@ class TestAssignment:
 
     def test_low_quality_rescue_assigns_best_below_threshold(self):
         probs = np.array([1.0])
-        gt = make_track(0, 0, 8, 10, (0.1, 0.1, 0.3, 0.3))
+        gt = make_gt(0, 0, 8, 10, (0.1, 0.1, 0.3, 0.3))
         weak = make_track(0, 0, 2, 10, (0.1, 0.1, 0.3, 0.3), probs=probs)
         by_gt = assign_tracklets_to_gt(self._sample([weak], [gt]))
         assert compute_viou(weak, gt, 10) < 0.5
@@ -183,8 +213,8 @@ class TestAssignment:
         # three tracklets, two GT objects, all overlapping differently
         frame_count = 12
         probs = np.array([1.0])
-        gt0 = make_track(0, 0, 8, frame_count, (0.1, 0.1, 0.3, 0.3))
-        gt1 = make_track(1, 4, 8, frame_count, (0.5, 0.5, 0.8, 0.8))
+        gt0 = make_gt(0, 0, 8, frame_count, (0.1, 0.1, 0.3, 0.3))
+        gt1 = make_gt(1, 4, 8, frame_count, (0.5, 0.5, 0.8, 0.8))
         t0 = make_track(0, 0, 8, frame_count, (0.1, 0.1, 0.3, 0.3), probs=probs)
         t1 = make_track(1, 4, 6, frame_count, (0.5, 0.5, 0.8, 0.8), probs=probs)
         t2 = make_track(2, 2, 6, frame_count, (0.12, 0.12, 0.32, 0.32), probs=probs)
@@ -208,8 +238,8 @@ class TestAssignment:
 def test_viou_union_bound(len_a, len_b, start_a, start_b):
     frame_count = 50
     box = (0.1, 0.1, 0.4, 0.4)
-    a = make_track(0, start_a, len_a, frame_count, box)
-    b = make_track(1, start_b, len_b, frame_count, box)
+    a = make_gt(0, start_a, len_a, frame_count, box)
+    b = make_gt(1, start_b, len_b, frame_count, box)
     v = compute_viou(a, b, frame_count)
     assert 0.0 <= v <= 1.0
     shared = max(0, min(start_a + len_a, start_b + len_b) - max(start_a, start_b))

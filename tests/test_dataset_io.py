@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relformer.data import Vocab
+from relformer.data import GtObject, Vocab
 from relformer.dataset_io import (load_dataset, read_feature_file, save_dataset,
                                   write_feature_file)
 from relformer.errors import DataError
@@ -16,16 +16,14 @@ def structurally_equal(a, b) -> bool:
         return False
     if len(a.tracklets) != len(b.tracklets) or len(a.gt_objects) != len(b.gt_objects):
         return False
-    for ta, tb in zip(a.tracklets + a.gt_objects, b.tracklets + b.gt_objects):
-        if (ta.id, ta.category, ta.slot) != (tb.id, tb.category, tb.slot):
+    for ga, gb in zip(a.tracklets + a.gt_objects, b.tracklets + b.gt_objects):
+        if (type(ga), ga.id, ga.category, ga.slot) != (type(gb), gb.id, gb.category, gb.slot):
             return False
-        if not np.array_equal(ta.boxes, tb.boxes):
+        if not np.array_equal(ga.boxes, gb.boxes):
             return False
-        if not np.array_equal(ta.appearance, tb.appearance):
-            return False
-        if (ta.probs is None) != (tb.probs is None):
-            return False
-        if ta.probs is not None and not np.array_equal(ta.probs, tb.probs):
+    for ta, tb in zip(a.tracklets, b.tracklets):
+        if not (np.array_equal(ta.appearance, tb.appearance)
+                and np.array_equal(ta.probs, tb.probs)):
             return False
     return a.gt_relations == b.gt_relations
 
@@ -132,6 +130,62 @@ class TestRoundTrip:
             save_dataset(target, samples, vocab)
         save_dataset(target, samples, vocab, force=True)
 
+    def test_force_replaces_only_the_files_the_layout_owns(self, toy_dataset, tmp_path):
+        samples, vocab = toy_dataset
+        target, fresh = tmp_path / "ds", tmp_path / "fresh"
+        save_dataset(str(target), samples, vocab)
+        (target / "notes.txt").write_text("kept")
+        (target / "video_notes.txt").write_text("kept too")
+        save_dataset(str(target), samples[:2], vocab, force=True)
+        save_dataset(str(fresh), samples[:2], vocab)
+        names = sorted(os.listdir(fresh))
+        assert sorted(os.listdir(target)) == sorted(names + ["notes.txt", "video_notes.txt"])
+        for name in names:
+            assert (target / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (target / "notes.txt").read_text() == "kept"
+        assert len(load_dataset(str(target))[0]) == 2
+
+    def test_gt_objects_carry_no_features_or_probs(self, toy_dataset, tmp_path):
+        """GT entries are box tracks, and each feature file holds its
+        tracklets' rows only."""
+        samples, vocab = toy_dataset
+        save_dataset(str(tmp_path / "ds"), samples, vocab)
+        for sample in samples:
+            doc = json.loads((tmp_path / "ds" / f"video_{sample.video_id}.json").read_text())
+            assert doc["gt_objects"]
+            assert all(set(g) == {"id", "start", "end", "category", "boxes"}
+                       for g in doc["gt_objects"])
+            rows = read_feature_file(str(tmp_path / "ds" / f"video_{sample.video_id}.trkf"))
+            assert len(rows) == sum(t.length for t in sample.tracklets)
+        loaded, _ = load_dataset(str(tmp_path / "ds"))
+        assert all(type(g) is GtObject for s in loaded for g in s.gt_objects)
+
+    def test_older_layout_with_gt_feature_rows_loads_the_same(self, toy_dataset, tmp_path):
+        """Older files give each GT object a ``features`` reference to rows
+        after the tracklets' rows; the reader ignores both."""
+        samples, vocab = toy_dataset
+        new, old = tmp_path / "new", tmp_path / "old"
+        save_dataset(str(new), samples, vocab)
+        save_dataset(str(old), samples, vocab)
+        rng = np.random.default_rng(3)
+        for sample in samples:
+            name = f"video_{sample.video_id}"
+            doc = json.loads((old / f"{name}.json").read_text())
+            rows = [read_feature_file(str(old / f"{name}.trkf"))]
+            offset = len(rows[0])
+            for entry, g in zip(doc["gt_objects"], sample.gt_objects):
+                entry["features"] = f"{name}.trkf#{offset}"
+                rows.append(rng.normal(size=(g.length, rows[0].shape[1])))
+                offset += g.length
+            (old / f"{name}.json").write_text(json.dumps(doc))
+            write_feature_file(str(old / f"{name}.trkf"), np.concatenate(rows))
+        loaded_old, vocab_old = load_dataset(str(old))
+        loaded_new, vocab_new = load_dataset(str(new))
+        assert vocab_old == vocab_new
+        assert len(loaded_old) == len(loaded_new) == len(samples)
+        for a, b in zip(loaded_old, loaded_new):
+            assert structurally_equal(a, b)
+
 
 def with_relation(doc, **fields):
     """Add a second GT object and one relation between the two."""
@@ -170,6 +224,19 @@ class TestValidation:
         samples, _ = load_dataset(self._write_minimal(tmp_path))
         assert len(samples) == 1
         assert samples[0].tracklets[0].id == 3
+
+    @pytest.mark.parametrize("video_id", ["v1", "../escaped", "", 0])
+    def test_video_id_must_match_the_file_name(self, tmp_path, video_id):
+        path = self._write_minimal(tmp_path, lambda doc: doc.update(video_id=video_id))
+        with pytest.raises(DataError, match=f"^video_v0.json: video_id {video_id!r} does not "
+                                            "match the file name"):
+            load_dataset(path)
+
+    def test_two_files_cannot_share_a_video_id(self, tmp_path):
+        ds = Path(self._write_minimal(tmp_path))
+        (ds / "video_v1.json").write_bytes((ds / "video_v0.json").read_bytes())
+        with pytest.raises(DataError, match="^video_v1.json: video_id 'v0' does not match"):
+            load_dataset(str(ds))
 
     def test_inverted_box_names_tracklet_id(self, tmp_path):
         def flip(doc):
@@ -247,7 +314,7 @@ class TestValidation:
         (lambda doc, ds: doc["tracklets"][0]["boxes"][0].__setitem__(2, float("inf")),
          r"^video_v0.json: tracklets\[0\]: tracklet \d+: box coordinates must be finite"),
         (lambda doc, ds: doc["gt_objects"][0]["boxes"][1].__setitem__(0, float("nan")),
-         r"^video_v0.json: gt_objects\[0\]: tracklet \d+: box coordinates must be finite"),
+         r"^video_v0.json: gt_objects\[0\]: gt object \d+: box coordinates must be finite"),
         (lambda doc, ds: (ds / "video_zz.json").mkdir(), "video_zz.json: cannot read"),
     ], ids=["track_start_string", "relation_start_null", "tracklets_not_a_list",
             "track_not_an_object", "ragged_boxes", "boxes_string", "probs_strings",

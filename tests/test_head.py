@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relformer.autodiff import Tensor
-from relformer.data import TimeSlot, Tracklet, VideoSample
+from relformer.data import GtObject, TimeSlot, Tracklet, VideoSample
 from relformer.head import (RelationTriplet, binarize_links, build_freq_bias,
                             classeme, classify_predicates, infer_triplets)
 from relformer.nn import init_params, mlp_shapes
@@ -59,10 +59,9 @@ def _make_sample_with_relations(pairs, n_objects=3, n_frames=10):
     gts, rels = [], []
     for k, (sc, oc, pred) in enumerate(pairs):
         for i, cat in enumerate((sc, oc)):
-            gts.append(Tracklet(
+            gts.append(GtObject(
                 id=2 * k + i, slot=TimeSlot(0.0, 0.4),
-                boxes=np.tile([0.1, 0.1, 0.2, 0.2], (4, 1)),
-                appearance=np.zeros((4, 2)), category=cat))
+                boxes=np.tile([0.1, 0.1, 0.2, 0.2], (4, 1)), category=cat))
         rels.append(__import__("relformer.data", fromlist=["GtRelation"]).GtRelation(
             subject_gt_id=2 * k, object_gt_id=2 * k + 1, predicate=pred,
             slot=TimeSlot(0.0, 0.4)))
@@ -180,7 +179,7 @@ def _random_tracklets(rng, frame_count=12):
         tracklets.append(Tracklet(
             id=3 * tid + 1, slot=TimeSlot(a / frame_count, b / frame_count),
             boxes=np.tile([0.1, 0.1, 0.2, 0.2], (b - a, 1)),
-            appearance=np.zeros((b - a, 2)), category=0))
+            appearance=np.zeros((b - a, 2)), category=0, probs=[1.0]))
     return tracklets
 
 

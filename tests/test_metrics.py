@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relformer import metrics
-from relformer.data import GtRelation, TimeSlot, Tracklet, VideoSample
+from relformer.data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample
 from relformer.head import RelationTriplet
 from relformer.metrics import (_average_precision, evaluate, reldet_scores,
                                reltag_scores, tracklet_map)
@@ -21,11 +21,19 @@ def slot(a: int, b: int) -> TimeSlot:
     return TimeSlot(a / FRAMES, b / FRAMES)
 
 
+def gt(tid, a, b, category, boxes=None) -> GtObject:
+    boxes = [BOX_A] * (b - a) if boxes is None else boxes
+    return GtObject(id=tid, slot=slot(a, b), boxes=np.array(boxes, dtype=float),
+                    category=category)
+
+
 def track(tid, a, b, category, boxes=None, probs=None) -> Tracklet:
-    n = b - a
-    boxes = [BOX_A] * n if boxes is None else boxes
-    return Tracklet(id=tid, slot=slot(a, b), boxes=np.array(boxes, dtype=float),
-                    appearance=np.zeros((n, 2)), category=category, probs=probs)
+    """A detected tracklet; ``probs`` defaults to one-hot on ``category``
+    over 3 categories."""
+    g = gt(tid, a, b, category, boxes)
+    return Tracklet(id=tid, slot=g.slot, boxes=g.boxes, category=category,
+                    appearance=np.zeros((b - a, 2)),
+                    probs=np.eye(3)[category] if probs is None else probs)
 
 
 def rank(preds):
@@ -43,7 +51,7 @@ def random_video(rng, video_id: str, with_preds: bool = True):
     for gid in range(int(rng.integers(2, 5))):
         a, b = spans[rng.integers(len(spans))]
         boxes = [BOX_A if rng.random() < 0.8 else BOX_B for _ in range(b - a)]
-        gts.append(track(gid, a, b, int(rng.integers(2)), boxes))
+        gts.append(gt(gid, a, b, int(rng.integers(2)), boxes))
     tracklets = []
     for tid in range(int(rng.integers(2, 6))):
         if rng.random() < 0.7:
@@ -96,7 +104,7 @@ def one_relation_video(video_id="v"):
     """One GT relation (subject cat 0, object cat 1, predicate 0) whose two
     tracklets 1 and 2 localize it exactly; tracklet 3 is a wrong-category
     copy of the subject."""
-    gts = [track(0, 0, 8, 0), track(1, 0, 8, 1)]
+    gts = [gt(0, 0, 8, 0), gt(1, 0, 8, 1)]
     tracklets = [track(1, 0, 8, 0), track(2, 0, 8, 1), track(3, 0, 8, 1)]
     rel = GtRelation(subject_gt_id=0, object_gt_id=1, predicate=0, slot=slot(0, 8))
     return VideoSample(video_id=video_id, frame_count=FRAMES, tracklets=tracklets,
@@ -152,7 +160,7 @@ class TestRelDet:
         assert mean_ap == 0.0
 
     def test_viou_exactly_at_threshold_matches(self):
-        gts = [track(0, 0, 4, 0), track(1, 0, 4, 1)]
+        gts = [gt(0, 0, 4, 0), gt(1, 0, 4, 1)]
         # The object tracklet covers 2 of the 4 GT frames: vIoU 2/4.
         tracklets = [track(1, 0, 4, 0), track(2, 0, 2, 1)]
         rel = GtRelation(0, 1, predicate=0, slot=slot(0, 4))
@@ -300,42 +308,38 @@ def video(video_id, tracklets, gts):
 
 class TestTrackletMap:
     def test_exact_detection_scores_one(self):
-        sample = video("v", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [track(0, 0, 8, 0)])
+        sample = video("v", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [gt(0, 0, 8, 0)])
         assert tracklet_map([sample]) == 1.0
 
     def test_detection_below_threshold_scores_zero(self):
         # 2 shared frames over a 6-frame union.
-        sample = video("v", [track(1, 2, 6, 0, probs=probs(0, 0.9))], [track(0, 0, 4, 0)])
+        sample = video("v", [track(1, 2, 6, 0, probs=probs(0, 0.9))], [gt(0, 0, 4, 0)])
         assert tracklet_map([sample]) == 0.0
         assert tracklet_map([sample], viou_threshold=1.0 / 3.0) == 1.0
 
     def test_second_detection_of_one_gt_is_a_false_positive(self):
         dets = [track(1, 0, 8, 0, probs=probs(0, 0.6)), track(2, 0, 8, 0, probs=probs(0, 0.9))]
-        sample = video("v", dets, [track(0, 0, 8, 0), track(5, 8, 12, 0)])
+        sample = video("v", dets, [gt(0, 0, 8, 0), gt(5, 8, 12, 0)])
         # Hits [True, False] over two GT objects.
         assert tracklet_map([sample]) == 0.5
 
     def test_confident_detection_takes_its_best_viou_gt(self):
-        gts = [track(0, 0, 6, 0), track(1, 0, 8, 0)]
+        gts = [gt(0, 0, 6, 0), gt(1, 0, 8, 0)]
         dets = [track(1, 0, 8, 0, probs=probs(0, 0.9)),   # vIoU 0.75 / 1.0
                 track(2, 0, 6, 0, probs=probs(0, 0.6))]   # vIoU 1.0 / 0.75
         assert tracklet_map([video("v", dets, gts)]) == 1.0
 
     def test_detections_only_match_gt_of_their_own_video(self):
         a = video("a", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [])
-        b = video("b", [], [track(0, 0, 8, 0)])
+        b = video("b", [], [gt(0, 0, 8, 0)])
         assert tracklet_map([a, b]) == 0.0
 
     def test_averages_over_gt_categories_only(self):
         dets = [track(1, 0, 8, 0, probs=probs(0, 0.9)), track(2, 0, 8, 2, probs=probs(2, 0.9)),
                 track(3, 0, 8, 1, probs=probs(1, 0.9), boxes=[BOX_B] * 8)]
-        gts = [track(0, 0, 8, 0), track(4, 0, 8, 1)]
+        gts = [gt(0, 0, 8, 0), gt(4, 0, 8, 1)]
         # Category 0 scores 1, category 1 misses, category 2 has no GT.
         assert tracklet_map([video("v", dets, gts)]) == 0.5
-
-    def test_detections_without_probs_are_ignored(self):
-        sample = video("v", [track(1, 0, 8, 0)], [track(0, 0, 8, 0)])
-        assert tracklet_map([sample]) == 0.0
 
     def test_no_gt_objects_scores_zero(self):
         sample = video("v", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [])

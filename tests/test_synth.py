@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relformer.data import TimeSlot, Tracklet, compute_viou
+from relformer.data import GtObject, TimeSlot, compute_viou
 from relformer.errors import ConfigError
 from relformer.synth import (MIN_SHARED_FRAMES, SynthConfig, derive_relations,
                              rule_approaching, synth_generate)
@@ -41,7 +41,9 @@ class TestNoiselessLimit:
                 assert det.id == gt.id
                 assert det.slot == gt.slot
                 assert np.array_equal(det.boxes, gt.boxes)
-                assert np.array_equal(det.appearance, gt.appearance)
+                assert det.category == gt.category
+                # Noiseless features repeat the category's prototype row.
+                assert np.array_equal(det.appearance, np.repeat(det.appearance[:1], det.length, 0))
                 assert compute_viou(det, gt, sample.frame_count) == 1.0
             # every relation's participants are recoverable via exact links
             for rel in sample.gt_relations:
@@ -83,9 +85,8 @@ class TestDeterminism:
 class TestRules:
     def _track(self, tid, boxes, frame_count):
         boxes = np.asarray(boxes, dtype=np.float64)
-        return Tracklet(id=tid, slot=TimeSlot(0.0, len(boxes) / frame_count),
-                        boxes=boxes, appearance=np.zeros((len(boxes), 4)),
-                        category=0)
+        return GtObject(id=tid, slot=TimeSlot(0.0, len(boxes) / frame_count),
+                        boxes=boxes, category=0)
 
     def test_strictly_decreasing_distance_yields_approaching(self):
         # frames 0..10: B fixed, A marches toward it
