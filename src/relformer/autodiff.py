@@ -1,12 +1,20 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array. Operations on tensors that require gradients
-build a computation graph: each node keeps one edge, a (parent, vjp) pair,
-per parent that requires a gradient, and the edge's vjp maps the node's
-gradient to that parent's. A constant parent gets no edge, so no gradient of
-a constant is ever formed. ``backward`` walks the edges once in reverse
-topological order, releasing them, and returns the gradients of the tensors
-asked for, so no tensor stores a gradient. Two returned gradients may be one
+A Tensor wraps a numpy array and keeps the floating dtype it is given; other
+data (integers, booleans, lists) becomes float64. Nothing here chooses a
+compute dtype: every op runs in the dtype of its operands, so a float32
+model computes in float32 and the finite-difference tests run the same ops
+in float64. A Python or NumPy scalar operand of ``add``, ``sub``, ``mul``
+or ``div`` takes the dtype of the tensor it meets, as NumPy treats Python
+numbers, so ``mul(x, 0.5)`` never widens a float32 ``x``.
+
+Operations on tensors that require gradients build a computation graph:
+each node keeps one edge, a (parent, vjp) pair, per parent that requires a
+gradient, and the edge's vjp maps the node's gradient to that parent's. A
+constant parent gets no edge, so no gradient of a constant is ever formed.
+``backward`` walks the edges once in reverse topological order, releasing
+them, and returns the gradients of the tensors asked for, so no tensor
+stores a gradient. Two returned gradients may be one
 array, so callers must not write into them. ``backward`` can also continue
 the gradient sums of an earlier graph over the same leaves, so a sum of
 losses can be back-propagated one loss at a time, each graph freed before
@@ -33,8 +41,6 @@ import scipy.sparse
 
 from .errors import ShapeError, UsageError
 
-DTYPE = np.float64
-
 
 class Tensor:
     """A dense array node in the autodiff graph."""
@@ -42,7 +48,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_edges", "_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self._edges: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
         self._done = False
@@ -95,6 +102,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_SCALARS = (int, float, np.number)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a scalar takes the other operand's dtype."""
+    if isinstance(b, _SCALARS) and isinstance(a, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(a, _SCALARS) and isinstance(b, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
 def constant(x) -> Tensor:
     """A graph leaf that never receives gradient."""
     return Tensor(x, requires_grad=False)
@@ -138,14 +157,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     return _node(a.data + b.data,
                  (a, lambda g: _unbroadcast(g, a.shape)),
                  (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     return _node(a.data - b.data,
                  (a, lambda g: _unbroadcast(g, a.shape)),
                  (b, lambda g: _unbroadcast(-g, b.shape)))
@@ -157,14 +176,14 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     return _node(a.data * b.data,
                  (a, lambda g: _unbroadcast(g * b.data, a.shape)),
                  (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data / b.data
     return _node(out,
                  (a, lambda g: _unbroadcast(g / b.data, a.shape)),
@@ -349,10 +368,10 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
 
     ``frames`` (S, d) stacks n row blocks frames_i of l_i rows, in order;
     ``weights[i]`` is the constant (u_i, k, l_i) pooling of block i into k
-    rows, u_i times; ``w`` is (k*d, h). The contraction order is the cheaper
-    one by ``project_first``; both orders compute the same sum, and
-    pool-then-project runs exactly the arithmetic of pooling each block,
-    stacking and multiplying by ``w``. Gradients flow to ``frames`` and ``w``.
+    rows, u_i times, in the dtype of ``frames``; ``w`` is (k*d, h). The
+    contraction order is the cheaper one by ``project_first``; both orders
+    compute the same sum, and pool-then-project runs exactly the arithmetic
+    of pooling each block, stacking and multiplying by ``w``. Gradients flow to ``frames`` and ``w``.
     """
     frames, w = as_tensor(frames), as_tensor(w)
     if not weights:
@@ -371,10 +390,11 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
     rows = sum(counts)
     pooled = sum(u * l for u, l in zip(counts, lengths))
     f = frames.data
+    dtype = np.result_type(f, w.data)
 
     if not project_first(rows, pooled, k, total, d, h):
         pools = [wt.reshape(-1, wt.shape[2]) for wt in weights]  # (u_i*k, l_i)
-        flat = np.empty((rows, k * d))
+        flat = np.empty((rows, k * d), dtype)
         for pool, block, out in zip(pools, blocks, outs):
             flat[out] = (pool @ f[block]).reshape(-1, k * d)
 
@@ -396,7 +416,7 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
         return w.data.reshape(k, d, h).transpose(1, 0, 2).reshape(d, k * h)
 
     projected = f @ w_frames()  # (S, k*h)
-    result = np.empty((rows, h))
+    result = np.empty((rows, h), dtype)
     for pool, block, out in zip(pools, blocks, outs):
         result[out] = pool @ projected[block].reshape(-1, h)
 
@@ -405,7 +425,7 @@ def pool_project(frames, weights: Sequence[np.ndarray], w) -> Tensor:
     def g_projected(g):
         """The (S, k*h) block contraction both edges read, formed once."""
         if not shared:
-            shared.append(np.empty((total, k * h)))
+            shared.append(np.empty((total, k * h), g.dtype))
             for pool, block, out in zip(pools, blocks, outs):
                 shared[0][block] = (pool.T @ g[out]).reshape(-1, k * h)
         return shared[0]

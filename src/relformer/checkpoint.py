@@ -3,19 +3,21 @@
 A checkpoint is a single file: a one-line UTF-8 JSON manifest, a newline,
 then one binary blob. The manifest is
 
-    {"format": "relformer-ckpt/2", "model": <ModelConfig.to_dict()>,
+    {"format": "relformer-ckpt/3", "model": <ModelConfig.to_dict()>,
      "vocab": {"objects": [...], "predicates": [...]}}
 
 The model config and the vocab are the two facts that determine the tensor
 layout, ``model.param_shapes(cfg, vocab)``, so the manifest lists no
-tensors. The blob is those tensors' little-endian float64 (``"<f8"``) data,
-row-major, concatenated in sorted-name order.
+tensors. The blob is those tensors' little-endian float32 (``"<f4"``) data,
+row-major, concatenated in sorted-name order: the model's compute dtype, so
+a save rounds nothing and a load widens nothing.
 
 Loading accepts a checkpoint only for the run's own model config and vocab,
-and only with exactly 8 bytes per parameter. It reads the blob once into
+and only with exactly 4 bytes per parameter. It reads the blob once into
 one array, and every loaded tensor is a frozen view into it. Format-1 files
-(a per-tensor table and no vocab) are rejected: retrain to get a format-2
-file. Writes are atomic (temp file + rename).
+(a per-tensor table and no vocab) and format-2 files (a float64 blob) are
+rejected: retrain to get a format-3 file. Writes are atomic (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .errors import CheckpointError
 from .model import param_shapes
 from .nn import ParamStore
 
-FORMAT = "relformer-ckpt/2"
-DTYPE = "<f8"
+FORMAT = "relformer-ckpt/3"
+DTYPE = "<f4"
+_RETIRED = ("relformer-ckpt/1", "relformer-ckpt/2")
 
 
 def _manifest(cfg, vocab) -> dict:
@@ -84,9 +87,9 @@ def load_checkpoint(path: str, cfg, vocab) -> ParamStore:
                 raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
             if not isinstance(manifest, dict):
                 raise CheckpointError(f"{path}: malformed manifest: not an object")
-            if manifest.get("format") == "relformer-ckpt/1":
+            if manifest.get("format") in _RETIRED:
                 raise CheckpointError(
-                    f"{path}: format 'relformer-ckpt/1' is no longer read; "
+                    f"{path}: format {manifest['format']!r} is no longer read; "
                     f"retrain to write a {FORMAT!r} checkpoint")
             if manifest.get("format") != FORMAT:
                 raise CheckpointError(
@@ -94,9 +97,9 @@ def load_checkpoint(path: str, cfg, vocab) -> ParamStore:
             for section in ("model", "vocab"):
                 _check_section(path, section, manifest.get(section), want[section])
             blob_bytes = os.fstat(f.fileno()).st_size - len(header)
-            if blob_bytes != 8 * count:
+            if blob_bytes != 4 * count:
                 raise CheckpointError(f"{path}: blob has {blob_bytes} bytes, but the "
-                                      f"model's {count} float64 values take {8 * count}")
+                                      f"model's {count} float32 values take {4 * count}")
             blob = np.fromfile(f, dtype=DTYPE)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc

@@ -225,6 +225,11 @@ def cmd_infer(args) -> int:
     model = _load_model(args.ckpt, cfg, vocab)
     predictions = _predict_all([model], samples, cfg.eval.top_k_per_query, threads)
     os.makedirs(args.out, exist_ok=True)
+    # An earlier run's files would read as predictions for videos this
+    # dataset may not have; any other file is left alone.
+    for name in os.listdir(args.out):
+        if name.startswith("predictions_") and name.endswith(".json"):
+            os.remove(os.path.join(args.out, name))
     for sample in samples:
         doc = triplets_to_json(sample.video_id, predictions[sample.video_id])
         path = os.path.join(args.out, f"predictions_{sample.video_id}.json")

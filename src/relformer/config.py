@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -76,18 +77,20 @@ class TrainConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.lambda_cls < 0 or self.lambda_att < 0:
-            raise ConfigError("train.lambda_cls/lambda_att must be >= 0")
-        if self.lr < 0:
-            raise ConfigError(f"train.lr must be >= 0, got {self.lr}")
+        # Each check asks for the valid case, so NaN fails it too.
+        for name in ("lambda_cls", "lambda_att", "lr"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"train.{name} must be a finite number >= 0, got {value!r}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}")
         if self.save_interval < 0:
             raise ConfigError("train.save_interval must be >= 0")
-        if self.max_grad_norm is not None and self.max_grad_norm <= 0:
-            raise ConfigError("train.max_grad_norm must be positive when set")
+        if self.max_grad_norm is not None and not 0.0 < self.max_grad_norm < math.inf:
+            raise ConfigError("train.max_grad_norm must be a finite number > 0 when set, "
+                              f"got {self.max_grad_norm!r}")
         if self.seed is not None:
             _check_seed("train.seed", self.seed)
 
@@ -101,7 +104,8 @@ class EvalConfig:
 
     def __post_init__(self):
         if not (0.0 < self.viou_threshold < 1.0):
-            raise ConfigError("eval.viou_threshold must lie in (0, 1)")
+            raise ConfigError("eval.viou_threshold must lie in (0, 1), "
+                              f"got {self.viou_threshold!r}")
         if self.top_k_per_query < 1:
             raise ConfigError("eval.top_k_per_query must be >= 1")
         for name in ("recall_ks", "precision_ks"):

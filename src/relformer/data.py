@@ -92,9 +92,10 @@ class Tracklet(GtObject):
     """One detected trajectory: a GT object's fields plus per-frame
     appearance features and the per-category classification probabilities.
 
-    ``appearance`` rows are stored as float32 (the on-disk dtype) and are the
-    only copy a run keeps; each forward pass widens its video's rows to
-    float64 as it reads them.
+    ``appearance`` rows are stored as float32 (the on-disk dtype and the
+    model's compute dtype) and are the only copy a run keeps; each forward
+    pass stacks its video's rows as they are. Boxes and probs are float64,
+    as all box and matching code is.
     """
 
     appearance: np.ndarray     # (l, d_a) float32

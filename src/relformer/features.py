@@ -27,7 +27,9 @@ def delta_boxes(boxes: np.ndarray) -> np.ndarray:
 
 
 def spatial_feature(boxes: np.ndarray) -> np.ndarray:
-    """(l_i, 8): boxes concatenated with their deltas along the feature axis."""
+    """(l_i, 8): boxes concatenated with their deltas along the feature axis,
+    in float64 like all box code; ``RelationModel.build_context`` rounds it
+    to the model's dtype once."""
     boxes = np.asarray(boxes, dtype=np.float64)
     return np.concatenate([boxes, delta_boxes(boxes)], axis=1)
 
@@ -39,13 +41,13 @@ def init_tracklet_feature(store: ParamStore, appearance: Tensor, spatial: Tensor
     return ad.concat([visual, spat], axis=1)
 
 
-def pool_matrix(l_i: int, l_pool: int) -> np.ndarray:
-    """(l_pool, l_i) row-stochastic adaptive average-pooling weights.
+def pool_matrix(l_i: int, l_pool: int, dtype) -> np.ndarray:
+    """(l_pool, l_i) row-stochastic adaptive average-pooling weights in ``dtype``.
 
     Bin j averages frames [floor(j*l_i/l), floor((j+1)*l_i/l)), widened to at
     least one frame; for l_i < l_pool the bins overlap.
     """
-    w = np.zeros((l_pool, l_i))
+    w = np.zeros((l_pool, l_i), dtype)
     for j in range(l_pool):
         a = min(j * l_i // l_pool, l_i - 1)
         b = min(max((j + 1) * l_i // l_pool, a + 1), l_i)
@@ -57,5 +59,5 @@ def pool_to_encoder_input(store: ParamStore, frames: Tensor, lengths: list[int],
                           l_pool: int) -> Tensor:
     """(n, d) encoder input: adaptive average-pool each of the n stacked
     tracklets (``lengths`` frames each) to l_pool rows, flatten, project."""
-    weights = [pool_matrix(l_i, l_pool)[None] for l_i in lengths]
+    weights = [pool_matrix(l_i, l_pool, frames.data.dtype)[None] for l_i in lengths]
     return pooled_mlp_forward(store, "feat.pool_mlp", frames, weights)

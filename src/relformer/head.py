@@ -40,15 +40,17 @@ def binarize_links(attention: np.ndarray) -> np.ndarray:
 
 
 def classeme(probs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Probability-weighted average of category embeddings: table^T @ probs."""
-    return table.T @ np.asarray(probs, dtype=np.float64)
+    """Probability-weighted average of category embeddings: table^T @ probs,
+    in the table's dtype."""
+    return table.T @ np.asarray(probs, dtype=table.dtype)
 
 
 def build_freq_bias(samples: list[VideoSample], n_objects: int, n_predicates: int,
                     smoothing: float = 1e-3) -> np.ndarray:
     """(C_obj, C_obj, C_rel) log-probabilities of predicate given the
-    subject/object category pair, from add-epsilon smoothed training counts.
-    Unseen pairs get the uniform log 1/|C_rel|."""
+    subject/object category pair, from add-epsilon smoothed training counts,
+    in float64; storing it in the model's table rounds it once. Unseen pairs
+    get the uniform log 1/|C_rel|."""
     counts = np.zeros((n_objects, n_objects, n_predicates))
     for sample in samples:
         cats = {t.id: t.category for t in sample.gt_objects}
@@ -70,7 +72,7 @@ def classify_predicates(store: ParamStore, queries: Tensor, links: np.ndarray,
     logits = mlp_forward(store, "head.classify", joint)
     bias = store["tables.freq_bias"].data
     fibers = bias[categories[links[:, 0]], categories[links[:, 1]]]
-    padded = np.concatenate([fibers, np.zeros((m, 1))], axis=1)
+    padded = np.concatenate([fibers, np.zeros((m, 1), fibers.dtype)], axis=1)
     return ad.softmax(logits + ad.constant(padded), axis=-1)
 
 
@@ -125,9 +127,10 @@ def triplets_to_json(video_id: str, triplets: list[RelationTriplet]) -> dict:
 
 
 def load_embedding_table(path: str, n_objects: int, d_w: int) -> np.ndarray:
-    """Load a pluggable word-embedding table from a TRKF feature file."""
+    """Load a pluggable word-embedding table from a TRKF feature file, as
+    its float32 rows."""
     from .dataset_io import read_feature_file
-    table = read_feature_file(path).astype(np.float64)
+    table = read_feature_file(path)
     if table.shape != (n_objects, d_w):
         raise DataError(
             f"{path}: embedding table shape {table.shape} != ({n_objects}, {d_w})")

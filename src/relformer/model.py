@@ -81,7 +81,7 @@ class AnchorSet:
 
     m_c: int
     m_d: int
-    slots: np.ndarray  # (m, 2)
+    slots: np.ndarray  # (m, 2) float64; ``pos`` reads a copy in the model dtype
 
     @property
     def count(self) -> int:
@@ -122,9 +122,10 @@ def _roi_frame_ranges(track_slot: tuple[float, float], query_slots: np.ndarray,
 
 
 def _range_pool_weights(valid: np.ndarray, f0: np.ndarray, f1: np.ndarray, t0: int,
-                        l_i: int, l_roi: int) -> np.ndarray:
-    """(u, l_roi, l_i) pooling weights of u frame ranges from ``_roi_frame_ranges``."""
-    weights = np.zeros((len(valid), l_roi, l_i))
+                        l_i: int, l_roi: int, dtype) -> np.ndarray:
+    """(u, l_roi, l_i) pooling weights of u frame ranges from ``_roi_frame_ranges``,
+    in ``dtype``; the bin geometry is float64."""
+    weights = np.zeros((len(valid), l_roi, l_i), dtype)
     if not np.any(valid):
         return weights
     a = (f0 - t0).astype(np.float64)
@@ -156,8 +157,9 @@ def _range_pool_weights(valid: np.ndarray, f0: np.ndarray, f1: np.ndarray, t0: i
 
 def roi_pool_weights(track_slot: tuple[float, float], t0: int, l_i: int,
                      query_slots: np.ndarray, frame_count: int,
-                     l_roi: int) -> np.ndarray:
-    """(m, l_roi, l_i) pooling weights for one tracklet against m query slots.
+                     l_roi: int, dtype) -> np.ndarray:
+    """(m, l_roi, l_i) pooling weights in ``dtype`` for one tracklet against
+    m query slots.
 
     The slot intersection is mapped to the tracklet's continuous frame
     coordinates and cut into l_roi equal bins; a bin averages the frames
@@ -165,12 +167,12 @@ def roi_pool_weights(track_slot: tuple[float, float], t0: int, l_i: int,
     it covers none. Disjoint pairs get all-zero rows.
     """
     return _range_pool_weights(*_roi_frame_ranges(track_slot, query_slots, frame_count),
-                               t0, l_i, l_roi)
+                               t0, l_i, l_roi, dtype)
 
 
 def roi_pool_rows(track_slot: tuple[float, float], t0: int, l_i: int,
                   query_slots: np.ndarray, frame_count: int,
-                  l_roi: int) -> tuple[np.ndarray, np.ndarray]:
+                  l_roi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``roi_pool_weights``: (u, l_roi, l_i) weights and
     the (m,) index of each query slot's row among them.
 
@@ -182,7 +184,8 @@ def roi_pool_rows(track_slot: tuple[float, float], t0: int, l_i: int,
     valid, f0, f1 = _roi_frame_ranges(track_slot, query_slots, frame_count)
     keys = np.where(valid, f0 * (frame_count + 2) + f1, -1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return _range_pool_weights(valid[first], f0[first], f1[first], t0, l_i, l_roi), inverse
+    return (_range_pool_weights(valid[first], f0[first], f1[first], t0, l_i, l_roi, dtype),
+            inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +209,11 @@ def role_attention(q_tilde: Tensor, h_tilde: Tensor, store: ParamStore,
 def normalize_attention(attn: Tensor) -> Tensor:
     """Double softmax: tracklet-axis softmax times role-axis softmax.
 
-    A shared per-query max shift keeps the exponentials stable; it cancels in
-    both normalizations, so the result is exact.
+    Each softmax shifts by its own maximum. One shift shared by both roles
+    would underflow a role whose scores all sit far below the other's (about
+    87 apart in float32), and its tracklet sum would be 0 / 0.
     """
-    shift = attn.data.max(axis=(0, 2), keepdims=True)
-    e = ad.exp(attn - shift)
-    over_tracklets = e / ad.tsum(e, axis=2, keepdims=True)
-    over_roles = e / ad.tsum(e, axis=0, keepdims=True)
-    return ad.mul(over_tracklets, over_roles)
+    return ad.mul(ad.softmax(attn, axis=2), ad.softmax(attn, axis=0))
 
 
 def cross_attend(attn_norm: Tensor, rows: Tensor, index: np.ndarray, store: ParamStore,
@@ -242,11 +242,13 @@ class VideoContext:
     """Per-video constants, built once by ``RelationModel.build_context`` and
     reused across layers and epochs.
 
-    A context holds no copy of the appearance features: they stay in the
-    sample's tracklets, as float32 rows, and each forward pass widens them
-    to its own float64 input (``RelationModel._per_frame_features``). So only
-    the video being run has a widened copy, and its graph keeps it until
-    that video's backward.
+    Its arrays are in the model's dtype, except the integer indices and the
+    float64 tracklet ``slots``, which feed only the pooling geometry. It
+    holds no copy of the appearance features: they stay in the sample's
+    tracklets, as float32 rows, and each forward pass stacks its video's
+    rows as its input (``RelationModel._per_frame_features``). So only the
+    video being run has a stacked copy, and its graph keeps it until that
+    video's backward.
 
     A context belongs to the model that built it: ``pool_rows[i]`` holds
     tracklet i's u_i distinct (l_roi, l_i) pooling weights against that
@@ -260,7 +262,7 @@ class VideoContext:
     sample: VideoSample
     spatial: np.ndarray              # (S, 8), tracklets stacked in order
     spans: list[tuple[int, int]]     # global (first, last_exclusive) frames; l_i = last - first
-    slots: np.ndarray                # (n, 2) tracklet slots
+    slots: np.ndarray                # (n, 2) float64 tracklet slots
     categories: np.ndarray           # (n,) int
     classemes: np.ndarray            # (n, d_w)
     pool_rows: list[np.ndarray] | None = None   # n blocks of (u_i, l_roi, l_i)
@@ -312,8 +314,10 @@ def param_shapes(cfg, vocab: Vocab) -> dict[str, tuple[int, ...]]:
 
 def init_store(cfg, vocab: Vocab, seed: int,
                embeddings: np.ndarray | None = None) -> ParamStore:
-    """A freshly initialised store for ``param_shapes(cfg, vocab)``.
+    """A freshly initialised float32 store for ``param_shapes(cfg, vocab)``.
 
+    ``nn.init_params`` draws every tensor in float64 and rounds it to
+    float32 once, so a seed names the same draws as under float64 compute.
     ``embeddings`` replaces the random classeme table; its shape is checked
     where it is read (``head.load_embedding_table``). The frequency bias
     starts uniform, at log 1/|C_rel|.
@@ -332,6 +336,10 @@ class RelationModel:
     The store holds the tensors of ``param_shapes(cfg, vocab)``: from
     ``init_store`` for training, or from ``checkpoint.load_checkpoint``,
     which accepts only a checkpoint written for the same config and vocab.
+    Both give float32 tensors. The forward pass computes in the store's
+    dtype, and builds its constants (spatial features, classemes, pooling
+    weights, anchor positions) in it; the bin geometry of the pooling
+    weights stays float64.
     """
 
     def __init__(self, cfg, vocab: Vocab, store: ParamStore):
@@ -355,7 +363,8 @@ class RelationModel:
         table = self.store["tables.classeme"].data
         return VideoContext(
             sample=sample,
-            spatial=np.concatenate([spatial_feature(t.boxes) for t in tracks]),
+            spatial=np.concatenate([spatial_feature(t.boxes) for t in tracks],
+                                   dtype=self.store.dtype),
             spans=[t.slot.frame_span(sample.frame_count) for t in tracks],
             slots=np.array([[t.slot.start, t.slot.end] for t in tracks]),
             categories=np.array([t.category for t in tracks], dtype=np.int64),
@@ -366,12 +375,12 @@ class RelationModel:
     def _per_frame_features(self, ctx: VideoContext) -> Tensor:
         """(S, d) per-frame features of all tracklets, stacked in tracklet order.
 
-        The (S, d_a) appearance input is widened from the tracklets' float32
-        rows in one pass. Widening float32 to float64 is exact, so every
-        output bit is that of a float64 copy made beforehand.
+        The (S, d_a) appearance input stacks the tracklets' float32 rows as
+        they are. A float64 store widens them inside its first matmul, which
+        is exact, so its output bits are those of a float64 copy made
+        beforehand.
         """
-        appearance = np.concatenate([t.appearance for t in ctx.sample.tracklets],
-                                    dtype=np.float64)
+        appearance = np.concatenate([t.appearance for t in ctx.sample.tracklets])
         return init_tracklet_feature(self.store, ad.constant(appearance),
                                      ad.constant(ctx.spatial))
 
@@ -395,7 +404,8 @@ class RelationModel:
             rows, index, offset = [], np.empty((self.anchors.count, ctx.n), np.int64), 0
             for i, (slot, (t0, t1)) in enumerate(zip(ctx.slots, ctx.spans)):
                 w, inverse = roi_pool_rows(slot, t0, t1 - t0, self.anchors.slots,
-                                           ctx.sample.frame_count, self.cfg.l_roi)
+                                           ctx.sample.frame_count, self.cfg.l_roi,
+                                           self.store.dtype)
                 rows.append(w)
                 index[:, i] = offset + inverse
                 offset += len(w)
@@ -407,7 +417,8 @@ class RelationModel:
                ) -> tuple[Tensor, Tensor]:
         """Run the decoder stack; returns (queries, normalized attention)."""
         cfg, store = self.cfg, self.store
-        pos = ad.matmul(ad.constant(self.anchors.slots), store["decoder.pos_proj"])
+        pos = ad.matmul(ad.constant(self.anchors.slots.astype(self.store.dtype)),
+                        store["decoder.pos_proj"])
         x = store["decoder.query_embed"]
         attn_norm = None
         for k in range(cfg.L_d):

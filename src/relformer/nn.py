@@ -27,6 +27,7 @@ class ParamStore:
     Entries are trainable by default; ``trainable=False`` registers a frozen
     buffer (e.g. the classeme table) that is checkpointed but never updated.
     A tensor's ``requires_grad`` is the one record of whether it trains.
+    All entries share one dtype, ``dtype``: the model computes in it.
     """
 
     def __init__(self):
@@ -36,8 +37,18 @@ class ParamStore:
         if name in self._entries:
             raise UsageError(f"parameter {name!r} already registered")
         t = Tensor(value, requires_grad=trainable)
+        if self._entries and t.data.dtype != self.dtype:
+            raise UsageError(f"parameter {name!r} is {t.data.dtype}, "
+                             f"but the store holds {self.dtype}")
         self._entries[name] = t
         return t
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every entry."""
+        if not self._entries:
+            raise UsageError("an empty store has no dtype")
+        return next(iter(self._entries.values())).data.dtype
 
     def __getitem__(self, name: str) -> Tensor:
         try:
@@ -77,12 +88,15 @@ def affine_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
 
 def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
                 given: dict[str, np.ndarray] | None = None) -> ParamStore:
-    """A store holding one tensor per entry of ``shapes``, drawn in dict order.
+    """A float32 store holding one tensor per entry of ``shapes``, drawn in
+    dict order.
 
-    Entries of ``given`` are taken as they are. Otherwise ``*.query_embed``
+    Entries of ``given`` replace a draw. Otherwise ``*.query_embed``
     draws N(0, 0.02), a ``tables.*`` entry N(0, 1), every other matrix
     ``affine_init``; a ``*.g`` vector is ones and every other vector zeros.
-    ``tables.*`` entries are frozen.
+    The draws are float64, so they do not depend on the store's dtype; each
+    tensor, given or drawn, is rounded to float32 once. ``tables.*`` entries
+    are frozen.
     """
     given = given or {}
     store = ParamStore()
@@ -99,7 +113,8 @@ def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
             value = np.ones(shape)
         else:
             value = np.zeros(shape)
-        store.add(name, value, trainable=not name.startswith("tables."))
+        store.add(name, np.asarray(value, dtype=np.float32),
+                  trainable=not name.startswith("tables."))
     return store
 
 
@@ -201,7 +216,8 @@ def self_attention_block(store: ParamStore, prefix: str, x: Tensor, heads: int) 
 
 
 class Adam:
-    """Adam with bias correction over a store's trainable tensors."""
+    """Adam with bias correction over a store's trainable tensors; ``m`` and
+    ``v`` take each parameter's dtype."""
 
     def __init__(self, lr: float, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):

@@ -13,6 +13,7 @@ while each instance is still decided by geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,11 @@ class SynthConfig:
             raise ConfigError(f"synth.rules: unknown rule names {unknown}")
         if not self.rules:
             raise ConfigError("synth.rules must not be empty")
+        for name in ("box_jitter", "prob_noise", "feature_noise"):
+            value = getattr(self, name)
+            # Asks for the valid case, so NaN fails it too.
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"synth.{name} must be a finite number >= 0, got {value!r}")
 
 
 def synth_vocab(cfg: SynthConfig) -> Vocab:

@@ -50,10 +50,11 @@ class GtTargets:
 
 
 def build_gt_predicates(sample: VideoSample, assignment: dict[int, list[int]],
-                        m: int) -> GtTargets:
+                        m: int, dtype) -> GtTargets:
     """Targets of the video's GT relations, laid out like the (2, m, n) role
-    attention. A subject/object link row carries a 1 for every tracklet
-    assigned to the relation's GT subject/object."""
+    attention, with links in ``dtype``, the model's. A subject/object link
+    row carries a 1 for every tracklet assigned to the relation's GT
+    subject/object."""
     n = len(sample.tracklets)
     k = len(sample.gt_relations)
     if k > m:
@@ -61,7 +62,7 @@ def build_gt_predicates(sample: VideoSample, assignment: dict[int, list[int]],
             f"video {sample.video_id}: {k} GT relations exceed "
             f"the {m} predicate queries; increase the anchor grid (m_c*m_d)")
     position = {t.id: i for i, t in enumerate(sample.tracklets)}
-    links = np.zeros((2, k, n))
+    links = np.zeros((2, k, n), dtype)
     for j, rel in enumerate(sample.gt_relations):
         for row, gt_id in ((0, rel.subject_gt_id), (1, rel.object_gt_id)):
             for tid in assignment.get(gt_id, ()):
@@ -149,7 +150,7 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     for sample in samples:
         assignment = assign_tracklets_to_gt(sample, threshold=viou_threshold)
         contexts.append(model.build_context(sample))
-        targets.append(build_gt_predicates(sample, assignment, m))
+        targets.append(build_gt_predicates(sample, assignment, m, model.store.dtype))
     # Only once the data has passed its checks, so a rejected run leaves no --out.
     os.makedirs(out_dir, exist_ok=True)
 

@@ -7,7 +7,21 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from relformer.config import ModelConfig
+from relformer.nn import ParamStore
 from relformer.synth import SynthConfig, synth_generate
+
+
+def widened(store: ParamStore) -> ParamStore:
+    """A float64 copy of ``store``: the same names, values and trainable flags.
+
+    A model computes in its store's dtype, so a model over this copy runs
+    every op in float64. Oracle and finite-difference tests run on it, so
+    their tolerances measure the arithmetic, not float32 rounding.
+    """
+    out = ParamStore()
+    for name, t in store.items():
+        out.add(name, t.data.astype(np.float64), trainable=t.requires_grad)
+    return out
 
 
 @pytest.fixture

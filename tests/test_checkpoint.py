@@ -47,14 +47,20 @@ class TestRoundTrip:
             "format": FORMAT, "model": dataclasses.asdict(CFG),
             "vocab": {"objects": ["a", "b"], "predicates": ["p", "q"]}}
         count = sum(int(np.prod(s)) for s in param_shapes(CFG, VOCAB).values())
-        assert len(blob) == 8 * count
+        assert len(blob) == 4 * count
 
     def test_blob_is_little_endian_rowmajor(self, ckpt):
-        """The tensors in sorted-name order, each row-major."""
+        """The float32 tensors in sorted-name order, each row-major."""
         path, store = ckpt
+        assert store.dtype == np.float32
         blob = path.read_bytes().partition(b"\n")[2]
         want = np.concatenate([t.data.ravel() for _, t in store.items()])
-        assert blob == want.astype("<f8").tobytes()
+        assert blob == want.astype("<f4").tobytes()
+
+    def test_loaded_tensors_are_float32(self, ckpt):
+        path, _ = ckpt
+        loaded = load_checkpoint(str(path), CFG, VOCAB)
+        assert loaded.dtype == np.float32
 
     def test_loaded_tensors_are_writable_views_of_one_array(self, ckpt):
         path, store = ckpt
@@ -88,6 +94,30 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="relformer-ckpt/1.*retrain"):
             load_checkpoint(str(path), CFG, VOCAB)
 
+    def test_format_2_asks_for_retraining(self, ckpt):
+        """A format-2 file holds a float64 blob: its manifest is refused
+        before the blob is read."""
+        path, store = ckpt
+        header = path.read_bytes().partition(b"\n")[0]
+        manifest = {**json.loads(header), "format": "relformer-ckpt/2"}
+        blob = np.concatenate([t.data.ravel() for _, t in store.items()]).astype("<f8")
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob.tobytes())
+        with pytest.raises(CheckpointError,
+                           match="'relformer-ckpt/2' is no longer read; retrain"):
+            load_checkpoint(str(path), CFG, VOCAB)
+
+    def test_float64_blob_under_the_current_format_rejected(self, ckpt):
+        """A blob of 8 bytes per parameter is twice the float32 size."""
+        path, store = ckpt
+        header = path.read_bytes().partition(b"\n")[0]
+        blob = np.concatenate([t.data.ravel() for _, t in store.items()]).astype("<f8")
+        path.write_bytes(header + b"\n" + blob.tobytes())
+        count = blob.size
+        with pytest.raises(CheckpointError, match=f"blob has {8 * count} bytes, but the "
+                                                  f"model's {count} float32 values take "
+                                                  f"{4 * count}$"):
+            load_checkpoint(str(path), CFG, VOCAB)
+
     def test_truncated_blob_rejected(self, ckpt):
         path, _ = ckpt
         raw = path.read_bytes()
@@ -96,9 +126,9 @@ class TestErrors:
         with pytest.raises(CheckpointError, match=f"blob has {size - 8} bytes.* {size}$"):
             load_checkpoint(str(path), CFG, VOCAB)
 
-    @pytest.mark.parametrize("delta", [-1, 1, 7, 8])
+    @pytest.mark.parametrize("delta", [-1, 1, 3, 4, 7, 8])
     def test_blob_of_any_other_length_rejected(self, ckpt, delta):
-        """``np.fromfile`` would drop 1-7 trailing bytes without a word."""
+        """``np.fromfile`` would drop 1-3 trailing bytes without a word."""
         path, _ = ckpt
         raw = path.read_bytes()
         path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
@@ -108,7 +138,7 @@ class TestErrors:
 
     def test_missing_separator_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b'{"format":"relformer-ckpt/2"}')
+        path.write_bytes(b'{"format":"relformer-ckpt/3"}')
         with pytest.raises(CheckpointError, match="separator"):
             load_checkpoint(str(path), CFG, VOCAB)
 

@@ -98,6 +98,32 @@ class TestFloatFields:
         with pytest.raises(ConfigError, match=f"{section}.{field} must be a number, got None"):
             load_config(path)
 
+    @pytest.mark.parametrize("section,field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_is_a_config_error(self, tmp_path, section, field, value):
+        """JSON's NaN and Infinity parse as floats; every float field asks
+        for a finite value, so NaN does not slip past a comparison."""
+        path = write_config(tmp_path, {section: {field: value}})
+        with pytest.raises(ConfigError, match=f"{section}.{field} must"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=f"{section}.{field} must"):
+            _SECTIONS[section](**{field: value})
+
+    @pytest.mark.parametrize("field", ["box_jitter", "prob_noise", "feature_noise"])
+    def test_negative_noise_is_a_config_error(self, tmp_path, field):
+        path = write_config(tmp_path, {"synth": {field: -0.01}})
+        with pytest.raises(ConfigError,
+                           match=f"synth.{field} must be a finite number >= 0, got -0.01"):
+            load_config(path)
+
+    def test_zero_noise_and_positive_bounds_are_accepted(self, tmp_path):
+        path = write_config(tmp_path, {"synth": {"box_jitter": 0, "prob_noise": 0.0,
+                                                 "feature_noise": 0},
+                                       "train": {"lr": 0, "max_grad_norm": 1e-3}})
+        cfg = load_config(path)
+        assert (cfg.synth.box_jitter, cfg.train.lr, cfg.train.max_grad_norm) == (0, 0, 1e-3)
+
     def test_numbers_keep_their_values(self, tmp_path):
         path = write_config(tmp_path, {"train": {"lr": 1, "max_grad_norm": None},
                                        "synth": {"box_jitter": 0.25}})

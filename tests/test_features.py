@@ -8,6 +8,7 @@ from relformer.features import (delta_boxes, init_tracklet_feature, pool_matrix,
                                 pool_to_encoder_input, spatial_feature)
 from relformer.nn import init_params, mlp_shapes
 
+from conftest import widened
 from oracles import encoder_pool_oracle, mlp_oracle
 
 
@@ -55,8 +56,9 @@ class TestSpatialFeature:
 
 class TestInitTrackletFeature:
     def _store(self, d_a, d, hidden, rng):
-        return init_params({**mlp_shapes("feat.appearance_mlp", d_a, hidden, d // 2),
-                            **mlp_shapes("feat.spatial_mlp", 8, hidden, d // 2)}, rng)
+        return widened(init_params({**mlp_shapes("feat.appearance_mlp", d_a, hidden, d // 2),
+                                    **mlp_shapes("feat.spatial_mlp", 8, hidden, d // 2)},
+                                   rng))
 
     def test_zero_weights_give_zero_feature(self, rng):
         store = self._store(6, 8, 8, rng)
@@ -111,7 +113,7 @@ class TestInitTrackletFeature:
 
 class TestEncoderPooling:
     def _store(self, d, hidden, l_pool, rng):
-        return init_params(mlp_shapes("feat.pool_mlp", l_pool * d, hidden, d), rng)
+        return widened(init_params(mlp_shapes("feat.pool_mlp", l_pool * d, hidden, d), rng))
 
     @staticmethod
     def _oracle(store, feature, l_pool):
@@ -122,10 +124,10 @@ class TestEncoderPooling:
                           store["feat.pool_mlp.b2"].data)[0]
 
     def test_four_frames_pool_as_identity_bins(self, rng):
-        np.testing.assert_array_equal(pool_matrix(4, 4), np.eye(4))
+        np.testing.assert_array_equal(pool_matrix(4, 4, np.float64), np.eye(4))
 
     def test_single_frame_broadcasts_to_all_bins(self):
-        np.testing.assert_array_equal(pool_matrix(1, 4), np.ones((4, 1)))
+        np.testing.assert_array_equal(pool_matrix(1, 4, np.float64), np.ones((4, 1)))
 
     def test_ten_frames_match_binning_oracle(self, rng):
         d, hidden, l_pool = 6, 8, 4
@@ -154,13 +156,24 @@ class TestEncoderPooling:
     @pytest.mark.parametrize("l_i", [1, 2, 3, 4, 5, 7, 10, 23])
     def test_pool_matrix_matches_oracle_rule(self, l_i, rng):
         feature = rng.normal(size=(l_i, 3))
-        np.testing.assert_allclose(pool_matrix(l_i, 4) @ feature,
+        np.testing.assert_allclose(pool_matrix(l_i, 4, np.float64) @ feature,
                                    encoder_pool_oracle(feature, 4), atol=1e-12)
 
     def test_pool_rows_are_stochastic(self):
         for l_i in (1, 2, 5, 9):
-            w = pool_matrix(l_i, 4)
+            w = pool_matrix(l_i, 4, np.float64)
             np.testing.assert_allclose(w.sum(axis=1), np.ones(4), atol=1e-12)
+
+    def test_pool_matrix_is_built_in_the_dtype_asked_for(self):
+        """Each weight is rounded once: float32 1/3 is the float64 one rounded."""
+        w = pool_matrix(3, 1, np.float32)
+        assert w.dtype == np.float32
+        assert w.tobytes() == pool_matrix(3, 1, np.float64).astype(np.float32).tobytes()
+
+    def test_float32_frames_pool_in_float32(self, rng):
+        store = init_params(mlp_shapes("feat.pool_mlp", 4 * 6, 8, 6), rng)
+        frames = Tensor(rng.normal(size=(12, 6)).astype(np.float32))
+        assert pool_to_encoder_input(store, frames, [5, 7], 4).data.dtype == np.float32
 
     def test_reversing_frames_changes_output(self, rng):
         d, hidden, l_pool = 6, 8, 4

@@ -7,6 +7,7 @@ from relformer.head import (RelationTriplet, binarize_links, build_freq_bias,
                             classeme, classify_predicates, infer_triplets)
 from relformer.nn import init_params, mlp_shapes
 
+from conftest import widened
 from oracles import infer_triplets_oracle, mlp_oracle, softmax_extended_oracle
 
 
@@ -52,6 +53,11 @@ class TestClasseme:
         probs = rng.dirichlet(np.ones(6))
         want = sum(probs[i] * table[i] for i in range(6))
         np.testing.assert_allclose(classeme(probs, table), want, atol=1e-12)
+
+    def test_float32_table_gives_a_float32_classeme(self, rng):
+        """The float64 probs are rounded, not the table widened."""
+        table = rng.normal(size=(6, 3)).astype(np.float32)
+        assert classeme(rng.dirichlet(np.ones(6)), table).dtype == np.float32
 
 
 def _make_sample_with_relations(pairs, n_objects=3, n_frames=10):
@@ -100,7 +106,8 @@ class TestFreqBias:
 
 class TestClassifyPredicates:
     def _setup(self, rng, m=3, n=4, n_obj=4, n_rel=5, d_q=6, d_w=3, zero_mlp=False):
-        store = init_params(mlp_shapes("head.classify", d_q + 2 * d_w, 8, n_rel + 1), rng)
+        store = widened(init_params(mlp_shapes("head.classify", d_q + 2 * d_w, 8, n_rel + 1),
+                                    rng))
         if zero_mlp:
             for suffix in ("w1", "b1", "w2", "b2"):
                 store[f"head.classify.{suffix}"].data[:] = 0.0

@@ -14,6 +14,7 @@ from relformer.model import (RelationModel, build_anchors, cross_attend, init_st
                              roi_pool_weights, role_attention)
 from relformer.nn import ParamStore, init_params, mlp_shapes, pooled_mlp_forward
 
+from conftest import widened
 from oracles import double_softmax_oracle, mlp_oracle, roi_pool_oracle
 
 
@@ -45,7 +46,8 @@ def pool_one(feat, track: TimeSlot, query: TimeSlot, frame_count, l_roi):
     """(l_roi, d) pooled rows of one tracklet-query pair via roi_pool_weights."""
     t0, t1 = track.frame_span(frame_count)
     w = roi_pool_weights((track.start, track.end), t0, t1 - t0,
-                         np.array([[query.start, query.end]]), frame_count, l_roi)
+                         np.array([[query.start, query.end]]), frame_count, l_roi,
+                         np.float64)
     return w[0] @ feat
 
 
@@ -98,7 +100,7 @@ class TestRoiPooling:
         slots = rng.uniform(0.0, 1.0, size=(40, 2))
         slots.sort(axis=1)
         slots[:, 1] = np.maximum(slots[:, 1], slots[:, 0] + 1e-3)
-        w = roi_pool_weights((0.2, 0.7), 4, 10, slots, 20, 7)
+        w = roi_pool_weights((0.2, 0.7), 4, 10, slots, 20, 7, np.float64)
         sums = w.sum(axis=2)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
 
@@ -158,6 +160,18 @@ class TestNormalizeAttention:
         raw = rng.normal(scale=3.0, size=(2, 2, 3))
         out = normalize_attention(Tensor(raw.copy()))
         np.testing.assert_allclose(out.data, double_softmax_oracle(raw), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roles_far_apart_stay_finite(self, rng, dtype):
+        """Object scores 1000 below the subject's: with one shift shared by
+        both roles, every object exponential underflows and its tracklet
+        softmax is 0 / 0."""
+        raw = rng.normal(size=(2, 3, 4))
+        raw[1] -= 1000.0
+        out = normalize_attention(Tensor(raw.astype(dtype))).data
+        assert out.dtype == dtype and np.isfinite(out).all()
+        np.testing.assert_allclose(out, double_softmax_oracle(raw),
+                                   atol=np.finfo(dtype).eps)
 
     def test_product_bound_and_axis_sums(self, rng):
         raw = rng.normal(scale=4.0, size=(2, 5, 6))
@@ -233,7 +247,8 @@ class TestCrossAttend:
 
 
 def make_model(cfg, vocab, seed):
-    return RelationModel(cfg, vocab, init_store(cfg, vocab, seed))
+    """A model over the float64-widened ``init_store``, for the oracle tests."""
+    return RelationModel(cfg, vocab, widened(init_store(cfg, vocab, seed)))
 
 
 def expanded_pool_weights(ctx):
@@ -302,7 +317,7 @@ class TestParamShapes:
         store = init_store(toy_model_config, vocab, 3, embeddings=table)
         np.testing.assert_array_equal(store["tables.classeme"].data, table)
         np.testing.assert_array_equal(store["tables.freq_bias"].data,
-                                      -np.log(len(vocab.predicates)))
+                                      np.float32(-np.log(len(vocab.predicates))))
         assert not any(name.startswith("tables.") for name, _ in store.trainable_items())
 
 
@@ -487,6 +502,27 @@ class TestFullModel:
         assert np.abs(g).max() > 0.0
 
 
+class TestFloat32Forward:
+    def test_outputs_stay_within_the_measured_tolerance_of_float64(
+            self, toy_model_config, toy_dataset):
+        """One float32 store against the same values widened to float64, over
+        every toy video. Measured max |delta| over init seeds 0-5: probs
+        4.3e-8 to 7.5e-8, attention 2.3e-8 to 4.1e-8 (seed 3: 4.3e-8 and
+        3.1e-8). The bound is two float32 epsilons, 2.4e-7."""
+        samples, vocab = toy_dataset
+        store = init_store(toy_model_config, vocab, 3)
+        narrow = RelationModel(toy_model_config, vocab, store)
+        wide = RelationModel(toy_model_config, vocab, widened(store))
+        assert (narrow.store.dtype, wide.store.dtype) == (np.float32, np.float64)
+        tol = 2 * np.finfo(np.float32).eps
+        for sample in samples:
+            a = narrow.forward(narrow.build_context(sample))
+            b = wide.forward(wide.build_context(sample))
+            assert a.probs.data.dtype == a.attention.data.dtype == np.float32
+            assert np.abs(a.probs.data - b.probs.data).max() <= tol
+            assert np.abs(a.attention.data - b.attention.data).max() <= tol
+
+
 class TestValueMatrixDedupe:
     """The value MLP runs once per distinct pooling row. Fanned out through
     ``ctx.pool_index``, the rows equal the same pooled MLP over every
@@ -561,7 +597,8 @@ class TestValueMatrixDedupe:
         for sample in samples:
             ctx = model.build_context(sample)
             for (s, e), (t0, t1) in zip(ctx.slots, ctx.spans):
-                args = ((s, e), t0, t1 - t0, slots, sample.frame_count, cfg.l_roi)
+                args = ((s, e), t0, t1 - t0, slots, sample.frame_count, cfg.l_roi,
+                        model.store.dtype)
                 dense = roi_pool_weights(*args)
                 rows, inverse = roi_pool_rows(*args)
                 assert len(rows) == len(np.unique(dense.reshape(len(slots), -1), axis=0))
@@ -591,8 +628,9 @@ def wide_feature_case(toy_dataset):
 
 
 class TestFeatureWidening:
-    """Appearance rows are held once, as float32: a context keeps no widened
-    copy, and each forward widens its video's rows as it reads them."""
+    """Appearance rows are held once, as float32: a context keeps no copy,
+    and a forward over a float64 store (``make_model``'s) widens them inside
+    its first matmul, exactly."""
 
     def test_build_context_allocates_less_than_the_float32_features(self, toy_dataset):
         import tracemalloc

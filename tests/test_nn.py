@@ -10,6 +10,7 @@ from relformer.nn import (Adam, ParamStore, attention_shapes, clip_grad_norm, in
                           layer_norm, mlp_forward, mlp_shapes, multi_head_attention,
                           self_attention_block, self_attention_block_shapes)
 
+from conftest import widened
 from oracles import (adam_scalar_oracle, layer_norm_oracle, mlp_oracle,
                      slow_attention_oracle, softmax_extended_oracle)
 
@@ -29,6 +30,17 @@ class TestParamStore:
         store.add("table", np.zeros(2), trainable=False)
         assert [n for n, _ in store.trainable_items()] == ["w"]
 
+    def test_entries_share_one_dtype(self):
+        """The model reads its compute dtype from its store, so a store
+        never mixes two."""
+        store = ParamStore()
+        store.add("a", np.zeros(2, np.float32))
+        assert store.dtype == np.float32
+        with pytest.raises(UsageError, match="'b' is float64, but the store holds float32"):
+            store.add("b", np.zeros(2))
+        with pytest.raises(UsageError, match="empty store"):
+            ParamStore().dtype
+
 
 class TestInitParams:
     def test_rule_per_name_and_shape(self, rng):
@@ -37,22 +49,26 @@ class TestInitParams:
         given = {"tables.given": np.full((2, 2, 2), 7.0)}
         store = init_params(shapes, np.random.default_rng(4), given)
         draws = np.random.default_rng(4)
-        np.testing.assert_array_equal(store["a.query_embed"].data,
-                                      draws.normal(0.0, 0.02, size=(3, 2)))
-        np.testing.assert_array_equal(store["a.w"].data,
-                                      draws.uniform(-0.5, 0.5, size=(4, 2)))
-        np.testing.assert_array_equal(store["a.g"].data, np.ones(2))
-        np.testing.assert_array_equal(store["a.b"].data, np.zeros(2))
-        np.testing.assert_array_equal(store["tables.t"].data,
-                                      draws.normal(0.0, 1.0, size=(3, 2)))
-        np.testing.assert_array_equal(store["tables.given"].data, given["tables.given"])
+
+        def rounded(x):
+            """The float64 draw, rounded to float32 once."""
+            return np.asarray(x, dtype=np.float64).astype(np.float32).tobytes()
+
+        assert store.dtype == np.float32
+        assert store["a.query_embed"].data.tobytes() == rounded(
+            draws.normal(0.0, 0.02, size=(3, 2)))
+        assert store["a.w"].data.tobytes() == rounded(draws.uniform(-0.5, 0.5, size=(4, 2)))
+        assert store["a.g"].data.tobytes() == rounded(np.ones(2))
+        assert store["a.b"].data.tobytes() == rounded(np.zeros(2))
+        assert store["tables.t"].data.tobytes() == rounded(draws.normal(0.0, 1.0, size=(3, 2)))
+        assert store["tables.given"].data.tobytes() == rounded(given["tables.given"])
         assert [n for n, _ in store.trainable_items()] == ["a.b", "a.g", "a.query_embed",
                                                            "a.w"]
 
 
 class TestMlp:
     def _make(self, dims, rng, prefix="mlp"):
-        return init_params(mlp_shapes(prefix, *dims), rng)
+        return widened(init_params(mlp_shapes(prefix, *dims), rng))
 
     def test_zero_params_annihilate(self, rng):
         store = self._make((3, 5, 2), rng)
@@ -171,7 +187,7 @@ class TestSoftmax:
 
 class TestAttention:
     def _block(self, d, rng, prefix="blk", hidden=None):
-        return init_params(self_attention_block_shapes(prefix, d, hidden or d), rng)
+        return widened(init_params(self_attention_block_shapes(prefix, d, hidden or d), rng))
 
     def test_single_token_attends_itself(self, rng):
         d = 8
@@ -200,7 +216,7 @@ class TestAttention:
 
     def test_single_head_matches_slow_loop_oracle(self, rng):
         d = 6
-        store = init_params(attention_shapes("attn", d), rng)
+        store = widened(init_params(attention_shapes("attn", d), rng))
         x = rng.normal(size=(3, d))
         out = multi_head_attention(store, "attn", Tensor(x), Tensor(x), Tensor(x),
                                    heads=1)
@@ -255,29 +271,35 @@ class TestAdam:
     def test_steps_are_bitwise_equal_to_the_array_formula(self, rng):
         """Several steps against the out-of-place Adam expressions, on two
         parameters that share one gradient array, as backward can hand out,
-        and one whose gradient is a non-contiguous view."""
+        and one whose gradient is a non-contiguous view; for float32
+        parameters, as a model trains, and float64 ones, whose m and v stay
+        float64."""
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
         shapes = {"a": (4, 3), "b": (4, 3), "strided": (5, 4)}
-        store = ParamStore()
-        params = {k: store.add(k, rng.normal(size=shape)) for k, shape in shapes.items()}
-        want = {k: p.data.copy() for k, p in params.items()}
-        m = {k: np.zeros(shape) for k, shape in shapes.items()}
-        v = {k: np.zeros(shape) for k, shape in shapes.items()}
-        opt = Adam(lr=lr, betas=(b1, b2), eps=eps)
-        for t in range(1, 6):
-            shared = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-4, 3)
-            grads = {"a": shared, "b": shared, "strided": rng.normal(size=(8, 5)).T[:, ::2]}
-            assert not grads["strided"].flags.c_contiguous
-            before = {k: g.copy() for k, g in grads.items()}
-            opt.step(store, [grads[k] for k in store.names()])
-            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for k, g in grads.items():
-                np.testing.assert_array_equal(g, before[k])
-                m[k] = b1 * m[k] + (1.0 - b1) * g
-                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
-                want[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
-        for k, p in params.items():
-            assert p.data.tobytes() == want[k].tobytes(), k
+        for dtype in (np.float32, np.float64):
+            store = ParamStore()
+            params = {k: store.add(k, rng.normal(size=shape).astype(dtype))
+                      for k, shape in shapes.items()}
+            want = {k: p.data.copy() for k, p in params.items()}
+            m = {k: np.zeros(shape, dtype) for k, shape in shapes.items()}
+            v = {k: np.zeros(shape, dtype) for k, shape in shapes.items()}
+            opt = Adam(lr=lr, betas=(b1, b2), eps=eps)
+            for t in range(1, 6):
+                shared = (rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
+                grads = {"a": shared, "b": shared,
+                         "strided": rng.normal(size=(8, 5)).astype(dtype).T[:, ::2]}
+                assert not grads["strided"].flags.c_contiguous
+                before = {k: g.copy() for k, g in grads.items()}
+                opt.step(store, [grads[k] for k in store.names()])
+                c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+                for k, g in grads.items():
+                    np.testing.assert_array_equal(g, before[k])
+                    m[k] = b1 * m[k] + (1.0 - b1) * g
+                    v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                    want[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+            for k, p in params.items():
+                assert p.data.dtype == dtype and opt._m[k].dtype == dtype
+                assert p.data.tobytes() == want[k].tobytes(), (dtype, k)
 
     def test_step_takes_over_the_gradient_list(self, rng):
         """Each gradient is released once its parameter is updated, so the
@@ -344,7 +366,7 @@ class TestBackwardThroughBlocks:
     def test_block_gradients_match_finite_differences(self, rng):
         from oracles import finite_difference
         d = 8
-        store = init_params(self_attention_block_shapes("blk", d, d), rng)
+        store = widened(init_params(self_attention_block_shapes("blk", d, d), rng))
         x = rng.normal(size=(3, d))
 
         def loss_value():

@@ -16,6 +16,7 @@ from relformer.synth import SynthConfig, synth_generate
 from relformer.training import (BCE_CLAMP, GtTargets, build_gt_predicates, cost_matrix,
                                 hungarian, total_loss, train_loop, video_loss)
 
+from conftest import widened
 from oracles import (finite_difference, hungarian_brute_force, matching_cost_oracle,
                      set_loss_oracle)
 
@@ -58,9 +59,9 @@ class TestBuildTargets:
         samples, _ = toy_dataset
         for sample in samples:
             assignment = assign_tracklets_to_gt(sample)
-            gt = build_gt_predicates(sample, assignment, 48)
+            gt = build_gt_predicates(sample, assignment, 48, np.float32)
             k, n = len(sample.gt_relations), len(sample.tracklets)
-            assert gt.links.shape == (2, k, n)
+            assert gt.links.shape == (2, k, n) and gt.links.dtype == np.float32
             assert list(gt.predicates) == [rel.predicate for rel in sample.gt_relations]
             for j, rel in enumerate(sample.gt_relations):
                 for row, gt_id in ((0, rel.subject_gt_id), (1, rel.object_gt_id)):
@@ -72,7 +73,7 @@ class TestBuildTargets:
         sample = max(samples, key=lambda s: len(s.gt_relations))
         k = len(sample.gt_relations)
         with pytest.raises(DataError, match=f"{k} GT relations exceed"):
-            build_gt_predicates(sample, assign_tracklets_to_gt(sample), k - 1)
+            build_gt_predicates(sample, assign_tracklets_to_gt(sample), k - 1, np.float32)
 
 
 class TestHungarian:
@@ -139,13 +140,14 @@ class TestLossGradient:
         sample = samples[0]
         cfg = ModelConfig(d=8, d_q=8, d_v=8, d_a=16, d_w=4, l=2, l_roi=3,
                           L_e=1, L_d=1, m_c=4, m_d=2, heads=2, mlp_hidden=8)
-        store = init_store(cfg, vocab, 11)
+        store = widened(init_store(cfg, vocab, 11))
         rng = np.random.default_rng(7)
         for _, t in store.trainable_items():
             t.data += rng.normal(scale=0.05, size=t.shape)
         model = RelationModel(cfg, vocab, store)
         ctx = model.build_context(sample)
-        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), model.anchors.count)
+        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), model.anchors.count,
+                                 model.store.dtype)
         assert len(gt.predicates) > 0
         with_graph = video_loss(model, ctx, gt, 1.0, 30.0)
         output = model.forward(ctx)
@@ -175,13 +177,13 @@ class TestGradientCoverage:
         reach every trainable tensor with an entry of magnitude at least 1e-10.
         A parameter whose exact gradient is zero (such as an attention key
         bias, which softmax cancels) only picks up rounding noise, far below
-        this floor."""
+        this floor in float64."""
         samples, vocab = toy_dataset
         sample = samples[0]
-        store = init_store(toy_model_config, vocab, 3)
+        store = widened(init_store(toy_model_config, vocab, 3))
         model = RelationModel(toy_model_config, vocab, store)
         assignment = assign_tracklets_to_gt(sample)
-        gt = build_gt_predicates(sample, assignment, model.anchors.count)
+        gt = build_gt_predicates(sample, assignment, model.anchors.count, model.store.dtype)
         assert len(gt.predicates) > 0
         loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
         names = [name for name, _ in model.store.trainable_items()]
@@ -201,7 +203,7 @@ class TestGraphMemory:
         sample = samples[0]
         model = RelationModel(cfg, vocab, init_store(cfg, vocab, 3))
         m, n = model.anchors.count, len(sample.tracklets)
-        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), m)
+        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), m, model.store.dtype)
         loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
         seen, todo, shapes = set(), [loss], set()
         while todo:
@@ -215,13 +217,62 @@ class TestGraphMemory:
         assert (m, n, cfg.d_v) not in shapes
 
 
+def float64_arrays(loss) -> list[str]:
+    """Every float64 array of ``loss``'s graph: node values, and the arrays,
+    tensors and sparse matrices each edge's vjp closes over (one list deep)."""
+    found, seen, todo = [], set(), [loss]
+
+    def check(value, where):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                check(item, where)
+            return
+        value = getattr(value, "data", value)  # a Tensor's or a sparse matrix's values
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            found.append(f"{where} {value.shape}")
+
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        check(node.data, "node")
+        for parent, vjp in node._edges:
+            for cell in vjp.__closure__ or ():
+                check(cell.cell_contents, vjp.__qualname__)
+            todo.append(parent)
+    return found
+
+
+class TestGraphDtype:
+    def test_a_tiny_training_step_holds_no_float64_array(self):
+        """The first step of test_cli's TINY run: its two videos' graphs,
+        before each backward, and the step's gradients are all float32."""
+        samples, vocab = synth_generate(SynthConfig(
+            videos=4, frame_count=12, d_a=4, object_categories=3, objects_min=2,
+            objects_max=3, distractors=1, max_relations=4), seed=5)
+        cfg = ModelConfig(d=8, d_q=8, d_v=8, d_a=4, d_w=4, l=2, l_roi=3, L_e=1, L_d=1,
+                          m_c=4, m_d=2, heads=2, mlp_hidden=8)
+        model = RelationModel(cfg, vocab, init_store(cfg, vocab, 5))
+        params = model.store.trainable_tensors()
+        grads = None
+        for sample in samples[:2]:
+            gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample),
+                                     model.anchors.count, model.store.dtype)
+            loss = ad.mul(video_loss(model, model.build_context(sample), gt, 1.0, 30.0), 0.5)
+            assert float64_arrays(loss) == []
+            grads = ad.backward(loss, params, grads)
+        assert len(grads) == len(params)
+        assert all(g.dtype == np.float32 for g in grads)
+
+
 class TestOverfit:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_one_video_is_learned_exactly(self, tmp_path, seed):
         """The whole pipeline can fit one video: 150 Adam steps take the loss
         below 5% of its start and the train-set RelDet mAP to 1 (it starts at
-        0.08 or less). Measured at these settings, the loss fell 123 -> 1.75,
-        145 -> 0.007 and 46 -> 0.002 for seeds 1, 2 and 3."""
+        0.08 or less). Measured at these settings, the loss fell 123 -> 0.08,
+        145 -> 0.007 and 46 -> 0.001 for seeds 1, 2 and 3 (float32)."""
         samples, vocab = synth_generate(SynthConfig(
             videos=1, frame_count=16, d_a=8, object_categories=4, objects_min=3,
             objects_max=3, distractors=1, max_relations=6), seed=seed)
