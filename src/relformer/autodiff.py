@@ -19,12 +19,15 @@ array, so callers must not write into them. ``backward`` can also continue
 the gradient sums of an earlier graph over the same leaves, so a sum of
 losses can be back-propagated one loss at a time, each graph freed before
 the next is built, with the bits of one backward of the sum. A forward over
-tensors that require no gradient records no graph. Only the ops this
-package actually needs are provided: broadcasting arithmetic, (batched)
-matmul, reshape/transpose/concat/stack, indexing, reductions, the
-elementwise functions used by the model, a fused softmax, and two fused
-nodes of the decoder: pool-and-project for the value rows and
-``attend_rows`` for the attention-weighted sum over them.
+tensors that require no gradient records no graph. Only the ops the
+package's own code calls are provided (``tests/test_unused_imports.py``
+checks that each is reached): broadcasting ``add``, ``sub``, ``neg``,
+``mul`` and ``div``; (batched) ``matmul``; ``reshape``, ``transpose``,
+``concat`` and ``stack``; ``getitem``; the reductions ``tsum`` and
+``tmean``; the elementwise ``relu``, ``log``, ``sqrt``, ``square`` and
+``clip``; a fused ``softmax``; and two fused nodes of the decoder:
+``pool_project`` for the value rows and ``attend_rows`` for the
+attention-weighted sum over them.
 
 All graph construction is single-threaded per training step; concurrent
 read-only forward passes are safe because parameters are never mutated
@@ -210,12 +213,6 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
     return _node(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _node(out, (a, lambda g: g * out))
 
 
 def log(a) -> Tensor:

@@ -29,12 +29,9 @@ from .synth import synth_generate
 from .training import train_loop
 
 
-def _threads(value: int | None) -> int:
-    if value is None:
-        return 1
-    if value < 1:
-        raise UsageError(f"--threads: must be at least 1, got {value}")
-    return value
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise UsageError(f"--threads: must be at least 1, got {threads}")
 
 
 def _check_out_dir(flag: str, path: str) -> None:
@@ -61,6 +58,8 @@ def _check_out_file(flag: str, path: str | None) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """A flag that overrides a config value has that value's key as its dest:
+    ``seed`` or ``section.field`` (see ``_config_overrides``)."""
     parser = argparse.ArgumentParser(
         prog="relformer",
         description="Tracklet-transformer video relation detection toolkit")
@@ -68,29 +67,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="global seed override")
+        p.add_argument("--seed", type=int,
+                       help="the one seed of synth and train (overrides the config's seed)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     common(p)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
-    p.add_argument("--videos", type=int)
-    p.add_argument("--frames", type=int, dest="frame_count")
-    p.add_argument("--objects-min", type=int, dest="objects_min")
-    p.add_argument("--objects-max", type=int, dest="objects_max")
-    p.add_argument("--objects", type=int,
-                   help="shorthand: set objects-min and objects-max together")
-    p.add_argument("--distractors", type=int)
+    p.add_argument("--videos", type=int, dest="synth.videos")
+    p.add_argument("--frames", type=int, dest="synth.frame_count")
+    p.add_argument("--objects-min", type=int, dest="synth.objects_min")
+    p.add_argument("--objects-max", type=int, dest="synth.objects_max")
+    p.add_argument("--distractors", type=int, dest="synth.distractors")
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
     common(p)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output directory for checkpoint/trace")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--save-interval", type=int, dest="save_interval")
+    p.add_argument("--epochs", type=int, dest="train.epochs")
+    p.add_argument("--lr", type=float, dest="train.lr")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
+    p.add_argument("--save-interval", type=int, dest="train.save_interval")
     p.add_argument("--embeddings", help="TRKF file with a category embedding table")
     p.add_argument("--quiet", action="store_true")
 
@@ -101,14 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path, or comma-separated list to ensemble")
     p.add_argument("--out", help="write the report JSON here (default: stdout)")
     p.add_argument("--per-video", dest="per_video", help="also write a per-video CSV")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("infer", help="write per-video prediction JSON files")
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -140,15 +138,7 @@ def _predict_all(models, samples, top_k: int, threads: int):
     return {s.video_id: preds for s, preds in zip(samples, merged)}
 
 
-def cmd_synth(args) -> int:
-    extra = {}
-    if args.objects is not None:
-        extra["synth.objects_min"] = args.objects
-        extra["synth.objects_max"] = args.objects
-    cfg = load_config(args.config, _collect_overrides(args, {
-        "videos": "synth.videos", "frame_count": "synth.frame_count",
-        "objects_min": "synth.objects_min", "objects_max": "synth.objects_max",
-        "distractors": "synth.distractors"}, extra=extra))
+def cmd_synth(args, cfg: RunConfig) -> int:
     out = args.out
     _check_out_dir("--out", out)
     if os.path.isdir(out) and any(not p.startswith(".") for p in os.listdir(out)) \
@@ -160,10 +150,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, _collect_overrides(args, {
-        "epochs": "train.epochs", "lr": "train.lr", "batch_size": "train.batch_size",
-        "save_interval": "train.save_interval"}))
+def cmd_train(args, cfg: RunConfig) -> int:
     _check_out_dir("--out", args.out)  # train_loop creates it after the data checks
     samples, vocab = load_dataset(args.data)
     if not samples:
@@ -173,18 +160,17 @@ def cmd_train(args) -> int:
         embeddings = load_embedding_table(args.embeddings, len(vocab.objects),
                                           cfg.model.d_w)
     model = RelationModel(cfg.model, vocab,
-                          init_store(cfg.model, vocab, cfg.train_seed, embeddings))
+                          init_store(cfg.model, vocab, cfg.seed, embeddings))
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
-    result = train_loop(samples, model, cfg.train, args.out, seed=cfg.train_seed,
+    result = train_loop(samples, model, cfg.train, args.out, seed=cfg.seed,
                         viou_threshold=cfg.eval.viou_threshold, log=log)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"loss trace: {result.trace_path}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    threads = _threads(args.threads)
-    cfg = load_config(args.config, _collect_overrides(args, {}))
+def cmd_eval(args, cfg: RunConfig) -> int:
+    _check_threads(args.threads)
     _check_out_file("--out", args.out)
     _check_out_file("--per-video", args.per_video)
     samples, vocab = load_dataset(args.data)
@@ -192,7 +178,7 @@ def cmd_eval(args) -> int:
     if not paths:
         raise UsageError("--ckpt: no checkpoint paths given")
     models = [_load_model(p, cfg, vocab) for p in paths]
-    predictions = _predict_all(models, samples, cfg.eval.top_k_per_query, threads)
+    predictions = _predict_all(models, samples, cfg.eval.top_k_per_query, args.threads)
     report = evaluate(predictions, samples, cfg.eval.viou_threshold,
                       cfg.eval.recall_ks, cfg.eval.precision_ks)
     payload = canonical_json(report.to_dict())
@@ -217,13 +203,12 @@ def _write_per_video_csv(path: str, report) -> None:
                                      for k in keys])
 
 
-def cmd_infer(args) -> int:
-    threads = _threads(args.threads)
-    cfg = load_config(args.config, _collect_overrides(args, {}))
+def cmd_infer(args, cfg: RunConfig) -> int:
+    _check_threads(args.threads)
     _check_out_dir("--out", args.out)
     samples, vocab = load_dataset(args.data)
     model = _load_model(args.ckpt, cfg, vocab)
-    predictions = _predict_all([model], samples, cfg.eval.top_k_per_query, threads)
+    predictions = _predict_all([model], samples, cfg.eval.top_k_per_query, args.threads)
     os.makedirs(args.out, exist_ok=True)
     # An earlier run's files would read as predictions for videos this
     # dataset may not have; any other file is left alone.
@@ -239,15 +224,10 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _collect_overrides(args, mapping: dict[str, str], extra: dict | None = None) -> dict:
-    overrides = dict(extra or {})
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
+def _config_overrides(args) -> dict:
+    """The flags that name a config key as their dest; ``load_config`` skips
+    the ones not given (None)."""
+    return {key: value for key, value in vars(args).items() if key == "seed" or "." in key}
 
 
 _COMMANDS = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
@@ -261,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, load_config(args.config, _config_overrides(args)))
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,6 @@
-"""Run configuration: model/train/data/eval sections plus a global seed.
+"""Run configuration: model/train/data/eval sections plus a global seed,
+the one seed of both ``synth`` (the generated data) and ``train`` (the
+initial weights and the batch order).
 
 Defaults are the reference hyperparameters (hidden widths 512, pooling
 lengths 4 and 7, 6 encoder / 4 decoder layers, a 16x12 anchor grid, Adam at
@@ -25,12 +27,6 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_seed(name: str, value) -> None:
-    # numpy seeds must be non-negative.
-    if not _is_int(value) or value < 0:
-        raise ConfigError(f"{name}: must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,6 @@ class TrainConfig:
     epochs: int = 50
     save_interval: int = 0
     max_grad_norm: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         # Each check asks for the valid case, so NaN fails it too.
@@ -91,8 +86,6 @@ class TrainConfig:
         if self.max_grad_norm is not None and not 0.0 < self.max_grad_norm < math.inf:
             raise ConfigError("train.max_grad_norm must be a finite number > 0 when set, "
                               f"got {self.max_grad_norm!r}")
-        if self.seed is not None:
-            _check_seed("train.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -121,10 +114,6 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
-
-    @property
-    def train_seed(self) -> int:
-        return self.train.seed if self.train.seed is not None else self.seed
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "synth": SynthConfig,
@@ -190,7 +179,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             raise ConfigError(f"{key}: unknown override")
         sections[section][fname] = value
 
-    _check_seed("seed", seed)
+    # numpy seeds must be non-negative.
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
     return RunConfig(
         model=_build_section(ModelConfig, sections["model"], "model"),
         train=_build_section(TrainConfig, sections["train"], "train"),

@@ -1,8 +1,10 @@
 """Tracklet and relation data types, vIoU, and ground-truth assignment.
 
 Frame-index convention used everywhere: a normalized slot (s, e) over a
-video with F frames covers the integer frames floor(s*F) .. ceil(e*F)-1.
-Since 0 <= s < e <= 1, every valid slot covers at least one frame.
+video with F frames covers the integer frames f0 = floor(s*F) up to, but
+excluding, f1 = max(ceil(e*F), f0 + 1), so every valid slot covers at least
+one frame, however narrow it is. ``TimeSlot.frame_span`` and the model's RoI
+pooling (``model._roi_frame_ranges``) apply this one rule.
 
 All types are immutable after construction; operations on distinct samples
 are safe to run concurrently.
@@ -31,13 +33,14 @@ class TimeSlot:
             raise DataError(f"invalid time slot ({self.start}, {self.end})")
 
     def frame_span(self, frame_count: int) -> tuple[int, int]:
-        """(first_frame, last_frame_exclusive) covered by this slot.
+        """(first_frame, last_frame_exclusive) covered by this slot: at least
+        one frame, by the module's frame rule.
 
         A 1e-9 guard keeps exact frame fractions (k / frame_count) on the
         frame they name despite float rounding.
         """
-        return (int(math.floor(self.start * frame_count + 1e-9)),
-                int(math.ceil(self.end * frame_count - 1e-9)))
+        first = int(math.floor(self.start * frame_count + 1e-9))
+        return first, max(int(math.ceil(self.end * frame_count - 1e-9)), first + 1)
 
     def frame_length(self, frame_count: int) -> int:
         a, b = self.frame_span(frame_count)
@@ -47,6 +50,15 @@ class TimeSlot:
         s = max(self.start, other.start)
         e = min(self.end, other.end)
         return TimeSlot(s, e) if s < e else None
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """True iff no value of ``a`` is NaN or infinite.
+
+    min and max are NaN if any value is, and infinite if any value is; unlike
+    ``np.isfinite(a).all()``, they allocate no array of ``a``'s size.
+    """
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _validate_boxes(boxes: np.ndarray, label: str) -> None:
@@ -81,6 +93,8 @@ class GtObject:
         if len(boxes) < 2:
             raise DataError(f"{label}: needs at least 2 frames, got {len(boxes)}")
         _validate_boxes(boxes, label)
+        if self.category < 0:
+            raise DataError(f"{label}: category {self.category} outside vocab")
 
     @property
     def length(self) -> int:

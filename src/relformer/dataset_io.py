@@ -8,11 +8,13 @@ Layout:
 A video JSON holds {video_id, frame_count, tracklets, gt_objects,
 gt_relations}, and its video_id is the <id> of its file name. Each tracklet
 entry is {id, start, end, category, probs, boxes, features}; ``features`` is
-"<file>#<row>", pointing at consecutive rows of a feature file, which holds
-the tracklets' rows only. gt_objects entries are {id, start, end, category,
-boxes}: GT objects carry no features or probs, and the GT ``features``
-references of older files are ignored. gt_relations entries are {subject,
-object, predicate, start, end}.
+"video_<id>.trkf#<row>", pointing at consecutive rows of the video's own
+feature file, which holds the tracklets' rows only. A reference naming any
+other file, such as a path out of the dataset directory, is a ``DataError``
+naming the JSON file and the field; each video's feature file is read once.
+gt_objects entries are {id, start, end, category, boxes}: GT objects carry
+no features or probs, and the GT ``features`` references of older files are
+ignored. gt_relations entries are {subject, object, predicate, start, end}.
 
 Feature files are little-endian float32 matrices, row-major, with a 16-byte
 header: magic "TRKF", uint32 rows, uint32 cols, 4 reserved zero bytes.
@@ -33,7 +35,7 @@ import os
 
 import numpy as np
 
-from .data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
+from .data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab, all_finite
 from .errors import DataError
 
 TRKF_MAGIC = b"TRKF"
@@ -71,9 +73,7 @@ def read_feature_file(path: str) -> np.ndarray:
             matrix = np.fromfile(f, dtype="<f4", count=rows * cols).reshape(rows, cols)
     except OSError as exc:
         raise DataError(f"{path}: cannot read feature file: {exc}") from exc
-    # min and max are NaN if any value is, and infinite if any value is; unlike
-    # np.isfinite(matrix).all(), they allocate no array of the matrix's size.
-    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+    if not all_finite(matrix):
         raise DataError(f"{path}: feature values must be finite (found NaN or infinity)")
     return matrix
 
@@ -146,14 +146,18 @@ def _construct(cls, where: str, start, end, **fields):
         raise DataError(f"{where}: {exc}") from None
 
 
-def _track_from_json(obj: dict, features: np.ndarray, where: str) -> Tracklet:
+def _track_from_json(obj: dict, features: np.ndarray, feature_file: str,
+                     where: str) -> Tracklet:
     fields = _gt_fields(obj, where)
     ref = _require(obj, "features", where)
     try:
-        _, row_str = ref.rsplit("#", 1)
+        file_name, row_str = ref.rsplit("#", 1)
         row = int(row_str)
     except (AttributeError, ValueError):
         raise DataError(f"{where}: bad features reference {ref!r}") from None
+    if file_name != feature_file:
+        raise DataError(f"{where}: features reference {ref!r} must name this video's "
+                        f"file {feature_file}")
     rows = len(fields["boxes"])
     if row < 0 or row + rows > len(features):
         raise DataError(f"{where}: features reference {ref!r} out of range")
@@ -238,27 +242,22 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
         raise DataError(f"{name}: video_id {video_id!r} does not match the file name")
     frame_count = _require_int(doc, "frame_count", name)
 
-    feature_cache: dict[str, np.ndarray] = {}
-
-    def features_for(entry: dict, where: str) -> np.ndarray:
-        ref = _require(entry, "features", where)
-        fname = str(ref).rsplit("#", 1)[0]
-        if fname not in feature_cache:
-            feature_cache[fname] = read_feature_file(os.path.join(directory, fname))
-        return feature_cache[fname]
+    feature_file = f"video_{video_id}.trkf"
+    features = (read_feature_file(os.path.join(directory, feature_file))
+                if _require_list(doc, "tracklets", name) else None)
 
     def objects(key: str, parse) -> list:
         out = []
         for i, entry in enumerate(_require_list(doc, key, name)):
             where = f"{name}: {key}[{i}]"
             obj = parse(entry, where)
-            if obj.category < 0 or obj.category >= len(vocab.objects):
+            if obj.category >= len(vocab.objects):
                 raise DataError(f"{where}: category {obj.category} outside vocab")
             out.append(obj)
         return out
 
     def tracklet(entry: dict, where: str) -> Tracklet:
-        track = _track_from_json(entry, features_for(entry, where), where)
+        track = _track_from_json(entry, features, feature_file, where)
         if len(track.probs) != len(vocab.objects):
             raise DataError(f"{where}: probs length {len(track.probs)} != "
                             f"|object vocab| {len(vocab.objects)}")

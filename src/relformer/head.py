@@ -14,6 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TimeSlot, Tracklet, VideoSample
+from .dataset_io import read_feature_file
 from .errors import DataError
 from .nn import ParamStore, mlp_forward
 
@@ -129,7 +130,6 @@ def triplets_to_json(video_id: str, triplets: list[RelationTriplet]) -> dict:
 def load_embedding_table(path: str, n_objects: int, d_w: int) -> np.ndarray:
     """Load a pluggable word-embedding table from a TRKF feature file, as
     its float32 rows."""
-    from .dataset_io import read_feature_file
     table = read_feature_file(path)
     if table.shape != (n_objects, d_w):
         raise DataError(

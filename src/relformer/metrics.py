@@ -7,14 +7,14 @@ restricted to the GT relation's slot. Matching is greedy in score order with
 each GT used at most once: a prediction claims the first unused GT relation,
 in index order, that it matches.
 
-Matching is mask-first. Per video, one (predictions, GT relations) boolean
-mask marks the pairs whose predicate, subject category and object category
-all agree; a prediction naming a tracklet the video does not have gets
-category -1 and agrees with nothing. ``match_relation`` stays the one
-per-pair rule and runs only on agreeing pairs, walked in GT index order. A
-pair outside the mask would fail ``match_relation`` at its label check, so
-skipping it changes no greedy choice; on dense scenes almost every pair
-fails there.
+Matching is mask-first, and the mask owns the labels. Per video, one
+(predictions, GT relations) boolean mask marks the pairs whose predicate,
+subject category and object category all agree; a prediction naming a
+tracklet the video does not have gets category -1, which no category takes
+(``GtObject`` rejects negative ones), so it agrees with nothing.
+``match_relation`` checks localization only and runs only on agreeing pairs,
+walked in GT index order; on dense scenes almost every pair is outside the
+mask.
 
 AP is non-interpolated: the sum of precision at each hit divided by the GT
 count; per-video AP/R@K are averaged over videos that have GT relations.
@@ -53,21 +53,17 @@ class EvalReport:
 
 def match_relation(pred: RelationTriplet, sample: VideoSample, gt_rel,
                    viou_threshold: float = 0.5) -> bool:
-    """True iff the prediction localizes and labels the GT relation."""
+    """True iff the prediction localizes the GT relation: each of its two
+    tracklets, restricted to its slot, reaches ``viou_threshold`` against the
+    GT object restricted to the GT relation's slot.
+
+    It checks no labels: ``_greedy_hits`` calls it only on pairs whose
+    predicate and categories agree, so both tracklet ids are the video's."""
     by_id = {t.id: t for t in sample.tracklets}
-    sub = by_id.get(pred.subject_tracklet_id)
-    obj = by_id.get(pred.object_tracklet_id)
-    if sub is None or obj is None:
-        return False
-    gt_sub = sample.gt_object(gt_rel.subject_gt_id)
-    gt_obj = sample.gt_object(gt_rel.object_gt_id)
-    if pred.predicate != gt_rel.predicate:
-        return False
-    if sub.category != gt_sub.category or obj.category != gt_obj.category:
-        return False
-    for det, gt in ((sub, gt_sub), (obj, gt_obj)):
-        det_part = restrict_track(det, pred.slot, sample.frame_count)
-        gt_part = restrict_track(gt, gt_rel.slot, sample.frame_count)
+    for det_id, gt_id in ((pred.subject_tracklet_id, gt_rel.subject_gt_id),
+                          (pred.object_tracklet_id, gt_rel.object_gt_id)):
+        det_part = restrict_track(by_id[det_id], pred.slot, sample.frame_count)
+        gt_part = restrict_track(sample.gt_object(gt_id), gt_rel.slot, sample.frame_count)
         if det_part is None or gt_part is None:
             return False
         if compute_viou(det_part, gt_part, sample.frame_count) < viou_threshold:

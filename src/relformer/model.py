@@ -63,8 +63,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import VideoSample, Vocab
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .features import init_tracklet_feature, pool_to_encoder_input, spatial_feature
+from .head import binarize_links, classeme, classify_predicates
 from .nn import (ParamStore, attention_shapes, init_params, layer_norm, layer_norm_shapes,
                  mlp_forward, mlp_shapes, multi_head_attention, pooled_mlp_forward,
                  self_attention_block, self_attention_block_shapes)
@@ -75,22 +76,9 @@ from .nn import (ParamStore, attention_shapes, init_params, layer_norm, layer_no
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnchorSet:
-    """m = m_c * m_d anchors: every (center, duration) combination, clamped."""
-
-    m_c: int
-    m_d: int
-    slots: np.ndarray  # (m, 2) float64; ``pos`` reads a copy in the model dtype
-
-    @property
-    def count(self) -> int:
-        return len(self.slots)
-
-
-def build_anchors(m_c: int, m_d: int) -> AnchorSet:
-    if m_c < 1 or m_d < 1:
-        raise ConfigError(f"anchor grid needs m_c, m_d >= 1, got {m_c}, {m_d}")
+def build_anchors(m_c: int, m_d: int) -> np.ndarray:
+    """(m_c * m_d, 2) float64 anchor slots: every (center, duration)
+    combination, clamped to [0, 1]. ``ModelConfig`` keeps m_c, m_d >= 1."""
     centers = (np.arange(m_c) + 1) / m_c
     durations = (np.arange(m_d) + 1) / m_d
     slots = np.empty((m_c * m_d, 2))
@@ -100,7 +88,7 @@ def build_anchors(m_c: int, m_d: int) -> AnchorSet:
             slots[k, 0] = max(c - w / 2.0, 0.0)
             slots[k, 1] = min(c + w / 2.0, 1.0)
             k += 1
-    return AnchorSet(m_c=m_c, m_d=m_d, slots=slots)
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +99,9 @@ def build_anchors(m_c: int, m_d: int) -> AnchorSet:
 def _roi_frame_ranges(track_slot: tuple[float, float], query_slots: np.ndarray,
                      frame_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(valid, f0, f1) per query slot: whether it intersects the tracklet slot,
-    and the global frames [f0, f1) the intersection covers (meaningful only
-    where valid). A pair's pooling weights depend on nothing else."""
+    and the global frames [f0, f1) the intersection covers by the ``data``
+    module's frame rule (meaningful only where valid). A pair's pooling
+    weights depend on nothing else."""
     s_i, e_i = track_slot
     inter_s = np.maximum(query_slots[:, 0], s_i)
     inter_e = np.minimum(query_slots[:, 1], e_i)
@@ -155,26 +144,17 @@ def _range_pool_weights(valid: np.ndarray, f0: np.ndarray, f1: np.ndarray, t0: i
     return weights
 
 
-def roi_pool_weights(track_slot: tuple[float, float], t0: int, l_i: int,
-                     query_slots: np.ndarray, frame_count: int,
-                     l_roi: int, dtype) -> np.ndarray:
-    """(m, l_roi, l_i) pooling weights in ``dtype`` for one tracklet against
-    m query slots.
+def roi_pool_rows(track_slot: tuple[float, float], t0: int, l_i: int,
+                  query_slots: np.ndarray, frame_count: int,
+                  l_roi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pooling rows of one tracklet against m query slots:
+    (u, l_roi, l_i) weights in ``dtype`` and the (m,) index of each query
+    slot's row among them.
 
     The slot intersection is mapped to the tracklet's continuous frame
     coordinates and cut into l_roi equal bins; a bin averages the frames
     whose centers it covers and falls back to the nearest covered frame when
-    it covers none. Disjoint pairs get all-zero rows.
-    """
-    return _range_pool_weights(*_roi_frame_ranges(track_slot, query_slots, frame_count),
-                               t0, l_i, l_roi, dtype)
-
-
-def roi_pool_rows(track_slot: tuple[float, float], t0: int, l_i: int,
-                  query_slots: np.ndarray, frame_count: int,
-                  l_roi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``roi_pool_weights``: (u, l_roi, l_i) weights and
-    the (m,) index of each query slot's row among them.
+    it covers none. Disjoint pairs get an all-zero row.
 
     Two slots whose intersections with the tracklet cover the same frames,
     or that both miss it, pool with the same weights, so the integer key
@@ -351,7 +331,6 @@ class RelationModel:
     # -- construction helpers ------------------------------------------------
 
     def build_context(self, sample: VideoSample) -> VideoContext:
-        from .head import classeme
         tracks = sample.tracklets
         if not tracks:
             raise DataError(f"video {sample.video_id}: no tracklets to build a context for")
@@ -401,9 +380,9 @@ class RelationModel:
         ``ctx.pool_rows`` and ``ctx.pool_index``.
         """
         if ctx.pool_rows is None:
-            rows, index, offset = [], np.empty((self.anchors.count, ctx.n), np.int64), 0
+            rows, index, offset = [], np.empty((len(self.anchors), ctx.n), np.int64), 0
             for i, (slot, (t0, t1)) in enumerate(zip(ctx.slots, ctx.spans)):
-                w, inverse = roi_pool_rows(slot, t0, t1 - t0, self.anchors.slots,
+                w, inverse = roi_pool_rows(slot, t0, t1 - t0, self.anchors,
                                            ctx.sample.frame_count, self.cfg.l_roi,
                                            self.store.dtype)
                 rows.append(w)
@@ -417,7 +396,7 @@ class RelationModel:
                ) -> tuple[Tensor, Tensor]:
         """Run the decoder stack; returns (queries, normalized attention)."""
         cfg, store = self.cfg, self.store
-        pos = ad.matmul(ad.constant(self.anchors.slots.astype(self.store.dtype)),
+        pos = ad.matmul(ad.constant(self.anchors.astype(self.store.dtype)),
                         store["decoder.pos_proj"])
         x = store["decoder.query_embed"]
         attn_norm = None
@@ -438,7 +417,6 @@ class RelationModel:
         return x, attn_norm
 
     def forward(self, ctx: VideoContext) -> ModelOutput:
-        from .head import binarize_links, classify_predicates
         frames = self._per_frame_features(ctx)
         pooled = pool_to_encoder_input(self.store, frames,
                                        [t1 - t0 for t0, t1 in ctx.spans], self.cfg.l)

@@ -56,12 +56,6 @@ class ParamStore:
         except KeyError:
             raise UsageError(f"unknown parameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def names(self) -> list[str]:
         return sorted(self._entries)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
+from .data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab,
+                   restrict_track)
 from .errors import ConfigError
 
 MIN_SHARED_FRAMES = 4
@@ -147,18 +148,13 @@ def derive_relations(cfg: SynthConfig, frame_count: int,
         for b in objects:
             if a.id == b.id:
                 continue
-            inter = a.slot.intersect(b.slot)
-            if inter is None:
+            part_a = restrict_track(a, b.slot, frame_count)
+            if part_a is None or len(part_a.boxes) < MIN_SHARED_FRAMES:
                 continue
-            lo, hi = inter.frame_span(frame_count)
-            if hi - lo < MIN_SHARED_FRAMES:
-                continue
-            a0, _ = a.slot.frame_span(frame_count)
-            b0, _ = b.slot.frame_span(frame_count)
-            boxes_a = a.boxes[lo - a0:hi - a0]
-            boxes_b = b.boxes[lo - b0:hi - b0]
+            boxes_b = restrict_track(b, a.slot, frame_count).boxes
+            lo, hi = part_a.slot.frame_span(frame_count)
             for pred, name in enumerate(cfg.rules):
-                if PREDICATE_RULES[name](boxes_a, boxes_b):
+                if PREDICATE_RULES[name](part_a.boxes, boxes_b):
                     relations.append(GtRelation(
                         subject_gt_id=a.id, object_gt_id=b.id, predicate=pred,
                         slot=TimeSlot(lo / frame_count, hi / frame_count)))

@@ -32,7 +32,7 @@ from scipy.optimize import linear_sum_assignment
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .data import VideoSample, assign_tracklets_to_gt
+from .data import VideoSample, all_finite, assign_tracklets_to_gt
 from .errors import DataError, NumericsError
 from .head import build_freq_bias
 from .model import RelationModel, VideoContext
@@ -92,7 +92,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     GT row j -> prediction column sigma[j]. ``build_gt_predicates`` keeps k
     at most m."""
     cost = np.asarray(cost, dtype=np.float64)
-    if not np.all(np.isfinite(cost)):
+    if not all_finite(cost):
         raise NumericsError("hungarian needs finite costs")
     _, cols = linear_sum_assignment(cost)
     return cols
@@ -121,7 +121,7 @@ def _require_finite(names: list[str], arrays: list[np.ndarray], what: str,
                     epoch: int, step: int) -> None:
     """NumericsError naming the first of ``arrays`` with a NaN or infinity."""
     for name, a in zip(names, arrays):
-        if not np.isfinite(a).all():
+        if not all_finite(a):
             raise NumericsError(f"non-finite {what} {name} at epoch {epoch} "
                                 f"step {step}; aborting")
 
@@ -142,7 +142,7 @@ def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
     when ``train_cfg.save_interval`` is set, and the final checkpoint. A
     step's loss is the mean of its videos' losses, summed in batch order.
     """
-    m = model.anchors.count
+    m = len(model.anchors)
     model.store["tables.freq_bias"].data[:] = build_freq_bias(
         samples, len(model.vocab.objects), len(model.vocab.predicates))
 

@@ -109,7 +109,7 @@ class TestGradients:
         np.testing.assert_array_equal(gb, 2 * b.data)
 
     @pytest.mark.parametrize("op_name", [
-        "add", "sub", "neg", "mul", "div", "matmul", "relu", "exp", "log", "sqrt",
+        "add", "sub", "neg", "mul", "div", "matmul", "relu", "log", "sqrt",
         "square", "softmax", "clip", "reshape", "transpose", "concat", "stack",
         "getitem", "getitem_repeated", "tsum", "tmean",
     ])
@@ -128,7 +128,6 @@ class TestGradients:
                 "div": lambda: a / b,
                 "matmul": lambda: ad.matmul(a, ad.transpose(b)),
                 "relu": lambda: ad.relu(a - 1.0),
-                "exp": lambda: ad.exp(a),
                 "log": lambda: ad.log(a),
                 "sqrt": lambda: ad.sqrt(a),
                 "square": lambda: ad.square(a),

@@ -64,11 +64,11 @@ class TestIntegerFields:
     def test_integer_fields_keep_their_values(self, tmp_path):
         path = write_config(tmp_path, {"model": {"d": 64, "heads": 4},
                                        "eval": {"recall_ks": [20, 50], "top_k_per_query": 3},
-                                       "train": {"max_grad_norm": 1, "seed": None}})
+                                       "train": {"max_grad_norm": 1}})
         cfg = load_config(path)
         assert (cfg.model.d, cfg.model.heads) == (64, 4)
         assert (cfg.eval.recall_ks, cfg.eval.top_k_per_query) == ((20, 50), 3)
-        assert (cfg.train.max_grad_norm, cfg.train.seed) == (1, None)
+        assert cfg.train.max_grad_norm == 1
 
 
 # Every float field of the four sections; ``max_grad_norm`` may also be null.
@@ -147,10 +147,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="decoder: unknown config section"):
             load_config(path)
 
-    @pytest.mark.parametrize("section", ["model", "train", "synth", "eval"])
-    def test_unknown_field_is_rejected(self, tmp_path, section):
-        path = write_config(tmp_path, {section: {"slot_offsets": True}})
-        with pytest.raises(ConfigError, match=f"{section}.slot_offsets: unknown field"):
+    # train.seed is no field: the top-level seed is the one seed of synth and train.
+    @pytest.mark.parametrize("section,field", [
+        ("model", "slot_offsets"), ("train", "slot_offsets"), ("synth", "slot_offsets"),
+        ("eval", "slot_offsets"), ("train", "seed")],
+        ids=["model", "train", "synth", "eval", "train.seed"])
+    def test_unknown_field_is_rejected(self, tmp_path, section, field):
+        path = write_config(tmp_path, {section: {field: 1}})
+        with pytest.raises(ConfigError, match=f"{section}.{field}: unknown field"):
             load_config(path)
 
     def test_unknown_override_is_rejected(self):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relformer.data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample,
                             assign_tracklets_to_gt, box_iou, compute_viou, restrict_track)
 from relformer.errors import DataError
+from relformer.model import _roi_frame_ranges
 
 from oracles import assignment_rules_oracle, track_frames, viou_oracle
 
@@ -43,6 +44,23 @@ class TestTimeSlot:
     def test_every_valid_slot_covers_a_frame(self):
         assert TimeSlot(0.551, 0.552).frame_length(10) == 1
 
+    @given(st.integers(2, 400), st.integers(0, 399),
+           st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           st.floats(-15.0, 0.0))
+    @example(10, 3, 0.0, -12.0)  # TimeSlot(0.3, 0.3 + 1e-12) over 10 frames
+    @settings(max_examples=300, deadline=None)
+    def test_frame_span_is_the_roi_frame_rule(self, frame_count, frame, offset,
+                                              log_width):
+        """Slots start on or inside a frame and span down to 1e-15 of the
+        video, far below the 1e-9 frame guard; the data and the RoI pooling
+        give each one the same frames."""
+        start = (min(frame, frame_count - 1) + offset) / frame_count
+        end = min(start + 10.0 ** log_width, 1.0)
+        assume(start < end)
+        valid, f0, f1 = _roi_frame_ranges((0.0, 1.0), np.array([[start, end]]), frame_count)
+        assert valid[0]
+        assert TimeSlot(start, end).frame_span(frame_count) == (int(f0[0]), int(f1[0]))
+
     def test_intersect(self):
         assert TimeSlot(0.0, 0.5).intersect(TimeSlot(0.5, 1.0)) is None
         got = TimeSlot(0.0, 0.6).intersect(TimeSlot(0.4, 1.0))
@@ -64,6 +82,13 @@ class TestGtObjectValidation:
     def test_bad_boxes_name_the_object(self, box, message):
         with pytest.raises(DataError, match=f"^gt object 2: {message}"):
             make_gt(2, 0, 3, 10, box)
+
+    @pytest.mark.parametrize("cls", [GtObject, Tracklet])
+    def test_negative_category_is_rejected(self, cls):
+        """So a -1 that metrics gives an unknown tracklet agrees with no object."""
+        extra = {"appearance": np.zeros((3, 4)), "probs": [1.0]} if cls is Tracklet else {}
+        with pytest.raises(DataError, match=f"^{cls.kind} 2: category -1 outside vocab"):
+            make_gt(2, 0, 3, 10, (0.1, 0.1, 0.2, 0.2), -1, cls, **extra)
 
     def test_carries_no_features_or_probs(self):
         g = make_gt(0, 0, 3, 10, (0.1, 0.1, 0.2, 0.2))

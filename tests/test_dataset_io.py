@@ -259,6 +259,21 @@ class TestValidation:
         with pytest.raises(DataError, match="out of range"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("ref", ["../elsewhere/x.trkf#0", "{outside}#0"],
+                             ids=["parent_dir", "absolute"])
+    def test_features_must_name_the_videos_own_file(self, tmp_path, ref):
+        """A valid TRKF file outside the dataset directory is never read."""
+        outside = tmp_path / "elsewhere" / "x.trkf"
+        outside.parent.mkdir()
+        write_feature_file(str(outside), np.ones((4, 3), dtype=np.float32))
+        ref = ref.format(outside=outside)
+        path = self._write_minimal(
+            tmp_path, lambda doc: doc["tracklets"][0].update(features=ref))
+        with pytest.raises(DataError, match=(
+                r"^video_v0.json: tracklets\[0\]: features reference .* must name "
+                "this video's file video_v0.trkf$")):
+            load_dataset(path)
+
     def test_predicate_outside_vocab(self, tmp_path):
         def add_rel(doc):
             doc["gt_objects"].append(dict(doc["gt_objects"][0], id=1))

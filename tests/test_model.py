@@ -11,7 +11,7 @@ from relformer.errors import ConfigError, DataError
 from relformer.features import init_tracklet_feature
 from relformer.model import (RelationModel, build_anchors, cross_attend, init_store,
                              normalize_attention, param_shapes, roi_pool_rows,
-                             roi_pool_weights, role_attention)
+                             role_attention)
 from relformer.nn import ParamStore, init_params, mlp_shapes, pooled_mlp_forward
 
 from conftest import widened
@@ -21,34 +21,35 @@ from oracles import double_softmax_oracle, mlp_oracle, roi_pool_oracle
 class TestAnchors:
     def test_reference_grid_yields_192(self):
         anchors = build_anchors(16, 12)
-        assert anchors.count == 192
-        s, e = anchors.slots.T  # every anchor is a valid slot
+        assert anchors.shape == (192, 2)
+        s, e = anchors.T  # every anchor is a valid slot
         assert np.all((0.0 <= s) & (s < e) & (e <= 1.0))
 
     def test_single_anchor_clamps(self):
         anchors = build_anchors(1, 1)
-        assert anchors.count == 1
-        np.testing.assert_allclose(anchors.slots[0], [0.5, 1.0])
+        assert anchors.shape == (1, 2)
+        np.testing.assert_allclose(anchors[0], [0.5, 1.0])
 
     def test_invalid_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            build_anchors(0, 3)
+        for field in ("m_c", "m_d"):
+            with pytest.raises(ConfigError, match=f"model.{field} must be positive"):
+                ModelConfig(**{field: 0})
 
     def test_center_duration_structure(self):
         anchors = build_anchors(4, 2)
         # first anchor: center 1/4, duration 1/2 -> (0, 0.5)
-        np.testing.assert_allclose(anchors.slots[0], [0.0, 0.5])
+        np.testing.assert_allclose(anchors[0], [0.0, 0.5])
         # last anchor: center 1, duration 1 -> clamped (0.5, 1)
-        np.testing.assert_allclose(anchors.slots[-1], [0.5, 1.0])
+        np.testing.assert_allclose(anchors[-1], [0.5, 1.0])
 
 
 def pool_one(feat, track: TimeSlot, query: TimeSlot, frame_count, l_roi):
-    """(l_roi, d) pooled rows of one tracklet-query pair via roi_pool_weights."""
+    """(l_roi, d) pooled rows of one tracklet-query pair via roi_pool_rows."""
     t0, t1 = track.frame_span(frame_count)
-    w = roi_pool_weights((track.start, track.end), t0, t1 - t0,
-                         np.array([[query.start, query.end]]), frame_count, l_roi,
-                         np.float64)
-    return w[0] @ feat
+    rows, index = roi_pool_rows((track.start, track.end), t0, t1 - t0,
+                                np.array([[query.start, query.end]]), frame_count, l_roi,
+                                np.float64)
+    return rows[index[0]] @ feat
 
 
 class TestRoiPooling:
@@ -100,8 +101,8 @@ class TestRoiPooling:
         slots = rng.uniform(0.0, 1.0, size=(40, 2))
         slots.sort(axis=1)
         slots[:, 1] = np.maximum(slots[:, 1], slots[:, 0] + 1e-3)
-        w = roi_pool_weights((0.2, 0.7), 4, 10, slots, 20, 7, np.float64)
-        sums = w.sum(axis=2)
+        rows, index = roi_pool_rows((0.2, 0.7), 4, 10, slots, 20, 7, np.float64)
+        sums = rows[index].sum(axis=2)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
 
 
@@ -366,7 +367,7 @@ class TestFullModel:
         frame_count = ctx.sample.frame_count
         for w, span in zip(expanded_pool_weights(ctx), ctx.spans):
             feat = rng.normal(size=(span[1] - span[0], 3))
-            for q, (qs, qe) in enumerate(model.anchors.slots):
+            for q, (qs, qe) in enumerate(model.anchors):
                 want = roi_pool_oracle(feat, span, TimeSlot(qs, qe).frame_span(frame_count),
                                        cfg.l_roi)
                 np.testing.assert_allclose(w[q] @ feat, want, atol=1e-12)
@@ -382,8 +383,8 @@ class TestFullModel:
         assert len(rows) == ctx.n
         for w, (t0, t1) in zip(rows, ctx.spans):
             assert w.shape[1:] == (toy_model_config.l_roi, t1 - t0)
-            assert 1 <= len(w) <= model.anchors.count
-        assert index.shape == (model.anchors.count, ctx.n)
+            assert 1 <= len(w) <= len(model.anchors)
+        assert index.shape == (len(model.anchors), ctx.n)
         assert sorted(set(index.ravel())) == list(range(sum(len(w) for w in rows)))
         again = model.forward(ctx)
         assert ctx.pool_rows is rows and ctx.pool_index is index
@@ -454,7 +455,7 @@ class TestFullModel:
         per_frame = model._per_frame_features(ctx)
         values = model.build_value_matrix(ctx, per_frame, "decoder.layer0").data
         values = values[ctx.pool_index]
-        anchors = model.anchors.slots
+        anchors = model.anchors
         disjoint = (np.maximum(anchors[:, None, 0], ctx.slots[None, :, 0])
                     >= np.minimum(anchors[:, None, 1], ctx.slots[None, :, 1]))
         assert 0 < disjoint.sum() < disjoint.size
@@ -473,7 +474,7 @@ class TestFullModel:
                                                   spans, project_first):
         _, vocab = toy_dataset
         model, ctx, frames = value_matrix_case(toy_model_config, vocab, spans)
-        frame_count, slots, cfg = ctx.sample.frame_count, model.anchors.slots, model.cfg
+        frame_count, slots, cfg = ctx.sample.frame_count, model.anchors, model.cfg
         p = "decoder.layer0.value_mlp"
         values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
         rows = [len(w) for w in ctx.pool_rows]
@@ -532,7 +533,7 @@ class TestValueMatrixDedupe:
         """(m, n, d_v) from ``pooled_mlp_forward`` over the m*n expanded rows."""
         out = pooled_mlp_forward(model.store, f"{prefix}.value_mlp", frames,
                                  expanded_pool_weights(ctx))
-        return ad.transpose(ad.reshape(out, (ctx.n, model.anchors.count, -1)), (1, 0, 2))
+        return ad.transpose(ad.reshape(out, (ctx.n, len(model.anchors), -1)), (1, 0, 2))
 
     @pytest.mark.parametrize("spans,project_first", [
         (PROJECT_FIRST_SPANS, True), (POOL_FIRST_SPANS, False)],
@@ -544,7 +545,7 @@ class TestValueMatrixDedupe:
         values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
         values = values[ctx.pool_index]
         unique = [len(w) for w in ctx.pool_rows]
-        dense = [model.anchors.count] * ctx.n
+        dense = [len(model.anchors)] * ctx.n
         assert sum(unique) < sum(dense)
         # both paths contract in the same order, so they agree bit for bit
         for rows in (unique, dense):
@@ -557,7 +558,7 @@ class TestValueMatrixDedupe:
         model.forward(ctx)
         unique = [len(w) for w in ctx.pool_rows]
         assert not ad.project_first(*rule_args(model, ctx, frames, unique))
-        dense = [model.anchors.count] * ctx.n
+        dense = [len(model.anchors)] * ctx.n
         assert ad.project_first(*rule_args(model, ctx, frames, dense))
 
     @pytest.mark.parametrize("spans", [PROJECT_FIRST_SPANS, POOL_FIRST_SPANS,
@@ -573,7 +574,7 @@ class TestValueMatrixDedupe:
         p = "decoder.layer0.value_mlp"
         params = [frames] + [model.store[f"{p}.{name}"] for name in ("w1", "b1", "w2", "b2")]
         scale = np.random.default_rng(5).normal(
-            size=(model.anchors.count, ctx.n, toy_model_config.d_v))
+            size=(len(model.anchors), ctx.n, toy_model_config.d_v))
 
         def grads(values):
             return backward(ad.tsum(ad.mul(ad.square(values), scale)), params)
@@ -589,17 +590,19 @@ class TestValueMatrixDedupe:
     def test_key_count_equals_unique_weight_rows(self, toy_model_config, toy_dataset,
                                                  grid):
         """The (f0, f1) key finds exactly the distinct rows of the dense
-        weights, and fanning them out rebuilds those weights bit for bit."""
+        weights, each slot's built on its own, and fanning them out rebuilds
+        those weights bit for bit."""
         samples, vocab = toy_dataset
         cfg = dataclasses.replace(toy_model_config, m_c=grid[0], m_d=grid[1])
         model = make_model(cfg, vocab, 3)
-        slots, total, pairs = model.anchors.slots, 0, 0
+        slots, total, pairs = model.anchors, 0, 0
         for sample in samples:
             ctx = model.build_context(sample)
             for (s, e), (t0, t1) in zip(ctx.slots, ctx.spans):
                 args = ((s, e), t0, t1 - t0, slots, sample.frame_count, cfg.l_roi,
                         model.store.dtype)
-                dense = roi_pool_weights(*args)
+                dense = np.concatenate([roi_pool_rows(*args[:3], slots[q:q + 1], *args[4:])[0]
+                                        for q in range(len(slots))])
                 rows, inverse = roi_pool_rows(*args)
                 assert len(rows) == len(np.unique(dense.reshape(len(slots), -1), axis=0))
                 assert np.array_equal(rows[inverse], dense)

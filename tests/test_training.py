@@ -146,7 +146,7 @@ class TestLossGradient:
             t.data += rng.normal(scale=0.05, size=t.shape)
         model = RelationModel(cfg, vocab, store)
         ctx = model.build_context(sample)
-        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), model.anchors.count,
+        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), len(model.anchors),
                                  model.store.dtype)
         assert len(gt.predicates) > 0
         with_graph = video_loss(model, ctx, gt, 1.0, 30.0)
@@ -183,7 +183,7 @@ class TestGradientCoverage:
         store = widened(init_store(toy_model_config, vocab, 3))
         model = RelationModel(toy_model_config, vocab, store)
         assignment = assign_tracklets_to_gt(sample)
-        gt = build_gt_predicates(sample, assignment, model.anchors.count, model.store.dtype)
+        gt = build_gt_predicates(sample, assignment, len(model.anchors), model.store.dtype)
         assert len(gt.predicates) > 0
         loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
         names = [name for name, _ in model.store.trainable_items()]
@@ -202,7 +202,7 @@ class TestGraphMemory:
         samples, vocab = toy_dataset
         sample = samples[0]
         model = RelationModel(cfg, vocab, init_store(cfg, vocab, 3))
-        m, n = model.anchors.count, len(sample.tracklets)
+        m, n = len(model.anchors), len(sample.tracklets)
         gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), m, model.store.dtype)
         loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
         seen, todo, shapes = set(), [loss], set()
@@ -258,7 +258,7 @@ class TestGraphDtype:
         grads = None
         for sample in samples[:2]:
             gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample),
-                                     model.anchors.count, model.store.dtype)
+                                     len(model.anchors), model.store.dtype)
             loss = ad.mul(video_loss(model, model.build_context(sample), gt, 1.0, 30.0), 0.5)
             assert float64_arrays(loss) == []
             grads = ad.backward(loss, params, grads)
