@@ -4,12 +4,17 @@ Every command takes an optional JSON config file (flags override file values,
 file values override defaults) and produces byte-identical outputs for
 identical flags, seed, and inputs. Exit codes: 0 success, 2 config/usage
 error, 3 data or checkpoint incompatibility, 4 numerical abort.
+
+``main`` runs numpy's OpenBLAS on one thread before it does anything else:
+a product split over BLAS threads can round differently, so otherwise the
+bytes would depend on ``OPENBLAS_NUM_THREADS`` and the core count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +32,27 @@ from .metrics import evaluate
 from .model import RelationModel, init_store
 from .synth import synth_generate
 from .training import train_loop
+
+
+# OpenBLAS's thread-count setter under its plain, 64-bit-integer and
+# scipy-openblas (numpy's wheels) symbol names.
+_BLAS_SETTERS = tuple(f"{prefix}_set_num_threads{suffix}"
+                      for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_"))
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's OpenBLAS on one thread; a no-op under any other BLAS.
+
+    The setter is looked up through numpy's linear-algebra extension: a
+    symbol lookup on a library handle also searches the libraries it links,
+    and that extension links the BLAS numpy loaded.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in _BLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter(1)
+            return
 
 
 def _check_threads(threads: int) -> None:
@@ -235,6 +261,7 @@ _COMMANDS = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
 
 
 def main(argv: list[str] | None = None) -> int:
+    _pin_blas_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -3,8 +3,13 @@
 Frame-index convention used everywhere: a normalized slot (s, e) over a
 video with F frames covers the integer frames f0 = floor(s*F) up to, but
 excluding, f1 = max(ceil(e*F), f0 + 1), so every valid slot covers at least
-one frame, however narrow it is. ``TimeSlot.frame_span`` and the model's RoI
-pooling (``model._roi_frame_ranges``) apply this one rule.
+one frame, however narrow it is. A ``FRAME_GUARD`` of 1e-9 keeps exact frame
+fractions (k / F) on the frame they name despite float rounding, and f0 is
+clamped to the last frame of the span that holds the slot, so a slot that
+starts a float ulp below that span's end keeps its last frame instead of
+naming the frame past it. ``TimeSlot.frame_span`` (the span is the video) and
+the model's RoI pooling (``model._roi_frame_ranges``, the span is the
+tracklet's) apply this one rule.
 
 All types are immutable after construction; operations on distinct samples
 are safe to run concurrently.
@@ -20,6 +25,8 @@ import numpy as np
 
 from .errors import DataError
 
+FRAME_GUARD = 1e-9
+
 
 @dataclass(frozen=True)
 class TimeSlot:
@@ -34,13 +41,9 @@ class TimeSlot:
 
     def frame_span(self, frame_count: int) -> tuple[int, int]:
         """(first_frame, last_frame_exclusive) covered by this slot: at least
-        one frame, by the module's frame rule.
-
-        A 1e-9 guard keeps exact frame fractions (k / frame_count) on the
-        frame they name despite float rounding.
-        """
-        first = int(math.floor(self.start * frame_count + 1e-9))
-        return first, max(int(math.ceil(self.end * frame_count - 1e-9)), first + 1)
+        one frame of the video, by the module's frame rule."""
+        first = min(int(math.floor(self.start * frame_count + FRAME_GUARD)), frame_count - 1)
+        return first, max(int(math.ceil(self.end * frame_count - FRAME_GUARD)), first + 1)
 
     def frame_length(self, frame_count: int) -> int:
         a, b = self.frame_span(frame_count)

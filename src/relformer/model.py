@@ -9,8 +9,12 @@ subject/object attention maps normalized by a double softmax (over tracklets
 and over roles).
 
 Every decoder layer pools against the same anchors, so the pooling weights
-are per-video constants: they are computed on a video's first forward pass
-and kept on its VideoContext. The time slots are not refined per layer, and
+are per-video constants: they are computed on a video's first forward pass,
+for all its tracklets in one pass (``video_pool_rows``), and kept on its
+VideoContext. Likewise the decoder's start (the anchors' positional terms and
+layer 0's self-attention over the query embeddings) is a per-model constant:
+a frozen model computes it once, when it is built (``RelationModel``). The
+time slots are not refined per layer, and
 supervising slot boundaries (e.g. an L1 or temporal-IoU loss against the
 matched GT relation's slot) is out of scope; a slot regression fed only by
 the piecewise-constant RoI frame coverage would never get a gradient.
@@ -19,7 +23,7 @@ The value matrix is the decoder's hot path. A (query, tracklet) pair's
 pooling weights depend only on the frames its slot intersection covers, and
 many anchors cover the same frames of a tracklet (all of it, the same
 clamped range, or none). So each tracklet keeps only its u_i distinct
-pooling rows, found by that integer frame range (``roi_pool_rows``); the
+pooling rows, found by that integer frame range (``video_pool_rows``); the
 value MLP runs on the U = sum of u_i rows, and an (m, n) index names each
 (query, tracklet) pair's row. Cross-attention reads the rows through that
 index in one fused node (``autodiff.attend_rows``), so no (m, n, d_v) value
@@ -62,7 +66,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import VideoSample, Vocab
+from .data import FRAME_GUARD, VideoSample, Vocab
 from .errors import DataError
 from .features import init_tracklet_feature, pool_to_encoder_input, spatial_feature
 from .head import binarize_links, classeme, classify_predicates
@@ -96,76 +100,90 @@ def build_anchors(m_c: int, m_d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _roi_frame_ranges(track_slot: tuple[float, float], query_slots: np.ndarray,
-                     frame_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(valid, f0, f1) per query slot: whether it intersects the tracklet slot,
-    and the global frames [f0, f1) the intersection covers by the ``data``
-    module's frame rule (meaningful only where valid). A pair's pooling
-    weights depend on nothing else."""
-    s_i, e_i = track_slot
-    inter_s = np.maximum(query_slots[:, 0], s_i)
-    inter_e = np.minimum(query_slots[:, 1], e_i)
-    f0 = np.floor(inter_s * frame_count + 1e-9).astype(np.int64)
-    f1 = np.ceil(inter_e * frame_count - 1e-9).astype(np.int64)
+def _roi_frame_ranges(track_slots: np.ndarray, track_ends: np.ndarray,
+                     query_slots: np.ndarray, frame_count: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(valid, f0, f1), each (m, n): whether query slot q intersects tracklet
+    i's slot, and the global frames [f0, f1) the intersection covers by the
+    ``data`` module's frame rule, with f0 clamped to the tracklet's last frame
+    (``track_ends`` are the tracklets' exclusive end frames). Meaningful only
+    where valid. A pair's pooling weights depend on nothing else."""
+    inter_s = np.maximum(query_slots[:, None, 0], track_slots[None, :, 0])
+    inter_e = np.minimum(query_slots[:, None, 1], track_slots[None, :, 1])
+    f0 = np.minimum(np.floor(inter_s * frame_count + FRAME_GUARD).astype(np.int64),
+                    track_ends - 1)
+    f1 = np.ceil(inter_e * frame_count - FRAME_GUARD).astype(np.int64)
     return inter_s < inter_e, f0, np.maximum(f1, f0 + 1)
 
 
-def _range_pool_weights(valid: np.ndarray, f0: np.ndarray, f1: np.ndarray, t0: int,
-                        l_i: int, l_roi: int, dtype) -> np.ndarray:
-    """(u, l_roi, l_i) pooling weights of u frame ranges from ``_roi_frame_ranges``,
-    in ``dtype``; the bin geometry is float64."""
-    weights = np.zeros((len(valid), l_roi, l_i), dtype)
-    if not np.any(valid):
-        return weights
-    a = (f0 - t0).astype(np.float64)
-    b = (f1 - t0).astype(np.float64)
-
-    edges = a[:, None] + (b - a)[:, None] * (np.arange(l_roi + 1) / l_roi)[None, :]
-    centers = np.arange(l_i) + 0.5
-    member = ((centers[None, None, :] >= edges[:, :-1, None])
-              & (centers[None, None, :] < edges[:, 1:, None]))
-    counts = member.sum(axis=2)
-
-    with np.errstate(invalid="ignore"):
-        weights[:] = member / np.maximum(counts, 1)[:, :, None]
-
-    empty = (counts == 0) & valid[:, None]
-    if np.any(empty):
-        mid = (edges[:, :-1] + edges[:, 1:]) * 0.5
-        kf = np.floor(mid - 0.5)
-        d_lo = np.abs(kf + 0.5 - mid)
-        d_hi = np.abs(kf + 1.5 - mid)
-        nearest = np.where(d_lo <= d_hi, kf, kf + 1.0)
-        nearest = np.clip(nearest, a[:, None], b[:, None] - 1.0).astype(np.int64)
-        qs, bins = np.nonzero(empty)
-        weights[qs, bins, nearest[qs, bins]] = 1.0
-
-    weights[~valid] = 0.0
-    return weights
-
-
-def roi_pool_rows(track_slot: tuple[float, float], t0: int, l_i: int,
-                  query_slots: np.ndarray, frame_count: int,
-                  l_roi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pooling rows of one tracklet against m query slots:
-    (u, l_roi, l_i) weights in ``dtype`` and the (m,) index of each query
-    slot's row among them.
+def video_pool_rows(track_slots: np.ndarray, spans: np.ndarray, query_slots: np.ndarray,
+                    frame_count: int, l_roi: int, dtype
+                    ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct pooling rows of n tracklets against m query slots, built
+    in one pass: n blocks of (u_i, l_roi, l_i) weights in ``dtype``, and the
+    (m, n) index of each (query, tracklet) pair's row in their concatenation.
+    ``track_slots`` is (n, 2) and ``spans`` the (n, 2) global frame spans.
 
     The slot intersection is mapped to the tracklet's continuous frame
-    coordinates and cut into l_roi equal bins; a bin averages the frames
-    whose centers it covers and falls back to the nearest covered frame when
-    it covers none. Disjoint pairs get an all-zero row.
+    coordinates [a, b) and cut into l_roi equal bins; a bin averages the
+    frames whose centers it covers, with weight 1/count computed in float64,
+    and falls back to the nearest covered frame when it covers none.
+    Disjoint pairs get an all-zero row.
 
-    Two slots whose intersections with the tracklet cover the same frames,
-    or that both miss it, pool with the same weights, so the integer key
-    (f0, f1), or -1 for no intersection, finds them without comparing
-    weights. Only one slot per key has its weights built.
+    Two pairs of one tracklet whose intersections cover the same frames, or
+    that both miss it, pool with the same weights. So the integer key
+    (f0, f1), or 0 for no intersection, offset by the tracklet's column,
+    finds every distinct row of the video in one ``np.unique`` without
+    comparing weights. A tracklet's rows come in ascending key order, a
+    disjoint pair's first.
+
+    The bin edges are the float64 a + (b - a) * j / l_roi. A frame center
+    k + 0.5 lies at or above an edge e exactly when k >= ceil(e - 0.5), so
+    each bin's frames are the integer range between the rounded-up bounds
+    of its two edges, and the bins tile [a, b).
     """
-    valid, f0, f1 = _roi_frame_ranges(track_slot, query_slots, frame_count)
-    keys = np.where(valid, f0 * (frame_count + 2) + f1, -1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return (_range_pool_weights(valid[first], f0[first], f1[first], t0, l_i, l_roi, dtype),
-            inverse)
+    spans = np.asarray(spans, dtype=np.int64)
+    t0, lengths = spans[:, 0], spans[:, 1] - spans[:, 0]
+    m, n = len(query_slots), len(spans)
+    valid, f0, f1 = _roi_frame_ranges(track_slots, spans[:, 1], query_slots, frame_count)
+    width = frame_count + 2
+    keys = np.where(valid, 1 + f0 * width + f1, 0) + np.arange(n) * width * width
+    unique, inverse = np.unique(keys.ravel(), return_inverse=True)
+    track, key = np.divmod(unique, width * width)
+
+    row_size = l_roi * lengths[track]
+    row_base = np.cumsum(row_size) - row_size
+    flat = np.zeros(int(row_size.sum()), dtype)
+
+    v = np.flatnonzero(key)  # the rows of intersecting pairs; the others stay zero
+    tv = track[v]
+    a = (key[v] - 1) // width - t0[tv]
+    b = (key[v] - 1) % width - t0[tv]
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    edges = af[:, None] + (bf - af)[:, None] * (np.arange(l_roi + 1) / l_roi)[None, :]
+    counts = np.diff(np.ceil(edges - 0.5).astype(np.int64), axis=1)  # (V, l_roi)
+    base, length = row_base[v], lengths[tv]
+
+    # Member t of the covered frames of all rows, in row, bin, frame order,
+    # is frame a + t - first of its row, so its flat position is t plus an
+    # offset per (row, bin).
+    first = np.cumsum(b - a) - (b - a)
+    offsets = (base + a - first)[:, None] + np.arange(l_roi)[None, :] * length[:, None]
+    members = counts.ravel()
+    flat[np.repeat(offsets.ravel(), members) + np.arange(members.sum())] = np.repeat(
+        (1.0 / np.maximum(members, 1)).astype(dtype), members)
+
+    rows, bins = np.nonzero(counts == 0)
+    mid = (edges[rows, bins] + edges[rows, bins + 1]) * 0.5
+    kf = np.floor(mid - 0.5)
+    nearest = np.where(np.abs(kf + 0.5 - mid) <= np.abs(kf + 1.5 - mid), kf, kf + 1.0)
+    nearest = np.clip(nearest, af[rows], bf[rows] - 1.0).astype(np.int64)
+    flat[base[rows] + bins * length[rows] + nearest] = 1.0
+
+    per_track = np.bincount(track, minlength=n)
+    blocks = np.split(flat, np.cumsum(per_track * l_roi * lengths)[:-1])
+    return ([block.reshape(u, l_roi, l) for block, u, l in zip(blocks, per_track, lengths)],
+            inverse.reshape(m, n).astype(np.int64, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +250,13 @@ class VideoContext:
 
     A context belongs to the model that built it: ``pool_rows[i]`` holds
     tracklet i's u_i distinct (l_roi, l_i) pooling weights against that
-    model's anchors (``roi_pool_rows``), and ``pool_index[q, i]`` is the row
-    of query q's weights in their concatenation, which is also the row of its
-    value among a layer's value rows. Both are filled on the first
-    forward pass rather than in ``build_context``, so building contexts for a
-    run that never runs a forward pass (``train --epochs 0``) stays cheap.
+    model's anchors, and ``pool_index[q, i]`` is the row of query q's weights
+    in their concatenation, which is also the row of its value among a
+    layer's value rows. ``video_pool_rows`` builds both for all tracklets in
+    one pass, and the blocks are views of one array. Both are filled on the
+    first forward pass rather than in ``build_context``, so building
+    contexts for a run that never runs a forward pass (``train --epochs 0``)
+    stays cheap.
     """
 
     sample: VideoSample
@@ -247,10 +267,6 @@ class VideoContext:
     classemes: np.ndarray            # (n, d_w)
     pool_rows: list[np.ndarray] | None = None   # n blocks of (u_i, l_roi, l_i)
     pool_index: np.ndarray | None = None        # (m, n) int, into the sum of u_i rows
-
-    @property
-    def n(self) -> int:
-        return len(self.sample.tracklets)
 
 
 @dataclass
@@ -320,6 +336,15 @@ class RelationModel:
     dtype, and builds its constants (spatial features, classemes, pooling
     weights, anchor positions) in it; the bin geometry of the pooling
     weights stays float64.
+
+    The decoder's start does not depend on the video: the anchors' positional
+    terms, and layer 0's self-attention over the query embeddings with its
+    residual and the ``ln2`` that follows (``_decoder_prefix``). When no
+    entry of the store requires a gradient (a loaded checkpoint), the store
+    is frozen, so the constructor computes that prefix once and every
+    forward reuses it; building it eagerly means ``eval --threads N`` workers
+    only read it. A trainable store runs the same code in each forward, so
+    its graph and gradients are those of an uncached decoder.
     """
 
     def __init__(self, cfg, vocab: Vocab, store: ParamStore):
@@ -327,6 +352,7 @@ class RelationModel:
         self.vocab = vocab
         self.anchors = build_anchors(cfg.m_c, cfg.m_d)
         self.store = store
+        self._prefix = None if store.trainable_items() else self._decoder_prefix()
 
     # -- construction helpers ------------------------------------------------
 
@@ -376,37 +402,48 @@ class RelationModel:
         index, so no (m, n, d_v) matrix is built.
 
         The distinct pooling rows against the anchors and the index are
-        computed on the first call for a context and kept on it as
-        ``ctx.pool_rows`` and ``ctx.pool_index``.
+        computed on the first call for a context, for all its tracklets in
+        one ``video_pool_rows`` pass, and kept on it as ``ctx.pool_rows``
+        and ``ctx.pool_index``.
         """
         if ctx.pool_rows is None:
-            rows, index, offset = [], np.empty((len(self.anchors), ctx.n), np.int64), 0
-            for i, (slot, (t0, t1)) in enumerate(zip(ctx.slots, ctx.spans)):
-                w, inverse = roi_pool_rows(slot, t0, t1 - t0, self.anchors,
-                                           ctx.sample.frame_count, self.cfg.l_roi,
-                                           self.store.dtype)
-                rows.append(w)
-                index[:, i] = offset + inverse
-                offset += len(w)
+            rows, index = video_pool_rows(ctx.slots, ctx.spans, self.anchors,
+                                          ctx.sample.frame_count, self.cfg.l_roi,
+                                          self.store.dtype)
             ctx.pool_index = index
             ctx.pool_rows = rows
         return pooled_mlp_forward(self.store, f"{prefix}.value_mlp", frames, ctx.pool_rows)
 
+    def _self_attend(self, x: Tensor, pos: Tensor, p: str) -> tuple[Tensor, Tensor]:
+        """Decoder layer ``p``'s self-attention with its residual, and the
+        ``ln2`` output that feeds its cross-attention."""
+        store = self.store
+        h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
+        qk = h + pos
+        x = x + multi_head_attention(store, f"{p}.self_attn", qk, qk, h, self.cfg.heads)
+        return x, layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
+
+    def _decoder_prefix(self) -> tuple[Tensor, Tensor, Tensor]:
+        """(pos, x, h): the anchors' positional terms, and layer 0's
+        ``_self_attend`` over the query embeddings. None of them depends on
+        the video."""
+        store = self.store
+        pos = ad.matmul(ad.constant(self.anchors.astype(store.dtype)),
+                        store["decoder.pos_proj"])
+        return (pos, *self._self_attend(store["decoder.query_embed"], pos, "decoder.layer0"))
+
     def decode(self, ctx: VideoContext, frames: Tensor, h_enc: Tensor,
                ) -> tuple[Tensor, Tensor]:
-        """Run the decoder stack; returns (queries, normalized attention)."""
+        """Run the decoder stack; returns (queries, normalized attention).
+        Layer 0 starts from the frozen model's prefix, or from one computed
+        for this forward when the store trains."""
         cfg, store = self.cfg, self.store
-        pos = ad.matmul(ad.constant(self.anchors.astype(self.store.dtype)),
-                        store["decoder.pos_proj"])
-        x = store["decoder.query_embed"]
+        pos, x, h = self._prefix or self._decoder_prefix()
         attn_norm = None
         for k in range(cfg.L_d):
             p = f"decoder.layer{k}"
-            h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
-            qk = h + pos
-            x = x + multi_head_attention(store, f"{p}.self_attn", qk, qk, h, cfg.heads)
-
-            h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
+            if k:
+                x, h = self._self_attend(x, pos, p)
             values = self.build_value_matrix(ctx, frames, p)
             raw = role_attention(h, h_enc, store, p)
             attn_norm = normalize_attention(raw)

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from relformer import nn, training
 from relformer.checkpoint import load_checkpoint
 from relformer.cli import _load_model, main
 from relformer.config import load_config
+from relformer.data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
 from relformer.dataset_io import load_dataset, save_dataset, write_feature_file
 from relformer.model import RelationModel
 from relformer.synth import PREDICATE_RULES
@@ -206,7 +211,7 @@ class TestDeterminism:
             ctx = model.build_context(sample)
             model.forward(ctx)
             rows = sum(len(w) for w in ctx.pool_rows)
-            assert rows < len(model.anchors) * ctx.n
+            assert rows < len(model.anchors) * len(ctx.spans)
             assert ctx.pool_index.max() == rows - 1
 
     def test_eval_and_infer_draw_no_initial_weights(self, tiny_run, monkeypatch):
@@ -758,3 +763,69 @@ class TestReadmeQuickStart:
         cfg = write_config(tmp_path, README_TOY)
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "data"),
                      "--videos", "8", "--seed", str(seed)]) == 0
+
+
+class TestTrackletEndingAnUlpAfterAnAnchorStart:
+    """A 36-frame video with a tracklet on (0, 15/36): the 16x12 grid has an
+    anchor that starts one float ulp below 15/36, so the slot intersection's
+    first frame rounds to frame 15, one past the tracklet. The pooling clamps
+    it into the tracklet, to frame 14."""
+
+    def write_dataset(self, directory) -> None:
+        rng = np.random.default_rng(3)
+        frame_count, d_a = 36, TINY["model"]["d_a"]
+        objects, tracklets = [], []
+        for tid, (end, box) in enumerate(((15, [0.1, 0.1, 0.4, 0.4]),
+                                          (36, [0.5, 0.5, 0.9, 0.9]))):
+            slot, boxes = TimeSlot(0.0, end / frame_count), np.tile(box, (end, 1))
+            objects.append(GtObject(id=tid, slot=slot, boxes=boxes, category=tid))
+            tracklets.append(Tracklet(id=tid, slot=slot, boxes=boxes, category=tid,
+                                      appearance=rng.normal(size=(end, d_a)),
+                                      probs=np.eye(2)[tid]))
+        relation = GtRelation(subject_gt_id=0, object_gt_id=1, predicate=0,
+                              slot=TimeSlot(0.0, 15 / frame_count))
+        sample = VideoSample(video_id="0000", frame_count=frame_count, tracklets=tracklets,
+                             gt_objects=objects, gt_relations=[relation])
+        save_dataset(str(directory), [sample], Vocab(("person", "dog"), ("above",)))
+
+    def test_train_and_eval_run(self, tmp_path):
+        self.write_dataset(tmp_path / "data")
+        cfg = write_config(tmp_path, {**TINY, "model": {**TINY["model"], "m_c": 16,
+                                                        "m_d": 12}})
+        data = str(tmp_path / "data")
+        assert main(["train", "--config", cfg, "--data", data, "--out",
+                     str(tmp_path / "run"), "--epochs", "1", "--quiet"]) == 0
+        assert main(["eval", "--config", cfg, "--data", data, "--ckpt",
+                     str(tmp_path / "run" / "model.ckpt"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """``main`` runs OpenBLAS on one thread. Without that, the README's toy
+        model trained for one epoch on one 24-frame video writes another
+        checkpoint and other predictions at OPENBLAS_NUM_THREADS=2 than at 1.
+        The variable is read when numpy loads, so each run is a new process."""
+        cfg = write_config(tmp_path, {"model": README_TOY["model"],
+                                      "synth": {"d_a": 64, "frame_count": 24}})
+        data = str(tmp_path / "data")
+        src = str(Path(cli.__file__).resolve().parents[1])
+
+        def run(threads, *args):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "relformer.cli", *args], env=env,
+                           check=True, capture_output=True)
+
+        run(1, "synth", "--config", cfg, "--out", data, "--videos", "1", "--seed", "5")
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            run(threads, "train", "--config", cfg, "--data", data, "--out", str(out / "run"),
+                "--epochs", "1", "--quiet")
+            run(threads, "infer", "--config", cfg, "--data", data, "--ckpt",
+                str(out / "run" / "model.ckpt"), "--out", str(out / "preds"))
+            outputs.append([(out / "run" / name).read_bytes()
+                            for name in ("model.ckpt", "loss_trace.csv")]
+                           + [p.read_bytes() for p in sorted((out / "preds").iterdir())])
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]

@@ -44,10 +44,17 @@ class TestTimeSlot:
     def test_every_valid_slot_covers_a_frame(self):
         assert TimeSlot(0.551, 0.552).frame_length(10) == 1
 
+    def test_frame_span_stays_inside_the_video(self):
+        """A slot that starts a float ulp below the video's end keeps the
+        last frame; the 1e-9 guard alone would name frame 10 of 10."""
+        assert TimeSlot(1 - 1e-12, 1.0).frame_span(10) == (9, 10)
+        assert TimeSlot(np.nextafter(1.0, 0.0), 1.0).frame_span(36) == (35, 36)
+
     @given(st.integers(2, 400), st.integers(0, 399),
            st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
            st.floats(-15.0, 0.0))
     @example(10, 3, 0.0, -12.0)  # TimeSlot(0.3, 0.3 + 1e-12) over 10 frames
+    @example(10, 9, 1.0 - 1e-11, -12.0)  # starts 1e-12 below the video's end
     @settings(max_examples=300, deadline=None)
     def test_frame_span_is_the_roi_frame_rule(self, frame_count, frame, offset,
                                               log_width):
@@ -57,9 +64,10 @@ class TestTimeSlot:
         start = (min(frame, frame_count - 1) + offset) / frame_count
         end = min(start + 10.0 ** log_width, 1.0)
         assume(start < end)
-        valid, f0, f1 = _roi_frame_ranges((0.0, 1.0), np.array([[start, end]]), frame_count)
-        assert valid[0]
-        assert TimeSlot(start, end).frame_span(frame_count) == (int(f0[0]), int(f1[0]))
+        valid, f0, f1 = _roi_frame_ranges(np.array([[0.0, 1.0]]), np.array([frame_count]),
+                                          np.array([[start, end]]), frame_count)
+        assert valid[0, 0]
+        assert TimeSlot(start, end).frame_span(frame_count) == (int(f0[0, 0]), int(f1[0, 0]))
 
     def test_intersect(self):
         assert TimeSlot(0.0, 0.5).intersect(TimeSlot(0.5, 1.0)) is None

@@ -1,7 +1,12 @@
 import dataclasses
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relformer import autodiff as ad
 from relformer.autodiff import Tensor, backward
@@ -10,8 +15,8 @@ from relformer.data import TimeSlot, Tracklet, VideoSample
 from relformer.errors import ConfigError, DataError
 from relformer.features import init_tracklet_feature
 from relformer.model import (RelationModel, build_anchors, cross_attend, init_store,
-                             normalize_attention, param_shapes, roi_pool_rows,
-                             role_attention)
+                             normalize_attention, param_shapes, role_attention,
+                             video_pool_rows)
 from relformer.nn import ParamStore, init_params, mlp_shapes, pooled_mlp_forward
 
 from conftest import widened
@@ -43,12 +48,19 @@ class TestAnchors:
         np.testing.assert_allclose(anchors[-1], [0.5, 1.0])
 
 
+def track_pool_rows(track_slot, span, query_slots, frame_count, l_roi, dtype):
+    """One tracklet's distinct pooling rows against m query slots and the
+    (m,) row of each slot among them, via ``video_pool_rows``."""
+    [rows], index = video_pool_rows(np.array([track_slot]), np.array([span]), query_slots,
+                                    frame_count, l_roi, dtype)
+    return rows, index[:, 0]
+
+
 def pool_one(feat, track: TimeSlot, query: TimeSlot, frame_count, l_roi):
-    """(l_roi, d) pooled rows of one tracklet-query pair via roi_pool_rows."""
-    t0, t1 = track.frame_span(frame_count)
-    rows, index = roi_pool_rows((track.start, track.end), t0, t1 - t0,
-                                np.array([[query.start, query.end]]), frame_count, l_roi,
-                                np.float64)
+    """(l_roi, d) pooled rows of one tracklet-query pair via track_pool_rows."""
+    rows, index = track_pool_rows((track.start, track.end), track.frame_span(frame_count),
+                                  np.array([[query.start, query.end]]), frame_count, l_roi,
+                                  np.float64)
     return rows[index[0]] @ feat
 
 
@@ -101,9 +113,77 @@ class TestRoiPooling:
         slots = rng.uniform(0.0, 1.0, size=(40, 2))
         slots.sort(axis=1)
         slots[:, 1] = np.maximum(slots[:, 1], slots[:, 0] + 1e-3)
-        rows, index = roi_pool_rows((0.2, 0.7), 4, 10, slots, 20, 7, np.float64)
+        rows, index = track_pool_rows((0.2, 0.7), (4, 14), slots, 20, 7, np.float64)
         sums = rows[index].sum(axis=2)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
+
+
+@st.composite
+def pooling_cases(draw):
+    """A frame count, 1-4 tracklets on frame fractions, an anchor grid plus up
+    to three free query slots, and l_roi."""
+    frame_count = draw(st.integers(3, 60))
+    tracks = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, frame_count - 2))
+        tracks.append((a, draw(st.integers(a + 2, frame_count))))
+    grid = (draw(st.integers(1, 16)), draw(st.integers(1, 12)))
+    extra = [sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+                                  unique=True)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return frame_count, tracks, grid, extra, draw(st.integers(1, 8))
+
+
+class TestVideoPoolRows:
+    """All of a video's pooling rows come from one ``video_pool_rows`` pass."""
+
+    @given(pooling_cases())
+    @example((36, [(0, 15), (0, 36)], (16, 12), [], 8))  # an anchor starts an ulp below 15/36
+    @example((7, [(2, 4)], (3, 2), [[0.0, 0.1]], 8))     # disjoint pairs, bins with no centre
+    @settings(max_examples=100, deadline=None)
+    def test_pooled_features_match_the_oracle(self, case):
+        frame_count, tracks, grid, extra, l_roi = case
+        slots = np.array([[a / frame_count, b / frame_count] for a, b in tracks])
+        queries = np.concatenate([build_anchors(*grid), np.reshape(extra, (-1, 2))])
+        rows, index = video_pool_rows(slots, np.array(tracks), queries, frame_count, l_roi,
+                                      np.float64)
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        rng = np.random.default_rng(frame_count)
+        for i, ((t0, t1), track_slot) in enumerate(zip(tracks, slots)):
+            feat = rng.normal(size=(t1 - t0, 3))
+            for q, query_slot in enumerate(queries):
+                inter = TimeSlot(*track_slot).intersect(TimeSlot(*query_slot))
+                q_span = (0, 0)
+                if inter is not None:
+                    f0, f1 = inter.frame_span(frame_count)
+                    q_span = (min(f0, t1 - 1), f1)
+                want = roi_pool_oracle(feat, (t0, t1), q_span, l_roi)
+                np.testing.assert_allclose(rows[i][index[q, i] - offsets[i]] @ feat, want,
+                                           atol=1e-12)
+
+    # sha256 of every toy video's pool_rows and pool_index bytes, in video
+    # order, as the per-tracklet loop that video_pool_rows replaced wrote them.
+    TOY_DIGESTS = {
+        ((3, 2), "float32"): "16e7875ee68f10d371ac943a854d520a736d04d68f81f5e34fe4fd7c4746a2f6",
+        ((3, 2), "float64"): "ce15e14553e37be77c83aad54d21a718dbc81d43ad36bfdfa8f9dce69789dc44",
+        ((16, 12), "float32"): "e0b314485e4bfcf1cc4a0d47714459e5cbefdcb34d0cb037e5def8d08b79c910",
+        ((16, 12), "float64"): "01f11d74c91a0a81a0cc76bf07ced3cf2fe3b1503a508520a3e6fcd78c050888",
+    }
+
+    @pytest.mark.parametrize("grid,dtype", sorted(TOY_DIGESTS))
+    def test_toy_pool_rows_are_pinned(self, toy_model_config, toy_dataset, grid, dtype):
+        samples, vocab = toy_dataset
+        cfg = dataclasses.replace(toy_model_config, m_c=grid[0], m_d=grid[1])
+        store = init_store(cfg, vocab, 3)
+        model = RelationModel(cfg, vocab, store if dtype == "float32" else widened(store))
+        digest = hashlib.sha256()
+        for sample in samples:
+            ctx = model.build_context(sample)
+            model.forward(ctx)
+            for rows in ctx.pool_rows:
+                digest.update(rows.tobytes())
+            digest.update(ctx.pool_index.tobytes())
+        assert digest.hexdigest() == self.TOY_DIGESTS[(grid, dtype)]
 
 
 class TestRoleAttention:
@@ -380,11 +460,11 @@ class TestFullModel:
         assert ctx.pool_rows is None and ctx.pool_index is None
         first = model.forward(ctx)
         rows, index = ctx.pool_rows, ctx.pool_index
-        assert len(rows) == ctx.n
+        assert len(rows) == len(ctx.spans)
         for w, (t0, t1) in zip(rows, ctx.spans):
             assert w.shape[1:] == (toy_model_config.l_roi, t1 - t0)
             assert 1 <= len(w) <= len(model.anchors)
-        assert index.shape == (len(model.anchors), ctx.n)
+        assert index.shape == (len(model.anchors), len(ctx.spans))
         assert sorted(set(index.ravel())) == list(range(sum(len(w) for w in rows)))
         again = model.forward(ctx)
         assert ctx.pool_rows is rows and ctx.pool_index is index
@@ -503,6 +583,79 @@ class TestFullModel:
         assert np.abs(g).max() > 0.0
 
 
+def frozen(store: ParamStore) -> ParamStore:
+    """``store``'s tensors with no entry requiring a gradient, as a loaded
+    checkpoint holds them."""
+    out = ParamStore()
+    for name, t in store.items():
+        out.add(name, t.data, trainable=False)
+    return out
+
+
+class TestDecoderPrefix:
+    """A frozen model computes the decoder's video-independent start once,
+    when it is built; a trainable store computes it in every forward."""
+
+    def test_frozen_model_equals_the_trainable_store_bit_for_bit(self, toy_model_config,
+                                                                 toy_dataset):
+        samples, vocab = toy_dataset
+        store = init_store(toy_model_config, vocab, 3)
+        trainable = RelationModel(toy_model_config, vocab, store)
+        fixed = RelationModel(toy_model_config, vocab, frozen(store))
+        for sample in samples:
+            want = trainable.forward(trainable.build_context(sample))
+            got = fixed.forward(fixed.build_context(sample))
+            assert want.probs._edges and not got.probs.requires_grad
+            assert got.probs.data.tobytes() == want.probs.data.tobytes()
+            assert got.attention.data.tobytes() == want.attention.data.tobytes()
+            assert got.links.tobytes() == want.links.tobytes()
+
+    def test_prefix_is_computed_once_per_frozen_model(self, toy_model_config, toy_dataset,
+                                                      monkeypatch):
+        samples, vocab = toy_dataset
+        calls = []
+        original = RelationModel._decoder_prefix
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RelationModel, "_decoder_prefix", counting)
+        store = init_store(toy_model_config, vocab, 3)
+        fixed = RelationModel(toy_model_config, vocab, frozen(store))
+        trainable = RelationModel(toy_model_config, vocab, store)
+        assert calls == [fixed]
+        for _ in range(2):
+            for sample in samples:
+                fixed.forward(fixed.build_context(sample))
+        assert calls == [fixed]
+        for sample in samples:
+            trainable.forward(trainable.build_context(sample))
+        assert calls == [fixed] + [trainable] * len(samples)
+
+    def test_threads_share_the_prefix_and_keep_the_bytes(self, toy_model_config,
+                                                         toy_dataset):
+        """More workers than cores, switching often, read one frozen model's
+        prefix at once; each video's outputs equal the sequential run's."""
+        samples, vocab = toy_dataset
+        fixed = RelationModel(toy_model_config, vocab,
+                              frozen(init_store(toy_model_config, vocab, 3)))
+
+        def run(sample):
+            out = fixed.forward(fixed.build_context(sample))
+            return out.probs.data.tobytes() + out.attention.data.tobytes()
+
+        want = [run(s) for s in samples]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(run, samples * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 4
+
+
 class TestFloat32Forward:
     def test_outputs_stay_within_the_measured_tolerance_of_float64(
             self, toy_model_config, toy_dataset):
@@ -533,7 +686,8 @@ class TestValueMatrixDedupe:
         """(m, n, d_v) from ``pooled_mlp_forward`` over the m*n expanded rows."""
         out = pooled_mlp_forward(model.store, f"{prefix}.value_mlp", frames,
                                  expanded_pool_weights(ctx))
-        return ad.transpose(ad.reshape(out, (ctx.n, len(model.anchors), -1)), (1, 0, 2))
+        return ad.transpose(ad.reshape(out, (len(ctx.spans), len(model.anchors), -1)),
+                            (1, 0, 2))
 
     @pytest.mark.parametrize("spans,project_first", [
         (PROJECT_FIRST_SPANS, True), (POOL_FIRST_SPANS, False)],
@@ -545,7 +699,7 @@ class TestValueMatrixDedupe:
         values = model.build_value_matrix(ctx, frames, "decoder.layer0").data
         values = values[ctx.pool_index]
         unique = [len(w) for w in ctx.pool_rows]
-        dense = [len(model.anchors)] * ctx.n
+        dense = [len(model.anchors)] * len(ctx.spans)
         assert sum(unique) < sum(dense)
         # both paths contract in the same order, so they agree bit for bit
         for rows in (unique, dense):
@@ -558,7 +712,7 @@ class TestValueMatrixDedupe:
         model.forward(ctx)
         unique = [len(w) for w in ctx.pool_rows]
         assert not ad.project_first(*rule_args(model, ctx, frames, unique))
-        dense = [len(model.anchors)] * ctx.n
+        dense = [len(model.anchors)] * len(ctx.spans)
         assert ad.project_first(*rule_args(model, ctx, frames, dense))
 
     @pytest.mark.parametrize("spans", [PROJECT_FIRST_SPANS, POOL_FIRST_SPANS,
@@ -574,7 +728,7 @@ class TestValueMatrixDedupe:
         p = "decoder.layer0.value_mlp"
         params = [frames] + [model.store[f"{p}.{name}"] for name in ("w1", "b1", "w2", "b2")]
         scale = np.random.default_rng(5).normal(
-            size=(len(model.anchors), ctx.n, toy_model_config.d_v))
+            size=(len(model.anchors), len(ctx.spans), toy_model_config.d_v))
 
         def grads(values):
             return backward(ad.tsum(ad.mul(ad.square(values), scale)), params)
@@ -599,11 +753,11 @@ class TestValueMatrixDedupe:
         for sample in samples:
             ctx = model.build_context(sample)
             for (s, e), (t0, t1) in zip(ctx.slots, ctx.spans):
-                args = ((s, e), t0, t1 - t0, slots, sample.frame_count, cfg.l_roi,
+                args = ((s, e), (t0, t1), slots, sample.frame_count, cfg.l_roi,
                         model.store.dtype)
-                dense = np.concatenate([roi_pool_rows(*args[:3], slots[q:q + 1], *args[4:])[0]
+                dense = np.concatenate([track_pool_rows(*args[:2], slots[q:q + 1], *args[3:])[0]
                                         for q in range(len(slots))])
-                rows, inverse = roi_pool_rows(*args)
+                rows, inverse = track_pool_rows(*args)
                 assert len(rows) == len(np.unique(dense.reshape(len(slots), -1), axis=0))
                 assert np.array_equal(rows[inverse], dense)
                 total, pairs = total + len(rows), pairs + len(slots)
