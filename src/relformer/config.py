@@ -120,6 +120,11 @@ _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "synth": SynthConfig,
              "eval": EvalConfig}
 
 
+# List field type -> (item check, what the items must be).
+_LIST_ITEMS = {tuple[int, ...]: (_is_int, "integers"),
+               tuple[str, ...]: (lambda v: isinstance(v, str), "strings")}
+
+
 def _build_section(cls, payload: dict, section: str):
     hints = typing.get_type_hints(cls)  # field name -> type
     unknown = sorted(set(payload) - set(hints))
@@ -135,9 +140,10 @@ def _build_section(cls, payload: dict, section: str):
             raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
         if hints[key] == float | None and not (value is None or _is_number(value)):
             raise ConfigError(f"{section}.{key} must be a number or null, got {value!r}")
-        if hints[key] == tuple[int, ...] and not (
-                isinstance(value, tuple) and all(_is_int(k) for k in value)):
-            raise ConfigError(f"{section}.{key} must be a list of integers, got {value!r}")
+        if hints[key] in _LIST_ITEMS:
+            is_item, items = _LIST_ITEMS[hints[key]]
+            if not (isinstance(value, tuple) and all(is_item(k) for k in value)):
+                raise ConfigError(f"{section}.{key} must be a list of {items}, got {value!r}")
         coerced[key] = value
     try:
         return cls(**coerced)

@@ -7,9 +7,9 @@ one frame, however narrow it is. A ``FRAME_GUARD`` of 1e-9 keeps exact frame
 fractions (k / F) on the frame they name despite float rounding, and f0 is
 clamped to the last frame of the span that holds the slot, so a slot that
 starts a float ulp below that span's end keeps its last frame instead of
-naming the frame past it. ``TimeSlot.frame_span`` (the span is the video) and
-the model's RoI pooling (``model._roi_frame_ranges``, the span is the
-tracklet's) apply this one rule.
+naming the frame past it. ``TimeSlot.frame_span`` (the span is the video),
+``restrict_track`` and the model's RoI pooling (``model._roi_frame_ranges``;
+the span is the track's) apply this one rule.
 
 All types are immutable after construction; operations on distinct samples
 are safe to run concurrently.
@@ -242,12 +242,17 @@ class BoxTrack:
 
 
 def restrict_track(track, slot: TimeSlot, frame_count: int) -> BoxTrack | None:
-    """The sub-track of ``track`` over ``slot`` (None if no temporal overlap)."""
+    """The sub-track of ``track`` over ``slot`` (None if no temporal overlap):
+    the frames of the two slots' intersection by the module's frame rule, the
+    span that holds it being the track's."""
     inter = track.slot.intersect(slot)
     if inter is None:
         return None
-    t0, _ = track.slot.frame_span(frame_count)
+    t0, t1 = track.slot.frame_span(frame_count)
     f0, f1 = inter.frame_span(frame_count)
+    if f0 >= t1:  # starts a float ulp below the track's end: keep its last frame
+        f0, f1 = t1 - 1, t1
+        inter = TimeSlot(f0 / frame_count, f1 / frame_count)
     return BoxTrack(inter, track.boxes[f0 - t0:f1 - t0])
 
 

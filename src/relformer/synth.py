@@ -125,6 +125,9 @@ class SynthConfig:
             raise ConfigError(f"synth.rules: unknown rule names {unknown}")
         if not self.rules:
             raise ConfigError("synth.rules must not be empty")
+        repeated = sorted({r for r in self.rules if self.rules.count(r) > 1})
+        if repeated:
+            raise ConfigError(f"synth.rules: repeated rule names {repeated}")
         for name in ("box_jitter", "prob_noise", "feature_noise"):
             value = getattr(self, name)
             # Asks for the valid case, so NaN fails it too.

@@ -5,10 +5,10 @@ The k real GT relations of a video are matched to k of the m predictions;
 nothing pads them to m. The matching cost of a (GT, prediction) pair
 combines the negative predicate log-probability and a binary cross-entropy
 on the normalized role attention (clamped into [1e-7, 1-1e-7], averaged over
-the 2n entries). It is built once, as a (k, m) autodiff tensor: the
-Hungarian step reads its values, and the loss sums its matched entries plus
-the no-relation classification of the m - k unmatched predictions. The
-assignment itself is treated as a constant.
+the 2n entries). It is a constant (k, m) array that only the Hungarian step
+reads; the loss is built from the assignment alone: the link BCE of the k
+matched predictions, and the classification of all m predictions against
+their matched GT predicate or no-relation.
 
 A train step back-propagates each video's loss, scaled by 1/batch, straight
 after its forward, carrying the batch's gradient sums from one video to the
@@ -71,20 +71,17 @@ def build_gt_predicates(sample: VideoSample, assignment: dict[int, list[int]],
     return GtTargets(predicates=predicates, links=links)
 
 
-def cost_matrix(gt: GtTargets, log_probs: Tensor, attention: Tensor,
-                lambda_cls: float, lambda_att: float) -> Tensor:
-    """(k, m) matching costs, rows = GT relations, columns = predictions.
-
-    ``log_probs`` is the (m, R+1) clamped log-probability, ``attention`` the
-    (2, m, n) normalized role attention.
-    """
+def cost_matrix(gt: GtTargets, probs: np.ndarray, attention: np.ndarray,
+                lambda_cls: float, lambda_att: float) -> np.ndarray:
+    """(k, m) matching costs, rows = GT relations, columns = predictions, from
+    the (m, R+1) ``probs`` and the (2, m, n) role ``attention``, in the
+    attention's dtype. A constant: ``total_loss`` builds the graph."""
     _, m, n = attention.shape
-    columns = ad.transpose(ad.reshape(ad.transpose(attention, (1, 0, 2)), (m, 2 * n)))
-    a = ad.clip(columns, BCE_CLAMP, 1.0 - BCE_CLAMP)  # (2n, m)
+    a = np.clip(attention.transpose(1, 0, 2).reshape(m, 2 * n).T, BCE_CLAMP, 1.0 - BCE_CLAMP)
     targets = gt.links.transpose(1, 0, 2).reshape(-1, 2 * n)  # (k, 2n)
-    bce = ad.neg(ad.matmul(targets, ad.log(a)) + ad.matmul(1.0 - targets, ad.log(1.0 - a)))
-    cls = ad.transpose(log_probs[:, gt.predicates])
-    return ad.mul(cls, -lambda_cls) + ad.mul(ad.div(bce, 2 * n), lambda_att)
+    bce = -(targets @ np.log(a) + (1.0 - targets) @ np.log(1.0 - a))
+    cls = np.log(np.clip(probs, BCE_CLAMP, 1.0))[:, gt.predicates].T
+    return cls * -lambda_cls + bce / (2 * n) * lambda_att
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -98,23 +95,26 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def total_loss(cost: Tensor, log_probs: Tensor, sigma: np.ndarray,
-               lambda_cls: float) -> Tensor:
-    """Training loss of one video under the assignment sigma: the matched
-    costs plus the no-relation classification of every unmatched prediction."""
-    k, m = cost.shape
-    unmatched = np.setdiff1d(np.arange(m), sigma)
-    no_relation = log_probs.shape[1] - 1
-    background = ad.mul(ad.tsum(log_probs[unmatched, no_relation]), -lambda_cls)
-    return ad.tsum(cost[np.arange(k), sigma]) + background
+def total_loss(gt: GtTargets, probs: Tensor, attention: Tensor, sigma: np.ndarray,
+               lambda_cls: float, lambda_att: float) -> Tensor:
+    """Loss of one video under the assignment sigma: the link BCE of the k matched
+    predictions plus the classification of all m (no-relation if unmatched)."""
+    _, m, n = attention.shape
+    a = ad.clip(attention[:, sigma, :], BCE_CLAMP, 1.0 - BCE_CLAMP)  # (2, k, n)
+    bce = ad.tsum(ad.mul(gt.links, ad.log(a))) + ad.tsum(ad.mul(1.0 - gt.links, ad.log(1.0 - a)))
+    targets = np.full(m, probs.shape[1] - 1)  # no-relation
+    targets[sigma] = gt.predicates
+    p = ad.clip(probs[np.arange(m), targets], BCE_CLAMP, 1.0)
+    cls = ad.mul(ad.tsum(ad.log(p)), -lambda_cls)
+    return ad.mul(ad.div(ad.neg(bce), 2 * n), lambda_att) + cls
 
 
 def video_loss(model: RelationModel, ctx: VideoContext, gt: GtTargets,
                lambda_cls: float, lambda_att: float) -> Tensor:
-    output = model.forward(ctx)
-    log_probs = ad.log(ad.clip(output.probs, BCE_CLAMP, 1.0))
-    cost = cost_matrix(gt, log_probs, output.attention, lambda_cls, lambda_att)
-    return total_loss(cost, log_probs, hungarian(cost.data), lambda_cls)
+    """Forward, Hungarian matching on the constant cost, then the set loss."""
+    out = model.forward(ctx)
+    cost = cost_matrix(gt, out.probs.data, out.attention.data, lambda_cls, lambda_att)
+    return total_loss(gt, out.probs, out.attention, hungarian(cost), lambda_cls, lambda_att)
 
 
 def _require_finite(names: list[str], arrays: list[np.ndarray], what: str,

@@ -177,7 +177,7 @@ class TestDeterminism:
         assert blob_digest(out / "model.ckpt") == (
             "11ee977f2a2ba02c788da22ea3e494e2b55a41756c3062c89fe020c2f3d8b21b")
         assert hashlib.sha256((out / "loss_trace.csv").read_bytes()).hexdigest() == (
-            "b17854fb9a5621a4680497926713e57bbad7b26814a6e2d36510c7430a07df5f")
+            "51785f7ea04fafc0e8e1287f7d8ddbfab9b240f539133f61ab78073823930048")
 
     def test_untrained_forward_outputs_are_pinned(self, tiny_run):
         """eval and infer of the pinned untrained checkpoint: the forward pass

@@ -71,6 +71,19 @@ class TestIntegerFields:
         assert cfg.train.max_grad_norm == 1
 
 
+class TestSynthRules:
+    @pytest.mark.parametrize("value", [[["above"]], ["above", 3], "above"])
+    def test_non_string_rules_are_a_config_error(self, tmp_path, value):
+        path = write_config(tmp_path, {"synth": {"rules": value}})
+        with pytest.raises(ConfigError, match="synth.rules must be a list of strings"):
+            load_config(path)
+
+    def test_repeated_rule_is_a_config_error(self, tmp_path):
+        path = write_config(tmp_path, {"synth": {"rules": ["above", "bigger", "above"]}})
+        with pytest.raises(ConfigError, match=r"synth.rules: repeated rule names \['above'\]"):
+            load_config(path)
+
+
 # Every float field of the four sections; ``max_grad_norm`` may also be null.
 FLOAT_FIELDS = [("train", "lambda_cls"), ("train", "lambda_att"), ("train", "lr"),
                 ("train", "max_grad_norm"), ("synth", "box_jitter"), ("synth", "prob_noise"),

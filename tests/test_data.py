@@ -203,6 +203,16 @@ class TestViou:
         assert part.slot.frame_span(10) == (4, 6)
         assert restrict_track(a, TimeSlot(0.9, 1.0), 10) is None
 
+    def test_restrict_track_to_a_slot_starting_an_ulp_below_the_track_end(self):
+        """The slot's first frame is the frame past the track by the 1e-9
+        guard alone; clamped into the track, the part keeps its last frame,
+        and its slot names the frame its one box is on."""
+        a = make_gt(0, 0, 15, 36, (0.1, 0.1, 0.3, 0.3))
+        part = restrict_track(a, TimeSlot(np.nextafter(15 / 36, 0.0), 1.0), 36)
+        assert part.boxes.shape == (1, 4)
+        assert part.slot.frame_span(36) == (14, 15)
+        assert compute_viou(part, part, 36) == 1.0
+
 
 class TestBoxIou:
     def test_vectorized_matches_known_values(self):

@@ -13,8 +13,8 @@ from relformer.metrics import evaluate
 from relformer.model import RelationModel, init_store
 from relformer.nn import Adam
 from relformer.synth import SynthConfig, synth_generate
-from relformer.training import (BCE_CLAMP, GtTargets, build_gt_predicates, cost_matrix,
-                                hungarian, total_loss, train_loop, video_loss)
+from relformer.training import (GtTargets, build_gt_predicates, cost_matrix, hungarian,
+                                total_loss, train_loop, video_loss)
 
 from conftest import widened
 from oracles import (finite_difference, hungarian_brute_force, matching_cost_oracle,
@@ -35,23 +35,19 @@ def random_prediction(rng, m, n, n_rel):
     return probs, attn
 
 
-def clamped_log(probs):
-    return ad.log(ad.clip(ad.constant(probs), BCE_CLAMP, 1.0))
-
-
 class TestCostMatrix:
     @pytest.mark.parametrize("m,n,k", [(1, 1, 1), (4, 3, 2), (6, 5, 6), (5, 2, 0)])
     def test_matches_per_pair_oracle(self, rng, m, n, k):
         n_rel = 4
         gt = random_targets(rng, k, n, n_rel)
         probs, attn = random_prediction(rng, m, n, n_rel)
-        cost = cost_matrix(gt, clamped_log(probs), ad.constant(attn), 1.5, 30.0)
+        cost = cost_matrix(gt, probs, attn, 1.5, 30.0)
         assert cost.shape == (k, m)
         for j in range(k):
             for q in range(m):
                 want = matching_cost_oracle(gt.predicates[j], gt.links[:, j], probs[q],
                                             attn[:, q, :], 1.5, 30.0)
-                np.testing.assert_allclose(cost.data[j, q], want, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(cost[j, q], want, rtol=1e-12, atol=1e-12)
 
 
 class TestBuildTargets:
@@ -114,19 +110,15 @@ class TestTotalLoss:
         gt = random_targets(rng, k, n, n_rel)
         probs, attn = random_prediction(rng, m, n, n_rel)
         probs[-1, -1] = 0.0  # the clamp on the no-relation term
-        log_probs = clamped_log(probs)
-        cost = cost_matrix(gt, log_probs, ad.constant(attn), 1.5, 30.0)
-        sigma = hungarian(cost.data)
-        loss = total_loss(cost, log_probs, sigma, 1.5)
+        sigma = hungarian(cost_matrix(gt, probs, attn, 1.5, 30.0))
+        loss = total_loss(gt, ad.constant(probs), ad.constant(attn), sigma, 1.5, 30.0)
         want = set_loss_oracle(gt.predicates, gt.links, probs, attn, sigma, 1.5, 30.0)
         np.testing.assert_allclose(loss.item(), want, rtol=1e-12)
 
 
 def fixed_sigma_loss(model, ctx, gt, sigma):
     output = model.forward(ctx)
-    log_probs = ad.log(ad.clip(output.probs, BCE_CLAMP, 1.0))
-    cost = cost_matrix(gt, log_probs, output.attention, 1.0, 30.0)
-    return total_loss(cost, log_probs, sigma, 1.0)
+    return total_loss(gt, output.probs, output.attention, sigma, 1.0, 30.0)
 
 
 class TestLossGradient:
@@ -151,8 +143,7 @@ class TestLossGradient:
         assert len(gt.predicates) > 0
         with_graph = video_loss(model, ctx, gt, 1.0, 30.0)
         output = model.forward(ctx)
-        log_probs = ad.log(ad.clip(output.probs, BCE_CLAMP, 1.0))
-        sigma = hungarian(cost_matrix(gt, log_probs, output.attention, 1.0, 30.0).data)
+        sigma = hungarian(cost_matrix(gt, output.probs.data, output.attention.data, 1.0, 30.0))
         loss = fixed_sigma_loss(model, ctx, gt, sigma)
         assert loss.item() == with_graph.item()
 
@@ -196,7 +187,10 @@ class TestGraphMemory:
     def test_no_node_holds_a_pair_value_matrix(self, toy_model_config, toy_dataset):
         """Cross-attention reads the distinct value rows through their index,
         so no node of a training graph holds an (m, n, d_v) array; and the
-        graph links only to parents that require a gradient."""
+        graph links only to parents that require a gradient. The (k, m)
+        matching cost is a constant that only Hungarian matching reads, so
+        neither it nor the (2n, m) attention columns it is built from are
+        nodes: the loss reads the k matched queries' (2, k, n) attention."""
         import dataclasses
         cfg = dataclasses.replace(toy_model_config, m_c=16, m_d=12, d_v=24)
         samples, vocab = toy_dataset
@@ -215,6 +209,9 @@ class TestGraphMemory:
                 todo.extend(parent for parent, _ in node._edges)
         assert (2, m, n) in shapes and (m, cfg.d_v) in shapes  # the walk reached cross-attention
         assert (m, n, cfg.d_v) not in shapes
+        k = len(gt.predicates)
+        assert k > 0 and (k, m) not in shapes and (2 * n, m) not in shapes
+        assert (2, k, n) in shapes
 
 
 def float64_arrays(loss) -> list[str]:
