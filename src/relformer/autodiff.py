@@ -22,12 +22,12 @@ the next is built, with the bits of one backward of the sum. A forward over
 tensors that require no gradient records no graph. Only the ops the
 package's own code calls are provided (``tests/test_unused_imports.py``
 checks that each is reached): broadcasting ``add``, ``sub``, ``neg``,
-``mul`` and ``div``; (batched) ``matmul``; ``reshape``, ``transpose``,
-``concat`` and ``stack``; ``getitem``; the reductions ``tsum`` and
-``tmean``; the elementwise ``relu``, ``log``, ``sqrt``, ``square`` and
-``clip``; a fused ``softmax``; and two fused nodes of the decoder:
-``pool_project`` for the value rows and ``attend_rows`` for the
-attention-weighted sum over them.
+``mul`` and ``div``, with ``+``, ``-``, ``*``, ``/`` after a tensor and
+``scalar - tensor``; (batched) ``matmul``; ``reshape``, ``transpose``,
+``concat`` and ``stack``; ``getitem``; the reduction ``tsum``; the
+elementwise ``relu``, ``log``, ``sqrt``, ``square`` and ``clip``; a fused
+``softmax``; and two fused nodes of the decoder: ``pool_project`` for the
+value rows and ``attend_rows`` for the attention-weighted sum over them.
 
 All graph construction is single-threaded per training step; concurrent
 read-only forward passes are safe because parameters are never mutated
@@ -75,12 +75,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __sub__(self, other):
         return sub(self, other)
@@ -88,14 +84,8 @@ class Tensor:
     def __rsub__(self, other):
         return sub(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -317,22 +307,12 @@ def getitem(a, key) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis: int | None = None) -> Tensor:
+    """The sum of every entry (0-d), or the sum along ``axis`` with that
+    axis kept at length 1; either way the output broadcasts against ``a``."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape).copy()
-
-    return _node(out, (a, vjp))
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    out = a.data.sum(axis=axis, keepdims=axis is not None)
+    return _node(out, (a, lambda g: np.broadcast_to(g, a.shape).copy()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ and only with exactly 4 bytes per parameter. It reads the blob once into
 one array, and every loaded tensor is a frozen view into it. Format-1 files
 (a per-tensor table and no vocab) and format-2 files (a float64 blob) are
 rejected: retrain to get a format-3 file. Writes are atomic (temp file +
-rename).
+rename), and the file gets the mode a plain ``open`` would give it: 0o666
+less the process umask.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import tempfile
 
 import numpy as np
 
+from .dataset_io import canonical_json
 from .errors import CheckpointError
 from .model import param_shapes
 from .nn import ParamStore
@@ -49,8 +51,12 @@ def save_checkpoint(path: str, store: ParamStore, cfg, vocab) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(json.dumps(_manifest(cfg, vocab), sort_keys=True,
-                               separators=(",", ":")).encode("utf-8") + b"\n")
+            # mkstemp creates the file as 0o600; give it the mode open would.
+            # The umask can only be read by setting it; train saves on one thread.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
+            f.write(canonical_json(_manifest(cfg, vocab)).encode("utf-8"))
             for _, t in store.items():
                 f.write(np.ascontiguousarray(t.data, dtype=DTYPE))
         os.replace(tmp, path)

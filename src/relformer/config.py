@@ -90,6 +90,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """The one source of the evaluation settings: no package function has
+    defaults for them. ``train`` reads ``viou_threshold`` as well."""
+
     viou_threshold: float = 0.5
     recall_ks: tuple[int, ...] = (50, 100)
     precision_ks: tuple[int, ...] = (1, 5, 10)
@@ -132,8 +135,6 @@ def _build_section(cls, payload: dict, section: str):
         raise ConfigError(f"{section}.{unknown[0]}: unknown field")
     coerced = {}
     for key, value in payload.items():
-        if isinstance(value, list):
-            value = tuple(value)
         if hints[key] is int and not _is_int(value):
             raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
         if hints[key] is float and not _is_number(value):
@@ -142,8 +143,10 @@ def _build_section(cls, payload: dict, section: str):
             raise ConfigError(f"{section}.{key} must be a number or null, got {value!r}")
         if hints[key] in _LIST_ITEMS:
             is_item, items = _LIST_ITEMS[hints[key]]
-            if not (isinstance(value, tuple) and all(is_item(k) for k in value)):
-                raise ConfigError(f"{section}.{key} must be a list of {items}, got {value!r}")
+            if not (isinstance(value, list) and all(is_item(k) for k in value)):
+                raise ConfigError(f"{section}.{key} must be a list of {items}, "
+                                  f"got {json.dumps(value)}")
+            value = tuple(value)
         coerced[key] = value
     try:
         return cls(**coerced)

@@ -274,15 +274,15 @@ def compute_viou(a, b, frame_count: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def assign_tracklets_to_gt(sample: VideoSample, threshold: float = 0.5,
-                           ) -> dict[int, list[int]]:
+def assign_tracklets_to_gt(sample: VideoSample, threshold: float) -> dict[int, list[int]]:
     """Assign detected tracklets to GT objects by vIoU.
 
     Two rules: (1) a tracklet joins its argmax-vIoU GT object when that vIoU
     clears ``threshold``; (2) every GT object additionally receives its own
     argmax-vIoU tracklet when that vIoU is positive and the tracklet is still
     unassigned (the low-quality-match rescue). Ties break toward the lower id.
-    A tracklet is never assigned to two GT objects.
+    A tracklet is never assigned to two GT objects. Training passes the run
+    config's ``eval.viou_threshold`` as ``threshold``.
 
     Returns gt_id -> sorted ids of the tracklets assigned to it.
     """

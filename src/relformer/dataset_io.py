@@ -272,7 +272,7 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
         subject, object_, predicate = (_require_int(entry, key, where)
                                        for key in ("subject", "object", "predicate"))
         start, end = (_require_number(entry, key, where) for key in ("start", "end"))
-        if not (0 <= predicate < len(vocab.predicates)):
+        if predicate >= len(vocab.predicates):  # GtRelation rejects negative ids
             raise DataError(f"{where}: predicate {predicate} outside vocab")
         try:
             relations.append(GtRelation(

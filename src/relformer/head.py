@@ -78,7 +78,7 @@ def classify_predicates(store: ParamStore, queries: Tensor, links: np.ndarray,
 
 
 def infer_triplets(probs: np.ndarray, links: np.ndarray, tracklets: list[Tracklet],
-                   top_k_per_query: int = 10) -> list[RelationTriplet]:
+                   top_k_per_query: int) -> list[RelationTriplet]:
     """Assemble candidates: per query, the top-k non-background categories by
     probability; drop self-paired and temporally disjoint links; deduplicate
     by (predicate, subject, object) keeping the best score; order by
@@ -89,6 +89,7 @@ def infer_triplets(probs: np.ndarray, links: np.ndarray, tracklets: list[Trackle
     its slot, so which of two equal best scores survives does not show.
     An ensemble passes the query rows of all its models at once, so each key
     keeps its best score over the models. ``tracklets`` must not be empty.
+    ``top_k_per_query`` is the run config's ``eval.top_k_per_query``.
     """
     n_rel = probs.shape[1] - 1
     k = min(top_k_per_query, n_rel)

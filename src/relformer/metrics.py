@@ -21,6 +21,10 @@ count; per-video AP/R@K are averaged over videos that have GT relations.
 Tagging P@K ignores localization and counts distinct GT category triples in
 the top K, divided by min(K, #predictions); a prediction naming an unknown
 tracklet gets category -1 there too, so it counts as a miss.
+
+No function here has a default vIoU threshold or K list: the run config's
+``eval`` section (``config.EvalConfig``) is their one source, and the CLI
+passes its ``viou_threshold``, ``recall_ks`` and ``precision_ks``.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class EvalReport:
 
 
 def match_relation(pred: RelationTriplet, sample: VideoSample, gt_rel,
-                   viou_threshold: float = 0.5) -> bool:
+                   viou_threshold: float) -> bool:
     """True iff the prediction localizes the GT relation: each of its two
     tracklets, restricted to its slot, reaches ``viou_threshold`` against the
     GT object restricted to the GT relation's slot.
@@ -112,9 +116,8 @@ def _average_precision(hits: list[bool], n_gt: int) -> float:
 
 
 def reldet_scores(predictions: dict[str, list[RelationTriplet]],
-                  samples: list[VideoSample], viou_threshold: float = 0.5,
-                  ks: tuple[int, ...] = (50, 100),
-                  ) -> tuple[float, dict[int, float], dict[str, dict]]:
+                  samples: list[VideoSample], viou_threshold: float,
+                  ks: tuple[int, ...]) -> tuple[float, dict[int, float], dict[str, dict]]:
     """(mAP, {K: R@K}, per-video breakdown), averaged over videos with GT."""
     aps, recalls = [], {k: [] for k in ks}
     per_video = {}
@@ -140,7 +143,7 @@ def reldet_scores(predictions: dict[str, list[RelationTriplet]],
 
 
 def reltag_scores(predictions: dict[str, list[RelationTriplet]],
-                  samples: list[VideoSample], ks: tuple[int, ...] = (1, 5, 10),
+                  samples: list[VideoSample], ks: tuple[int, ...],
                   ) -> tuple[dict[int, float], dict[str, dict]]:
     """Tagging P@K over category triples, averaged over videos with GT."""
     precisions = {k: [] for k in ks}
@@ -171,7 +174,7 @@ def reltag_scores(predictions: dict[str, list[RelationTriplet]],
             per_video)
 
 
-def tracklet_map(samples: list[VideoSample], viou_threshold: float = 0.5) -> float:
+def tracklet_map(samples: list[VideoSample], viou_threshold: float) -> float:
     """Detection-style tracklet mAP: per-category AP (confidence = max class
     probability, greedy best-vIoU matching within each video), averaged over
     categories present in the GT."""
@@ -212,9 +215,8 @@ def tracklet_map(samples: list[VideoSample], viou_threshold: float = 0.5) -> flo
 
 
 def evaluate(predictions: dict[str, list[RelationTriplet]],
-             samples: list[VideoSample], viou_threshold: float = 0.5,
-             recall_ks: tuple[int, ...] = (50, 100),
-             precision_ks: tuple[int, ...] = (1, 5, 10)) -> EvalReport:
+             samples: list[VideoSample], viou_threshold: float,
+             recall_ks: tuple[int, ...], precision_ks: tuple[int, ...]) -> EvalReport:
     reldet_map, recalls, det_breakdown = reldet_scores(
         predictions, samples, viou_threshold, recall_ks)
     precisions, tag_breakdown = reltag_scores(predictions, samples, precision_ks)

@@ -142,9 +142,10 @@ def pooled_mlp_forward(store: ParamStore, prefix: str, frames: Tensor,
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and shift."""
     x = ad.as_tensor(x)
-    mu = ad.tmean(x, axis=-1, keepdims=True)
+    inv_width = 1.0 / x.shape[-1]
+    mu = ad.tsum(x, axis=-1) * inv_width
     centered = x - mu
-    var = ad.tmean(ad.square(centered), axis=-1, keepdims=True)
+    var = ad.tsum(ad.square(centered), axis=-1) * inv_width
     normed = centered / ad.sqrt(var + eps)
     return normed * gain + bias
 

@@ -134,13 +134,14 @@ class TrainResult:
 
 
 def train_loop(samples: list[VideoSample], model: RelationModel, train_cfg,
-               out_dir: str, seed: int, viou_threshold: float = 0.5,
-               log=None) -> TrainResult:
+               out_dir: str, seed: int, viou_threshold: float, log=None) -> TrainResult:
     """Adam training over batches of videos; deterministic for a fixed seed.
 
     Emits a per-step loss trace (CSV: epoch,step,loss), interval checkpoints
     when ``train_cfg.save_interval`` is set, and the final checkpoint. A
     step's loss is the mean of its videos' losses, summed in batch order.
+    Tracklets join a GT object at vIoU >= ``viou_threshold``, the run
+    config's ``eval.viou_threshold``, which evaluation matches with too.
     """
     m = len(model.anchors)
     model.store["tables.freq_bias"].data[:] = build_freq_bias(

@@ -17,7 +17,9 @@ from relformer.checkpoint import load_checkpoint
 from relformer.cli import _load_model, main
 from relformer.config import load_config
 from relformer.data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
-from relformer.dataset_io import load_dataset, save_dataset, write_feature_file
+from relformer.dataset_io import canonical_json, load_dataset, save_dataset, write_feature_file
+from relformer.head import RelationTriplet, infer_triplets
+from relformer.metrics import evaluate
 from relformer.model import RelationModel
 from relformer.synth import PREDICATE_RULES
 
@@ -618,6 +620,84 @@ class TestInferOutput:
         for name in names:
             assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
         assert (reused / "notes.txt").read_text() == "kept"
+
+
+class TestEvalSection:
+    """Every command reads the config's ``eval`` section, the one source of
+    the evaluation settings: no package function has a default for them."""
+
+    # TINY's tracklets follow their GT objects closely, so a threshold of 0.3
+    # gives the report of the default 0.5; one of 0.7 moves it.
+    EVAL = {"viou_threshold": 0.7, "recall_ks": [5, 20], "precision_ks": [2],
+            "top_k_per_query": 3}
+
+    def test_train_eval_and_infer_use_a_non_default_section(self, tiny_run, monkeypatch):
+        root, _, data = tiny_run
+        base = root / "eval_section"
+        base.mkdir()
+        cfg = write_config(base, {**TINY, "eval": self.EVAL})
+        thresholds = []
+        assign = training.assign_tracklets_to_gt
+
+        def recording(sample, threshold):
+            thresholds.append(threshold)
+            return assign(sample, threshold)
+
+        monkeypatch.setattr(training, "assign_tracklets_to_gt", recording)
+        assert main(["train", "--config", cfg, "--data", data, "--out", str(base / "run"),
+                     "--quiet"]) == 0
+        assert thresholds == [0.7] * TINY["synth"]["videos"]
+
+        ckpt = str(base / "run" / "model.ckpt")
+        assert main(["infer", "--config", cfg, "--data", data, "--ckpt", ckpt,
+                     "--out", str(base / "preds")]) == 0
+        assert main(["eval", "--config", cfg, "--data", data, "--ckpt", ckpt,
+                     "--out", str(base / "report.json")]) == 0
+
+        samples, vocab = load_dataset(data)
+        model = _load_model(ckpt, load_config(cfg), vocab)
+        predictions, cut = {}, False
+        for sample in samples:
+            doc = json.loads((base / "preds" / f"predictions_{sample.video_id}.json")
+                             .read_text())
+            preds = [RelationTriplet(r["subject_tid"], r["object_tid"], r["predicate"],
+                                     r["score"], TimeSlot(r["start"], r["end"]))
+                     for r in doc["relations"]]
+            out = model.forward(model.build_context(sample))
+            tracklets = list(sample.tracklets)
+            assert preds == infer_triplets(out.probs.data, out.links, tracklets, 3)
+            cut |= len(preds) < len(infer_triplets(out.probs.data, out.links, tracklets, 10))
+            predictions[sample.video_id] = preds
+        assert cut  # top_k_per_query 3 keeps fewer predictions than 10 would
+
+        def report_at(viou_threshold):
+            return json.loads(canonical_json(
+                evaluate(predictions, samples, viou_threshold, (5, 20), (2,)).to_dict()))
+
+        report = json.loads((base / "report.json").read_text())
+        assert report == report_at(0.7)
+        assert report != report_at(0.5)  # the threshold shows in the report
+        assert {"recall@5", "recall@20", "p@2"} <= report.keys()
+        assert not {"recall@50", "p@1"} & report.keys()
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_checkpoints_get_the_mode_of_the_loss_trace(self, tiny_run, umask):
+        """Checkpoints are written through a temp file, yet end with the mode
+        a plain ``open`` gives, as every other output does."""
+        root, cfg, data = tiny_run
+        out = root / f"modes_{umask:o}"
+        old = os.umask(umask)
+        try:
+            assert main(["train", "--config", cfg, "--data", data, "--out", str(out),
+                         "--save-interval", "1", "--quiet"]) == 0
+        finally:
+            os.umask(old)
+        want = 0o666 & ~umask
+        assert (out / "loss_trace.csv").stat().st_mode & 0o777 == want
+        for name in ("model.ckpt", "model_epoch0001.ckpt"):
+            assert (out / name).stat().st_mode & 0o777 == want, name
 
 
 class TestEnsemble:

@@ -1,4 +1,5 @@
 import json
+import re
 import typing
 
 import pytest
@@ -57,8 +58,10 @@ class TestIntegerFields:
 
     @pytest.mark.parametrize("value", [[50.7, 100], [True], 50, [50, "100"]])
     def test_non_integer_ks_are_a_config_error(self, tmp_path, value):
+        """The message echoes the value as written, e.g. [50.7, 100]."""
         path = write_config(tmp_path, {"eval": {"recall_ks": value}})
-        with pytest.raises(ConfigError, match="eval.recall_ks must be a list of integers"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"eval.recall_ks must be a list of integers, got {json.dumps(value)}") + "$"):
             load_config(path)
 
     def test_integer_fields_keep_their_values(self, tmp_path):
@@ -74,8 +77,10 @@ class TestIntegerFields:
 class TestSynthRules:
     @pytest.mark.parametrize("value", [[["above"]], ["above", 3], "above"])
     def test_non_string_rules_are_a_config_error(self, tmp_path, value):
+        """The message echoes the value as written, e.g. [["above"]]."""
         path = write_config(tmp_path, {"synth": {"rules": value}})
-        with pytest.raises(ConfigError, match="synth.rules must be a list of strings"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"synth.rules must be a list of strings, got {json.dumps(value)}") + "$"):
             load_config(path)
 
     def test_repeated_rule_is_a_config_error(self, tmp_path):

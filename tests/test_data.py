@@ -229,7 +229,7 @@ class TestAssignment:
     def test_noiseless_identity(self, clean_dataset):
         samples, _ = clean_dataset
         for sample in samples:
-            by_gt = assign_tracklets_to_gt(sample)
+            by_gt = assign_tracklets_to_gt(sample, threshold=0.5)
             tracklets = {t.id: t for t in sample.tracklets}
             for gt in sample.gt_objects:
                 assert by_gt[gt.id] == [gt.id]
@@ -241,14 +241,14 @@ class TestAssignment:
         gt = make_gt(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3))
         good = make_track(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3), probs=probs)
         far = make_track(1, 6, 4, 10, (0.7, 0.7, 0.9, 0.9), probs=probs)
-        by_gt = assign_tracklets_to_gt(self._sample([good, far], [gt]))
+        by_gt = assign_tracklets_to_gt(self._sample([good, far], [gt]), threshold=0.5)
         assert by_gt == {0: [0]}
 
     def test_low_quality_rescue_assigns_best_below_threshold(self):
         probs = np.array([1.0])
         gt = make_gt(0, 0, 8, 10, (0.1, 0.1, 0.3, 0.3))
         weak = make_track(0, 0, 2, 10, (0.1, 0.1, 0.3, 0.3), probs=probs)
-        by_gt = assign_tracklets_to_gt(self._sample([weak], [gt]))
+        by_gt = assign_tracklets_to_gt(self._sample([weak], [gt]), threshold=0.5)
         assert compute_viou(weak, gt, 10) < 0.5
         assert by_gt == {0: [0]}
 
@@ -271,7 +271,7 @@ class TestAssignment:
     def test_never_assigns_one_tracklet_twice(self, toy_dataset):
         samples, _ = toy_dataset
         for sample in samples:
-            by_gt = assign_tracklets_to_gt(sample)
+            by_gt = assign_tracklets_to_gt(sample, threshold=0.5)
             seen = [tid for tids in by_gt.values() for tid in tids]
             assert len(seen) == len(set(seen))
 

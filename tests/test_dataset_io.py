@@ -283,6 +283,16 @@ class TestValidation:
         with pytest.raises(DataError, match="predicate 5 outside vocab"):
             load_dataset(path)
 
+    def test_negative_predicate_names_file_and_relation(self, tmp_path):
+        def add_rel(doc):
+            doc["gt_objects"].append(dict(doc["gt_objects"][0], id=1))
+            doc["gt_relations"].append(
+                {"subject": 0, "object": 1, "predicate": -1, "start": 0.0, "end": 0.2})
+        path = self._write_minimal(tmp_path, add_rel)
+        with pytest.raises(DataError, match=(r"^video_v0.json: gt_relations\[0\]: "
+                                             "invalid predicate id -1$")):
+            load_dataset(path)
+
     @pytest.mark.parametrize("field,value", [("frame_count", "ten"), ("frame_count", 10.5),
                                              ("predicate", "0"), ("predicate", True),
                                              ("category", 0.0)])

@@ -218,7 +218,7 @@ class TestInferTriplets:
                      appearance=np.zeros((5, 2)), category=0, probs=probs)
         prob_rows = np.array([[0.9, 0.1], [0.9, 0.1]])
         self_links = np.array([[0, 0], [0, 1]])  # query0 self-pair, query1 disjoint
-        assert infer_triplets(prob_rows, self_links, [a, b]) == []
+        assert infer_triplets(prob_rows, self_links, [a, b], top_k_per_query=10) == []
 
     def test_two_query_enumeration_oracle(self):
         tracklets = _tracklets_for_inference(3)
@@ -246,7 +246,8 @@ class TestInferTriplets:
         b = Tracklet(id=1, slot=TimeSlot(0.4, 1.0),
                      boxes=np.tile([0.1, 0.1, 0.2, 0.2], (6, 1)),
                      appearance=np.zeros((6, 2)), category=0, probs=probs)
-        out = infer_triplets(np.array([[0.9, 0.1]]), np.array([[0, 1]]), [a, b])
+        out = infer_triplets(np.array([[0.9, 0.1]]), np.array([[0, 1]]), [a, b],
+                             top_k_per_query=10)
         assert out[0].slot == TimeSlot(0.4, 0.6)
 
 

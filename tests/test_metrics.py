@@ -121,7 +121,7 @@ class TestRelDet:
         sample = one_relation_video()
         # Equal scores: key (0, 1, 2) ranks before (0, 3, 2), so the hit comes first.
         preds = [triplet(3, 2, 0, 0.5), triplet(1, 2, 0, 0.5)]
-        mean_ap, recalls, per_video = reldet_scores({"v": preds}, [sample], ks=(1,))
+        mean_ap, recalls, per_video = reldet_scores({"v": preds}, [sample], 0.5, ks=(1,))
         assert mean_ap == 1.0
         assert recalls == {1: 1.0}
         # Now the miss has the lower key: predicate 0 < 1 on an equal score.
@@ -130,14 +130,14 @@ class TestRelDet:
             video_id="v", frame_count=FRAMES, tracklets=sample.tracklets,
             gt_objects=sample.gt_objects,
             gt_relations=[GtRelation(0, 1, predicate=1, slot=slot(0, 8))])
-        mean_ap, recalls, _ = reldet_scores({"v": preds}, [sample_p1], ks=(1,))
+        mean_ap, recalls, _ = reldet_scores({"v": preds}, [sample_p1], 0.5, ks=(1,))
         assert mean_ap == 1.0 / 2.0
         assert recalls == {1: 0.0}
 
     def test_video_with_gt_but_no_predictions_counts_as_zero(self):
         hit_video, miss_video = one_relation_video("a"), one_relation_video("b")
         preds = {"a": [triplet(1, 2, 0, 0.9)]}
-        mean_ap, recalls, per_video = reldet_scores(preds, [hit_video, miss_video],
+        mean_ap, recalls, per_video = reldet_scores(preds, [hit_video, miss_video], 0.5,
                                                     ks=(50,))
         assert mean_ap == 0.5
         assert recalls == {50: 0.5}
@@ -150,13 +150,13 @@ class TestRelDet:
         sample = VideoSample(video_id="v", frame_count=FRAMES, tracklets=base.tracklets,
                              gt_objects=base.gt_objects, gt_relations=rels)
         preds = [triplet(1, 2, 0, 0.9), triplet(1, 2, 0, 0.8), triplet(1, 2, 0, 0.7)]
-        _, recalls, per_video = reldet_scores({"v": preds}, [sample], ks=(1, 3))
+        _, recalls, per_video = reldet_scores({"v": preds}, [sample], 0.5, ks=(1, 3))
         assert recalls == {1: 0.5, 3: 1.0}
         assert per_video["v"]["ap"] == 1.0
 
     def test_unknown_tracklet_ids_never_match(self):
         sample = one_relation_video()
-        mean_ap, _, _ = reldet_scores({"v": [triplet(1, 77, 0, 0.9)]}, [sample])
+        mean_ap, _, _ = reldet_scores({"v": [triplet(1, 77, 0, 0.9)]}, [sample], 0.5, (50,))
         assert mean_ap == 0.0
 
     def test_viou_exactly_at_threshold_matches(self):
@@ -167,12 +167,13 @@ class TestRelDet:
         sample = VideoSample(video_id="v", frame_count=FRAMES, tracklets=tracklets,
                              gt_objects=gts, gt_relations=[rel])
         pred = triplet(1, 2, 0, 0.9, 0, 6)
-        assert reldet_scores({"v": [pred]}, [sample], viou_threshold=0.5)[0] == 1.0
-        assert reldet_scores({"v": [pred]}, [sample], viou_threshold=0.51)[0] == 0.0
+        assert reldet_scores({"v": [pred]}, [sample], 0.5, (50,))[0] == 1.0
+        assert reldet_scores({"v": [pred]}, [sample], 0.51, (50,))[0] == 0.0
 
     def test_disjoint_prediction_slot_never_matches(self):
         sample = one_relation_video()
-        assert reldet_scores({"v": [triplet(1, 2, 0, 0.9, 8, 12)]}, [sample])[0] == 0.0
+        pred = triplet(1, 2, 0, 0.9, 8, 12)
+        assert reldet_scores({"v": [pred]}, [sample], 0.5, (50,))[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("threshold", [0.5, 0.3])
@@ -228,7 +229,7 @@ class TestRelDet:
         calls = []
         original = metrics.match_relation
 
-        def spy(pred, sample, gt_rel, viou_threshold=0.5):
+        def spy(pred, sample, gt_rel, viou_threshold):
             det = {t.id: t.category for t in sample.tracklets}
             gt = {t.id: t.category for t in sample.gt_objects}
             calls.append((pred.predicate, det.get(pred.subject_tracklet_id),
@@ -240,7 +241,8 @@ class TestRelDet:
         monkeypatch.setattr(metrics, "match_relation", spy)
         rng = np.random.default_rng(3)
         videos = [random_video(rng, f"v{i}") for i in range(6)]
-        reldet_scores({s.video_id: p for s, p in videos}, [s for s, _ in videos])
+        reldet_scores({s.video_id: p for s, p in videos}, [s for s, _ in videos],
+                      0.5, (50,))
         assert calls and all(calls)
 
 
@@ -289,8 +291,8 @@ class TestRelTag:
         preds = [triplet(1, 77, 0, 0.9), triplet(1, 2, 0, 0.8)]
         precisions, _ = reltag_scores({"v": preds}, [sample], ks=(1, 2))
         assert precisions == {1: 0.0, 2: 0.5}
-        report = evaluate({"v": [triplet(1, 77, 0, 0.9)]}, [sample],
-                          precision_ks=(1,))
+        report = evaluate({"v": [triplet(1, 77, 0, 0.9)]}, [sample], 0.5,
+                          recall_ks=(50,), precision_ks=(1,))
         assert report.precision == {1: 0.0}
         assert report.reldet_map == 0.0
 
@@ -309,38 +311,38 @@ def video(video_id, tracklets, gts):
 class TestTrackletMap:
     def test_exact_detection_scores_one(self):
         sample = video("v", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [gt(0, 0, 8, 0)])
-        assert tracklet_map([sample]) == 1.0
+        assert tracklet_map([sample], 0.5) == 1.0
 
     def test_detection_below_threshold_scores_zero(self):
         # 2 shared frames over a 6-frame union.
         sample = video("v", [track(1, 2, 6, 0, probs=probs(0, 0.9))], [gt(0, 0, 4, 0)])
-        assert tracklet_map([sample]) == 0.0
-        assert tracklet_map([sample], viou_threshold=1.0 / 3.0) == 1.0
+        assert tracklet_map([sample], 0.5) == 0.0
+        assert tracklet_map([sample], 1.0 / 3.0) == 1.0
 
     def test_second_detection_of_one_gt_is_a_false_positive(self):
         dets = [track(1, 0, 8, 0, probs=probs(0, 0.6)), track(2, 0, 8, 0, probs=probs(0, 0.9))]
         sample = video("v", dets, [gt(0, 0, 8, 0), gt(5, 8, 12, 0)])
         # Hits [True, False] over two GT objects.
-        assert tracklet_map([sample]) == 0.5
+        assert tracklet_map([sample], 0.5) == 0.5
 
     def test_confident_detection_takes_its_best_viou_gt(self):
         gts = [gt(0, 0, 6, 0), gt(1, 0, 8, 0)]
         dets = [track(1, 0, 8, 0, probs=probs(0, 0.9)),   # vIoU 0.75 / 1.0
                 track(2, 0, 6, 0, probs=probs(0, 0.6))]   # vIoU 1.0 / 0.75
-        assert tracklet_map([video("v", dets, gts)]) == 1.0
+        assert tracklet_map([video("v", dets, gts)], 0.5) == 1.0
 
     def test_detections_only_match_gt_of_their_own_video(self):
         a = video("a", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [])
         b = video("b", [], [gt(0, 0, 8, 0)])
-        assert tracklet_map([a, b]) == 0.0
+        assert tracklet_map([a, b], 0.5) == 0.0
 
     def test_averages_over_gt_categories_only(self):
         dets = [track(1, 0, 8, 0, probs=probs(0, 0.9)), track(2, 0, 8, 2, probs=probs(2, 0.9)),
                 track(3, 0, 8, 1, probs=probs(1, 0.9), boxes=[BOX_B] * 8)]
         gts = [gt(0, 0, 8, 0), gt(4, 0, 8, 1)]
         # Category 0 scores 1, category 1 misses, category 2 has no GT.
-        assert tracklet_map([video("v", dets, gts)]) == 0.5
+        assert tracklet_map([video("v", dets, gts)], 0.5) == 0.5
 
     def test_no_gt_objects_scores_zero(self):
         sample = video("v", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [])
-        assert tracklet_map([sample]) == 0.0
+        assert tracklet_map([sample], 0.5) == 0.0

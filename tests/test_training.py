@@ -54,7 +54,7 @@ class TestBuildTargets:
     def test_links_follow_the_tracklet_assignment(self, toy_dataset):
         samples, _ = toy_dataset
         for sample in samples:
-            assignment = assign_tracklets_to_gt(sample)
+            assignment = assign_tracklets_to_gt(sample, 0.5)
             gt = build_gt_predicates(sample, assignment, 48, np.float32)
             k, n = len(sample.gt_relations), len(sample.tracklets)
             assert gt.links.shape == (2, k, n) and gt.links.dtype == np.float32
@@ -69,7 +69,7 @@ class TestBuildTargets:
         sample = max(samples, key=lambda s: len(s.gt_relations))
         k = len(sample.gt_relations)
         with pytest.raises(DataError, match=f"{k} GT relations exceed"):
-            build_gt_predicates(sample, assign_tracklets_to_gt(sample), k - 1, np.float32)
+            build_gt_predicates(sample, assign_tracklets_to_gt(sample, 0.5), k - 1, np.float32)
 
 
 class TestHungarian:
@@ -138,7 +138,7 @@ class TestLossGradient:
             t.data += rng.normal(scale=0.05, size=t.shape)
         model = RelationModel(cfg, vocab, store)
         ctx = model.build_context(sample)
-        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), len(model.anchors),
+        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample, 0.5), len(model.anchors),
                                  model.store.dtype)
         assert len(gt.predicates) > 0
         with_graph = video_loss(model, ctx, gt, 1.0, 30.0)
@@ -173,7 +173,7 @@ class TestGradientCoverage:
         sample = samples[0]
         store = widened(init_store(toy_model_config, vocab, 3))
         model = RelationModel(toy_model_config, vocab, store)
-        assignment = assign_tracklets_to_gt(sample)
+        assignment = assign_tracklets_to_gt(sample, 0.5)
         gt = build_gt_predicates(sample, assignment, len(model.anchors), model.store.dtype)
         assert len(gt.predicates) > 0
         loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
@@ -197,7 +197,7 @@ class TestGraphMemory:
         sample = samples[0]
         model = RelationModel(cfg, vocab, init_store(cfg, vocab, 3))
         m, n = len(model.anchors), len(sample.tracklets)
-        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample), m, model.store.dtype)
+        gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample, 0.5), m, model.store.dtype)
         loss = video_loss(model, model.build_context(sample), gt, 1.0, 30.0)
         seen, todo, shapes = set(), [loss], set()
         while todo:
@@ -254,7 +254,7 @@ class TestGraphDtype:
         params = model.store.trainable_tensors()
         grads = None
         for sample in samples[:2]:
-            gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample),
+            gt = build_gt_predicates(sample, assign_tracklets_to_gt(sample, 0.5),
                                      len(model.anchors), model.store.dtype)
             loss = ad.mul(video_loss(model, model.build_context(sample), gt, 1.0, 30.0), 0.5)
             assert float64_arrays(loss) == []
@@ -277,14 +277,14 @@ class TestOverfit:
                           m_c=4, m_d=2, heads=2, mlp_hidden=16)
         model = RelationModel(cfg, vocab, init_store(cfg, vocab, 0))
         result = train_loop(samples, model, TrainConfig(lr=1e-2, batch_size=1, epochs=150),
-                            str(tmp_path), seed=0)
+                            str(tmp_path), seed=0, viou_threshold=0.5)
         assert result.epoch_losses[-1] < 0.05 * result.epoch_losses[0]
         predictions = {}
         for sample in samples:
             out = model.forward(model.build_context(sample))
             predictions[sample.video_id] = infer_triplets(
                 out.probs.data, out.links, list(sample.tracklets), 10)
-        assert evaluate(predictions, samples).reldet_map == 1.0
+        assert evaluate(predictions, samples, 0.5, (50, 100), (1, 5, 10)).reldet_map == 1.0
 
 
 class TestTrainLoop:
@@ -293,7 +293,7 @@ class TestTrainLoop:
         samples, vocab = toy_dataset
         model = RelationModel(toy_model_config, vocab, init_store(toy_model_config, vocab, 0))
         train_loop(samples[:4], model, TrainConfig(lr=1e-3, batch_size=3, epochs=1),
-                   str(tmp_path), seed=0)
+                   str(tmp_path), seed=0, viou_threshold=0.5)
 
     def test_each_video_graph_is_freed_before_the_next_forward(
             self, toy_model_config, toy_dataset, tmp_path, monkeypatch):
