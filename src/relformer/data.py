@@ -7,9 +7,15 @@ one frame, however narrow it is. A ``FRAME_GUARD`` of 1e-9 keeps exact frame
 fractions (k / F) on the frame they name despite float rounding, and f0 is
 clamped to the last frame of the span that holds the slot, so a slot that
 starts a float ulp below that span's end keeps its last frame instead of
-naming the frame past it. ``TimeSlot.frame_span`` (the span is the video),
-``restrict_track`` and the model's RoI pooling (``model._roi_frame_ranges``;
-the span is the track's) apply this one rule.
+naming the frame past it. Three places apply this one rule:
+``TimeSlot.frame_span`` (the span is the video), ``restrict_track`` (the
+span is the track's) and the model's RoI pooling (``model._roi_frame_ranges``;
+the span is the track's).
+
+This module owns vIoU. Every caller (``assign_tracklets_to_gt``,
+``metrics.tracklet_map`` and ``metrics.match_relation``) reads it from one
+``pair_vious`` pass per video, which makes one ``box_iou`` call over the
+frames that its pairs share; ``compute_viou`` reduces one pair's slice.
 
 All types are immutable after construction; operations on distinct samples
 are safe to run concurrently.
@@ -17,6 +23,7 @@ are safe to run concurrently.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -163,6 +170,11 @@ class Vocab:
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "predicates", tuple(self.predicates))
+        for kind in ("objects", "predicates"):
+            for k, name in enumerate(getattr(self, kind)):
+                if not isinstance(name, str):
+                    raise DataError(f"{kind} entry {k} must be a string, "
+                                    f"got {json.dumps(name)}")
         if len(set(self.objects)) != len(self.objects):
             raise DataError("duplicate object category names")
         if len(set(self.predicates)) != len(self.predicates):
@@ -206,12 +218,6 @@ class VideoSample:
                 if rid not in gt_ids:
                     raise DataError(f"{vid}: relation {role} id {rid} not in gt_objects")
 
-    def gt_object(self, gt_id: int) -> GtObject:
-        for t in self.gt_objects:
-            if t.id == gt_id:
-                return t
-        raise DataError(f"video {self.video_id}: unknown gt object id {gt_id}")
-
 
 # ---------------------------------------------------------------------------
 # vIoU
@@ -233,40 +239,66 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
 
 
-@dataclass(frozen=True)
-class BoxTrack:
-    """Minimal tracklet view for vIoU: a slot plus its per-frame boxes."""
-
-    slot: TimeSlot
-    boxes: np.ndarray
-
-
-def restrict_track(track, slot: TimeSlot, frame_count: int) -> BoxTrack | None:
-    """The sub-track of ``track`` over ``slot`` (None if no temporal overlap):
-    the frames of the two slots' intersection by the module's frame rule, the
-    span that holds it being the track's."""
+def restrict_track(track, slot: TimeSlot, frame_count: int) -> tuple[int, int] | None:
+    """The frame span (f0, f1) of ``track`` over ``slot``, None if the two
+    slots do not overlap: the frames of their intersection by the module's
+    frame rule, the span that holds it being the track's."""
     inter = track.slot.intersect(slot)
     if inter is None:
         return None
-    t0, t1 = track.slot.frame_span(frame_count)
+    t1 = track.slot.frame_span(frame_count)[1]
     f0, f1 = inter.frame_span(frame_count)
-    if f0 >= t1:  # starts a float ulp below the track's end: keep its last frame
-        f0, f1 = t1 - 1, t1
-        inter = TimeSlot(f0 / frame_count, f1 / frame_count)
-    return BoxTrack(inter, track.boxes[f0 - t0:f1 - t0])
+    return (t1 - 1, t1) if f0 >= t1 else (f0, f1)
 
 
-def compute_viou(a, b, frame_count: int) -> float:
-    """Voluminal IoU: per-frame box IoU summed over the temporal intersection,
-    divided by the number of frames in the temporal union."""
-    a0, a1 = a.slot.frame_span(frame_count)
-    b0, b1 = b.slot.frame_span(frame_count)
-    lo, hi = max(a0, b0), min(a1, b1)
-    union = (a1 - a0) + (b1 - b0) - max(0, hi - lo)
-    if hi <= lo:
-        return 0.0
-    ious = box_iou(a.boxes[lo - a0:hi - a0], b.boxes[lo - b0:hi - b0])
-    return float(ious.sum() / union)
+def compute_viou(ious: np.ndarray, a: tuple[int, int], b: tuple[int, int]) -> float:
+    """Voluminal IoU of two tracks over the frame spans ``a`` and ``b``: the
+    per-frame box IoUs ``ious`` of the frames both spans cover, summed and
+    divided by the number of frames in the spans' union."""
+    return float(ious.sum() / (a[1] - a[0] + b[1] - b[0] - len(ious)))
+
+
+def pair_vious(tracks, pairs, frame_count: int) -> np.ndarray:
+    """vIoU of each pair (i, a0, a1, j, b0, b1): ``tracks[i]`` over the frame
+    span (a0, a1) against ``tracks[j]`` over (b0, b1), each span inside its
+    track's.
+
+    One ``box_iou`` call covers every pair. It runs on the boxes of the frames
+    each pair shares, gathered from one stack of the tracks' boxes, so memory
+    follows the shared frames. ``compute_viou`` then reduces each pair's
+    contiguous slice, which sums the same values in the same order as a
+    ``box_iou`` call on that pair alone would.
+    """
+    if not pairs:
+        return np.zeros(0)
+    rows = np.array(pairs, dtype=np.int64)
+    i, a0, a1, j, b0, b1 = rows.T
+    first = np.array([t.slot.frame_span(frame_count)[0] for t in tracks])
+    offset = np.cumsum([0] + [t.length for t in tracks])[:-1] - first
+    boxes = np.concatenate([t.boxes for t in tracks])
+    lo = np.maximum(a0, b0)
+    shared = np.maximum(np.minimum(a1, b1) - lo, 0)
+    ends = np.cumsum(shared)
+    step = np.arange(ends[-1]) - np.repeat(ends - shared, shared)
+    ious = box_iou(boxes[np.repeat(offset[i] + lo, shared) + step],
+                   boxes[np.repeat(offset[j] + lo, shared) + step])
+    return np.array([compute_viou(ious[end - n:end], (r[1], r[2]), (r[4], r[5]))
+                     for end, n, r in zip(ends.tolist(), shared.tolist(), rows.tolist())])
+
+
+def tracklet_gt_vious(sample: VideoSample, same_category: bool = False) -> np.ndarray:
+    """(tracklets, GT objects) vIoU matrix of ``sample``, from one
+    ``pair_vious`` pass. With ``same_category`` only pairs of one category
+    are computed; the others read 0."""
+    tracks = sample.tracklets + sample.gt_objects
+    n = len(sample.tracklets)
+    spans = [(k, *t.slot.frame_span(sample.frame_count)) for k, t in enumerate(tracks)]
+    pairs = [a + b for a in spans[:n] for b in spans[n:]
+             if not same_category or tracks[a[0]].category == tracks[b[0]].category]
+    viou = np.zeros((n, len(tracks) - n))
+    viou[[p[0] for p in pairs], [p[3] - n for p in pairs]] = pair_vious(
+        tracks, pairs, sample.frame_count)
+    return viou
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +324,7 @@ def assign_tracklets_to_gt(sample: VideoSample, threshold: float) -> dict[int, l
     if not tracklets or not gts:
         return {g.id: [] for g in gts}
 
-    viou = np.zeros((len(tracklets), len(gts)))
-    for i, t in enumerate(tracklets):
-        for j, g in enumerate(gts):
-            viou[i, j] = compute_viou(t, g, sample.frame_count)
-
+    viou = tracklet_gt_vious(sample)
     for t, row in zip(tracklets, viou):
         top = row.max()
         if top >= threshold:

@@ -216,8 +216,12 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
         raise DataError(f"{vocab_path}: cannot read: {exc}") from exc
     except ValueError as exc:  # invalid JSON or not UTF-8
         raise DataError(f"{vocab_path}: invalid JSON: {exc}") from exc
-    vocab = Vocab(objects=_require_list(vocab_doc, "objects", "vocab.json"),
-                  predicates=_require_list(vocab_doc, "predicates", "vocab.json"))
+    objects = _require_list(vocab_doc, "objects", "vocab.json")
+    predicates = _require_list(vocab_doc, "predicates", "vocab.json")
+    try:
+        vocab = Vocab(objects=objects, predicates=predicates)
+    except DataError as exc:
+        raise DataError(f"{vocab_path}: {exc}") from None
 
     samples = []
     names = sorted(p for p in os.listdir(directory)

@@ -147,17 +147,21 @@ def derive_relations(cfg: SynthConfig, frame_count: int,
                      objects: list[GtObject]) -> list[GtRelation]:
     """Scan every ordered object pair against every enabled rule."""
     relations = []
+    first = {o.id: o.slot.frame_span(frame_count)[0] for o in objects}
     for a in objects:
         for b in objects:
             if a.id == b.id:
                 continue
-            part_a = restrict_track(a, b.slot, frame_count)
-            if part_a is None or len(part_a.boxes) < MIN_SHARED_FRAMES:
+            # Over at least MIN_SHARED_FRAMES frames, the two slots' shared
+            # span is the same whichever track it is cut from.
+            span = restrict_track(a, b.slot, frame_count)
+            if span is None or span[1] - span[0] < MIN_SHARED_FRAMES:
                 continue
-            boxes_b = restrict_track(b, a.slot, frame_count).boxes
-            lo, hi = part_a.slot.frame_span(frame_count)
+            lo, hi = span
+            boxes_a = a.boxes[lo - first[a.id]:hi - first[a.id]]
+            boxes_b = b.boxes[lo - first[b.id]:hi - first[b.id]]
             for pred, name in enumerate(cfg.rules):
-                if PREDICATE_RULES[name](part_a.boxes, boxes_b):
+                if PREDICATE_RULES[name](boxes_a, boxes_b):
                     relations.append(GtRelation(
                         subject_gt_id=a.id, object_gt_id=b.id, predicate=pred,
                         slot=TimeSlot(lo / frame_count, hi / frame_count)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -197,10 +198,27 @@ def slot_frames(slot, frame_count: int) -> set:
                      int(math.ceil(slot.end * frame_count - 1e-9))))
 
 
+def cut_frames(track, slot, frame_count: int) -> dict | None:
+    """frame -> box of ``track`` on the frames of its intersection with
+    ``slot``; None if they do not intersect. An intersection covers at least
+    one frame: where none of its frames is the track's (it is narrower than a
+    frame, or starts a float ulp below the track's end), it covers its first
+    frame, or the track's last frame if that comes first."""
+    start, end = max(track.slot.start, slot.start), min(track.slot.end, slot.end)
+    if start >= end:
+        return None
+    frames = track_frames(track, frame_count)
+    inter = SimpleNamespace(start=start, end=end)
+    kept = {f: box for f, box in frames.items() if f in slot_frames(inter, frame_count)}
+    first = min(int(math.floor(start * frame_count + 1e-9)), max(frames))
+    return kept or {first: frames[first]}
+
+
 # --- relation detection ------------------------------------------------------
 
 
-def greedy_hits_oracle(ranked_preds, sample, viou_threshold: float) -> list:
+def greedy_hits_oracle(ranked_preds, sample, viou_threshold: float,
+                       walked: list | None = None) -> list:
     """Greedy RelDet matching, testing every (prediction, GT) pair in full.
 
     Each ranked prediction claims the first unused GT relation, in index
@@ -208,27 +226,26 @@ def greedy_hits_oracle(ranked_preds, sample, viou_threshold: float) -> list:
     participants reach vIoU >= threshold with the prediction's tracklets,
     each side cut to its own relation slot. A prediction naming a tracklet
     the video lacks, or whose slot misses a participant's, matches nothing.
+    Each unused, label-agreeing pair whose localization is tested is
+    appended to ``walked`` as (prediction, GT relation), if it is given.
     """
     tracks = {t.id: t for t in sample.tracklets}
     gts = {t.id: t for t in sample.gt_objects}
     frame_count = sample.frame_count
-
-    def cut(track, slot):
-        if max(track.slot.start, slot.start) >= min(track.slot.end, slot.end):
-            return None
-        keep = slot_frames(slot, frame_count)
-        return {f: box for f, box in track_frames(track, frame_count).items()
-                if f in keep}
 
     def matches(pred, rel) -> bool:
         sub = tracks.get(pred.subject_tracklet_id)
         obj = tracks.get(pred.object_tracklet_id)
         if sub is None or obj is None or pred.predicate != rel.predicate:
             return False
-        for det, gt in ((sub, gts[rel.subject_gt_id]), (obj, gts[rel.object_gt_id])):
-            if det.category != gt.category:
-                return False
-            det_part, gt_part = cut(det, pred.slot), cut(gt, rel.slot)
+        pairs = ((sub, gts[rel.subject_gt_id]), (obj, gts[rel.object_gt_id]))
+        if any(det.category != gt.category for det, gt in pairs):
+            return False
+        if walked is not None:
+            walked.append((pred, rel))
+        for det, gt in pairs:
+            det_part = cut_frames(det, pred.slot, frame_count)
+            gt_part = cut_frames(gt, rel.slot, frame_count)
             if det_part is None or gt_part is None:
                 return False
             if viou_oracle(det_part, gt_part) < viou_threshold:

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from relformer import data
 from relformer.data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample,
-                            assign_tracklets_to_gt, box_iou, compute_viou, restrict_track)
+                            assign_tracklets_to_gt, box_iou, compute_viou, pair_vious,
+                            restrict_track)
 from relformer.errors import DataError
 from relformer.model import _roi_frame_ranges
 
-from oracles import assignment_rules_oracle, track_frames, viou_oracle
+from oracles import assignment_rules_oracle, cut_frames, track_frames, viou_oracle
 
 
 def make_gt(tid, start_frame, n_frames, frame_count, box, category=0, cls=GtObject,
@@ -23,6 +25,12 @@ def make_track(tid, start_frame, n_frames, frame_count, box, category=0,
                probs=(1.0,), d_a=4):
     return make_gt(tid, start_frame, n_frames, frame_count, box, category, Tracklet,
                    appearance=np.zeros((n_frames, d_a)), probs=probs)
+
+
+def track_viou(a, b, frame_count):
+    """vIoU of two whole tracks through the shared-frame pass."""
+    return pair_vious([a, b], [(0, *a.slot.frame_span(frame_count),
+                                1, *b.slot.frame_span(frame_count))], frame_count)[0]
 
 
 class TestTimeSlot:
@@ -148,19 +156,19 @@ class TestTrackletValidation:
 class TestViou:
     def test_identical_tracklets_give_one(self):
         a = make_gt(0, 2, 5, 10, (0.1, 0.2, 0.4, 0.5))
-        assert compute_viou(a, a, 10) == 1.0
+        assert track_viou(a, a, 10) == 1.0
 
     def test_temporally_disjoint_give_zero(self):
         a = make_gt(0, 0, 3, 10, (0.1, 0.1, 0.3, 0.3))
         b = make_gt(1, 5, 3, 10, (0.1, 0.1, 0.3, 0.3))
-        assert compute_viou(a, b, 10) == 0.0
+        assert track_viou(a, b, 10) == 0.0
 
     def test_half_iou_two_shared_frames_over_union_six(self):
         # 4-frame tracklets overlapping on 2 frames; per-frame IoU exactly 0.5
         # (one box is the half-area left part of the other): (0.5+0.5)/6 = 1/6.
         a = make_gt(0, 0, 4, 12, (0.0, 0.0, 0.1, 0.2))
         b = make_gt(1, 2, 4, 12, (0.0, 0.0, 0.2, 0.2))
-        np.testing.assert_allclose(compute_viou(a, b, 12), 1.0 / 6.0, atol=1e-12)
+        np.testing.assert_allclose(track_viou(a, b, 12), 1.0 / 6.0, atol=1e-12)
 
     def test_matches_frame_dict_oracle_on_random_tracks(self, rng):
         frame_count = 20
@@ -178,7 +186,7 @@ class TestViou:
                 boxes[:, 3] = np.maximum(boxes[:, 3], boxes[:, 1] + 1e-3)
                 tracks.append(GtObject(id=tid, boxes=boxes, category=0, slot=TimeSlot(
                     start / frame_count, (start + n) / frame_count)))
-            got = compute_viou(tracks[0], tracks[1], frame_count)
+            got = track_viou(tracks[0], tracks[1], frame_count)
             want = viou_oracle(track_frames(tracks[0], frame_count),
                                track_frames(tracks[1], frame_count))
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -186,32 +194,29 @@ class TestViou:
     def test_symmetry_and_bounds(self, rng):
         a = make_gt(0, 0, 6, 12, (0.1, 0.1, 0.4, 0.4))
         b = make_gt(1, 3, 6, 12, (0.2, 0.2, 0.5, 0.5))
-        ab = compute_viou(a, b, 12)
-        ba = compute_viou(b, a, 12)
+        ab = track_viou(a, b, 12)
+        ba = track_viou(b, a, 12)
         assert ab == ba
         assert 0.0 < ab < 1.0
 
     def test_one_only_for_identical(self):
         a = make_gt(0, 0, 4, 10, (0.1, 0.1, 0.3, 0.3))
         shifted = make_gt(1, 0, 4, 10, (0.1, 0.1, 0.3, 0.30001))
-        assert compute_viou(a, shifted, 10) < 1.0
+        assert track_viou(a, shifted, 10) < 1.0
 
     def test_restrict_track(self):
         a = make_gt(0, 2, 6, 10, (0.1, 0.1, 0.3, 0.3))
-        part = restrict_track(a, TimeSlot(0.4, 0.6), 10)
-        assert part.boxes.shape == (2, 4)
-        assert part.slot.frame_span(10) == (4, 6)
+        assert restrict_track(a, TimeSlot(0.4, 0.6), 10) == (4, 6)
         assert restrict_track(a, TimeSlot(0.9, 1.0), 10) is None
 
     def test_restrict_track_to_a_slot_starting_an_ulp_below_the_track_end(self):
         """The slot's first frame is the frame past the track by the 1e-9
-        guard alone; clamped into the track, the part keeps its last frame,
-        and its slot names the frame its one box is on."""
+        guard alone; clamped into the track, the span keeps the track's last
+        frame."""
         a = make_gt(0, 0, 15, 36, (0.1, 0.1, 0.3, 0.3))
-        part = restrict_track(a, TimeSlot(np.nextafter(15 / 36, 0.0), 1.0), 36)
-        assert part.boxes.shape == (1, 4)
-        assert part.slot.frame_span(36) == (14, 15)
-        assert compute_viou(part, part, 36) == 1.0
+        span = restrict_track(a, TimeSlot(np.nextafter(15 / 36, 0.0), 1.0), 36)
+        assert span == (14, 15)
+        assert pair_vious([a], [(0, *span, 0, *span)], 36)[0] == 1.0
 
 
 class TestBoxIou:
@@ -233,7 +238,7 @@ class TestAssignment:
             tracklets = {t.id: t for t in sample.tracklets}
             for gt in sample.gt_objects:
                 assert by_gt[gt.id] == [gt.id]
-                viou = compute_viou(tracklets[gt.id], gt, sample.frame_count)
+                viou = track_viou(tracklets[gt.id], gt, sample.frame_count)
                 assert viou == pytest.approx(1.0)
 
     def test_disjoint_distractor_unassigned(self):
@@ -249,7 +254,7 @@ class TestAssignment:
         gt = make_gt(0, 0, 8, 10, (0.1, 0.1, 0.3, 0.3))
         weak = make_track(0, 0, 2, 10, (0.1, 0.1, 0.3, 0.3), probs=probs)
         by_gt = assign_tracklets_to_gt(self._sample([weak], [gt]), threshold=0.5)
-        assert compute_viou(weak, gt, 10) < 0.5
+        assert track_viou(weak, gt, 10) < 0.5
         assert by_gt == {0: [0]}
 
     def test_three_by_two_table_matches_rule_oracle(self, rng):
@@ -262,7 +267,7 @@ class TestAssignment:
         t1 = make_track(1, 4, 6, frame_count, (0.5, 0.5, 0.8, 0.8), probs=probs)
         t2 = make_track(2, 2, 6, frame_count, (0.12, 0.12, 0.32, 0.32), probs=probs)
         sample = self._sample([t0, t1, t2], [gt0, gt1], frame_count)
-        viou = np.array([[compute_viou(t, g, frame_count) for g in sample.gt_objects]
+        viou = np.array([[track_viou(t, g, frame_count) for g in sample.gt_objects]
                          for t in sample.tracklets])
         by_gt = assign_tracklets_to_gt(sample, threshold=0.5)
         want = assignment_rules_oracle(viou, [0, 1, 2], [0, 1], 0.5)
@@ -283,8 +288,83 @@ def test_viou_union_bound(len_a, len_b, start_a, start_b):
     box = (0.1, 0.1, 0.4, 0.4)
     a = make_gt(0, start_a, len_a, frame_count, box)
     b = make_gt(1, start_b, len_b, frame_count, box)
-    v = compute_viou(a, b, frame_count)
+    v = track_viou(a, b, frame_count)
     assert 0.0 <= v <= 1.0
     shared = max(0, min(start_a + len_a, start_b + len_b) - max(start_a, start_b))
     union = len_a + len_b - shared
     np.testing.assert_allclose(v, shared / union, atol=1e-12)
+
+
+@st.composite
+def restricted_pairs(draw):
+    """A video's random tracks, and random pairs of them, each side cut by a
+    restricting slot: frame-aligned, one frame wide, disjoint from its
+    track, or starting a float ulp below its track's end."""
+    frame_count = draw(st.integers(2, 40))
+    tracks = []
+    for tid in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, frame_count - 2))
+        n = draw(st.integers(2, frame_count - start))
+        corners = draw(st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+                                          st.floats(0.01, 0.5), st.floats(0.01, 0.5)),
+                                min_size=n, max_size=n))
+        boxes = [(x, y, x + w, y + h) for x, y, w, h in corners]
+        tracks.append(GtObject(id=tid, boxes=np.array(boxes), category=0, slot=TimeSlot(
+            start / frame_count, (start + n) / frame_count)))
+
+    def cut(track):
+        t0, t1 = track.slot.frame_span(frame_count)
+        kind = draw(st.sampled_from(["frames", "one", "disjoint", "ulp"]))
+        if kind == "ulp":
+            return TimeSlot(float(np.nextafter(track.slot.end, 0.0)), 1.0)
+        if kind == "one":
+            f = draw(st.integers(0, frame_count - 1))
+            return TimeSlot(f / frame_count, (f + 1) / frame_count)
+        if kind == "disjoint" and (t0 > 0 or t1 < frame_count):
+            a, b = (0, t0) if t0 > 0 else (t1, frame_count)
+        else:
+            a = draw(st.integers(0, frame_count - 1))
+            b = draw(st.integers(a + 1, frame_count))
+        return TimeSlot(a / frame_count, b / frame_count)
+
+    pairs = [(draw(st.integers(0, len(tracks) - 1)), draw(st.integers(0, len(tracks) - 1)))
+             for _ in range(draw(st.integers(1, 6)))]
+    return frame_count, tracks, [(i, cut(tracks[i]), j, cut(tracks[j])) for i, j in pairs]
+
+
+@given(restricted_pairs())
+@settings(max_examples=200, deadline=None)
+def test_pair_vious_match_the_frame_dict_oracle(case):
+    """One pass over restricted pairs gives each pair the oracle's vIoU, and
+    bit for bit what compute_viou gives on that pair's own box_iou call."""
+    frame_count, tracks, cuts = case
+    rows, want, alone = [], [], []
+    for i, slot_a, j, slot_b in cuts:
+        span_a = restrict_track(tracks[i], slot_a, frame_count)
+        span_b = restrict_track(tracks[j], slot_b, frame_count)
+        frames_a = cut_frames(tracks[i], slot_a, frame_count)
+        frames_b = cut_frames(tracks[j], slot_b, frame_count)
+        assert (span_a is None, span_b is None) == (frames_a is None, frames_b is None)
+        if span_a is None or span_b is None:
+            continue
+        assert (sorted(frames_a), sorted(frames_b)) == (list(range(*span_a)),
+                                                        list(range(*span_b)))
+        rows.append((i, *span_a, j, *span_b))
+        want.append(viou_oracle(frames_a, frames_b))
+        shared = sorted(set(frames_a) & set(frames_b))
+        ious = box_iou(np.array([frames_a[f] for f in shared]).reshape(-1, 4),
+                       np.array([frames_b[f] for f in shared]).reshape(-1, 4))
+        alone.append(compute_viou(ious, span_a, span_b))
+    got = pair_vious(tracks, rows, frame_count)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert got.tolist() == alone
+
+
+def test_assignment_makes_one_box_iou_call(toy_dataset, monkeypatch):
+    calls = []
+    original = data.box_iou
+    monkeypatch.setattr(data, "box_iou", lambda a, b: calls.append(len(a)) or original(a, b))
+    for sample in toy_dataset[0]:
+        calls.clear()
+        assign_tracklets_to_gt(sample, threshold=0.5)
+        assert len(calls) == 1 and calls[0] > 0

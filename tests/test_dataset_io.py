@@ -225,6 +225,20 @@ class TestValidation:
         assert len(samples) == 1
         assert samples[0].tracklets[0].id == 3
 
+    @pytest.mark.parametrize("vocab, entry", [
+        ({"objects": [["a"]], "predicates": ["p"]}, 'objects entry 0 must be a string, got ["a"]'),
+        ({"objects": ["a", {"b": 1}], "predicates": ["p"]},
+         'objects entry 1 must be a string, got {"b": 1}'),
+        ({"objects": ["a", "b"], "predicates": [1, 2]},
+         "predicates entry 0 must be a string, got 1"),
+    ])
+    def test_vocab_names_must_be_strings(self, tmp_path, vocab, entry):
+        path = self._write_minimal(tmp_path)
+        (tmp_path / "ds" / "vocab.json").write_text(json.dumps(vocab))
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{os.path.join(path, 'vocab.json')}: {entry}"
+
     @pytest.mark.parametrize("video_id", ["v1", "../escaped", "", 0])
     def test_video_id_must_match_the_file_name(self, tmp_path, video_id):
         path = self._write_minimal(tmp_path, lambda doc: doc.update(video_id=video_id))

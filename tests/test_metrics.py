@@ -1,11 +1,17 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from relformer import metrics
-from relformer.data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample
+from relformer import data, metrics
+from relformer.data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample,
+                            assign_tracklets_to_gt)
+from relformer.dataset_io import canonical_json
 from relformer.head import RelationTriplet
 from relformer.metrics import (_average_precision, evaluate, reldet_scores,
                                reltag_scores, tracklet_map)
+from relformer.synth import SynthConfig, synth_generate
 
 from oracles import (average_precision_oracle, greedy_hits_oracle,
                      precision_at_k_oracle)
@@ -170,6 +176,18 @@ class TestRelDet:
         assert reldet_scores({"v": [pred]}, [sample], 0.5, (50,))[0] == 1.0
         assert reldet_scores({"v": [pred]}, [sample], 0.51, (50,))[0] == 0.0
 
+    def test_slot_starting_an_ulp_below_the_tracklet_end_matches_the_oracle(self):
+        """Cut to such a slot, each tracklet keeps its last frame, which
+        localizes a one-frame GT relation on that frame."""
+        gts = [gt(0, 0, 4, 0), gt(1, 0, 4, 1)]
+        sample = VideoSample(video_id="v", frame_count=FRAMES, gt_objects=gts,
+                             tracklets=[track(1, 0, 4, 0), track(2, 0, 4, 1)],
+                             gt_relations=[GtRelation(0, 1, predicate=0, slot=slot(3, 4))])
+        pred = RelationTriplet(subject_tracklet_id=1, object_tracklet_id=2, predicate=0,
+                               score=0.9, slot=TimeSlot(float(np.nextafter(4 / FRAMES, 0.0)), 1.0))
+        assert greedy_hits_oracle([pred], sample, 0.5) == [True]
+        assert reldet_scores({"v": [pred]}, [sample], 0.5, (50,))[0] == 1.0
+
     def test_disjoint_prediction_slot_never_matches(self):
         sample = one_relation_video()
         pred = triplet(1, 2, 0, 0.9, 8, 12)
@@ -224,26 +242,26 @@ class TestRelDet:
         assert all(seen.values()), seen
 
     def test_match_relation_runs_only_on_label_agreeing_pairs(self, monkeypatch):
-        """The greedy loop calls match_relation through the module global and
-        only where predicate and both categories agree."""
+        """The greedy loop calls match_relation through the module global,
+        once for each unclaimed, label-agreeing pair that the oracle's walk
+        tests for localization, with the same verdicts."""
         calls = []
         original = metrics.match_relation
 
-        def spy(pred, sample, gt_rel, viou_threshold):
-            det = {t.id: t.category for t in sample.tracklets}
-            gt = {t.id: t.category for t in sample.gt_objects}
-            calls.append((pred.predicate, det.get(pred.subject_tracklet_id),
-                          det.get(pred.object_tracklet_id)) ==
-                         (gt_rel.predicate, gt[gt_rel.subject_gt_id],
-                          gt[gt_rel.object_gt_id]))
-            return original(pred, sample, gt_rel, viou_threshold)
+        def spy(vious, viou_threshold):
+            calls.append(original(vious, viou_threshold))
+            return calls[-1]
 
         monkeypatch.setattr(metrics, "match_relation", spy)
         rng = np.random.default_rng(3)
         videos = [random_video(rng, f"v{i}") for i in range(6)]
         reldet_scores({s.video_id: p for s, p in videos}, [s for s, _ in videos],
                       0.5, (50,))
-        assert calls and all(calls)
+        walked, hits = [], 0
+        for sample, preds in videos:
+            hits += sum(greedy_hits_oracle(rank(preds), sample, 0.5, walked))
+        assert calls and len(calls) == len(walked)
+        assert sum(calls) == hits
 
 
 class TestRelTag:
@@ -346,3 +364,110 @@ class TestTrackletMap:
     def test_no_gt_objects_scores_zero(self):
         sample = video("v", [track(1, 0, 8, 0, probs=probs(0, 0.9))], [])
         assert tracklet_map([sample], 0.5) == 0.0
+
+
+def dense_pin_inputs():
+    """A dense synth set with seeded predictions: copies of GT relations on
+    their tracklets (slots jittered by up to two frames), random pairs and
+    slots, a prediction naming a tracklet the video lacks, and one slot that
+    starts a float ulp below its subject tracklet's end."""
+    cfg = SynthConfig(videos=8, d_a=4, objects_min=9, objects_max=10,
+                      distractors=6, max_relations=120)
+    samples, vocab = synth_generate(cfg, seed=26)
+    rng = np.random.default_rng(26)
+    predictions = {}
+    for sample in samples:
+        frames = sample.frame_count
+        ids = [t.id for t in sample.tracklets]
+        preds = []
+        for rel in sample.gt_relations:
+            a, b = rel.slot.frame_span(frames)
+            a = min(max(a + int(rng.integers(-2, 3)), 0), b - 1)
+            b = max(min(b + int(rng.integers(-2, 3)), frames), a + 1)
+            preds.append(RelationTriplet(
+                subject_tracklet_id=rel.subject_gt_id, object_tracklet_id=rel.object_gt_id,
+                predicate=int(rng.integers(len(vocab.predicates))) if rng.random() < 0.2
+                else rel.predicate, score=float(rng.random()),
+                slot=TimeSlot(a / frames, b / frames)))
+        for _ in range(40):
+            s, o = rng.choice(len(ids), size=2, replace=False)
+            a, b = sorted(rng.choice(frames + 1, size=2, replace=False))
+            preds.append(RelationTriplet(
+                subject_tracklet_id=ids[s], object_tracklet_id=ids[o],
+                predicate=int(rng.integers(len(vocab.predicates))),
+                score=float(rng.random()), slot=TimeSlot(a / frames, b / frames)))
+        preds.append(RelationTriplet(subject_tracklet_id=ids[0], object_tracklet_id=999,
+                                     predicate=0, score=0.5, slot=TimeSlot(0.0, 1.0)))
+        predictions[sample.video_id] = preds
+    first = samples[0]
+    sub = first.tracklets[0]
+    rel = next(r for r in first.gt_relations if r.subject_gt_id == sub.id)
+    predictions[first.video_id].append(RelationTriplet(
+        subject_tracklet_id=sub.id, object_tracklet_id=rel.object_gt_id,
+        predicate=rel.predicate, score=0.99,
+        slot=TimeSlot(float(np.nextafter(sub.slot.end, 0.0)), 1.0)))
+    return samples, predictions
+
+
+class TestPinnedOutputs:
+    # sha256 of every video's tracklet -> GT assignment and the evaluate()
+    # report on dense_pin_inputs(); any change to vIoU, assignment or
+    # matching arithmetic moves it.
+    DIGEST = "a9891b70bdb68ebb77b5b17c61e56e7c9d7d073b89739acdf1e5d002a7526f38"
+
+    def test_assignment_and_report_digest(self):
+        samples, predictions = dense_pin_inputs()
+        assignments = [sorted(assign_tracklets_to_gt(s, threshold=0.5).items())
+                       for s in samples]
+        report = evaluate(predictions, samples, 0.5, recall_ks=(50, 100),
+                          precision_ks=(1, 5, 10))
+        payload = canonical_json(assignments) + canonical_json(report.to_dict())
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGEST
+
+
+class TestSharedFramePass:
+    def test_box_iou_runs_once_per_video(self, monkeypatch):
+        """Detection matching and tracklet mAP each make at most one
+        box_iou call per video."""
+        calls = []
+        original = data.box_iou
+        monkeypatch.setattr(data, "box_iou", lambda a, b: calls.append(1) or original(a, b))
+        rng = np.random.default_rng(5)
+        videos = [random_video(rng, f"v{i}") for i in range(6)]
+        samples = [s for s, _ in videos]
+        reldet_scores({s.video_id: p for s, p in videos}, samples, 0.5, (50,))
+        assert 0 < len(calls) <= len(samples)
+        calls.clear()
+        tracklet_map(samples, 0.5)
+        assert 0 < len(calls) <= len(samples)
+
+    def test_memory_follows_shared_frames_not_frame_count(self):
+        """Over a million-frame video with 3-frame tracks, assignment and
+        evaluation stay below 1 MiB of peak allocation."""
+        frames = 10 ** 6
+
+        def at(k):
+            return TimeSlot(k / frames, (k + 3) / frames)
+
+        starts = [0, 1, 2, 500_000, 500_001, 999_997]
+        gts = [GtObject(id=k, slot=at(f), boxes=np.array([BOX_A] * 3), category=k % 2)
+               for k, f in enumerate(starts)]
+        tracklets = [Tracklet(id=k, slot=at(f), boxes=np.array([BOX_A] * 3), category=k % 2,
+                              appearance=np.zeros((3, 2)), probs=np.eye(3)[k % 2])
+                     for k, f in enumerate(starts)]
+        rels = [GtRelation(0, 2, 0, TimeSlot(0.0, 1.0)), GtRelation(3, 4, 1, TimeSlot(0.0, 1.0))]
+        sample = VideoSample(video_id="v", frame_count=frames, tracklets=tracklets,
+                             gt_objects=gts, gt_relations=rels)
+        preds = [RelationTriplet(subject_tracklet_id=s, object_tracklet_id=o, predicate=p,
+                                 score=0.5, slot=TimeSlot(0.0, 1.0))
+                 for s, o, p in ((0, 2, 0), (3, 4, 1), (1, 2, 0), (0, 5, 0))]
+        tracemalloc.start()
+        try:
+            assign_tracklets_to_gt(sample, threshold=0.5)
+            report = evaluate({"v": preds}, [sample], 0.5, recall_ks=(50,),
+                              precision_ks=(1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.recall == {50: 1.0}
+        assert peak < 2 ** 20

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relformer.data import GtObject, TimeSlot, compute_viou
+from relformer.data import GtObject, TimeSlot, tracklet_gt_vious
 from relformer.errors import ConfigError
 from relformer.synth import (MIN_SHARED_FRAMES, SynthConfig, derive_relations,
                              rule_approaching, synth_generate)
@@ -37,20 +37,21 @@ class TestNoiselessLimit:
         samples, _ = synth_generate(noiseless_config(), seed=9)
         for sample in samples:
             assert len(sample.tracklets) == len(sample.gt_objects)
-            for det, gt in zip(sample.tracklets, sample.gt_objects):
+            viou = tracklet_gt_vious(sample)
+            for i, (det, gt) in enumerate(zip(sample.tracklets, sample.gt_objects)):
                 assert det.id == gt.id
                 assert det.slot == gt.slot
                 assert np.array_equal(det.boxes, gt.boxes)
                 assert det.category == gt.category
                 # Noiseless features repeat the category's prototype row.
                 assert np.array_equal(det.appearance, np.repeat(det.appearance[:1], det.length, 0))
-                assert compute_viou(det, gt, sample.frame_count) == 1.0
+                assert viou[i, i] == 1.0
             # every relation's participants are recoverable via exact links
+            det_index = {t.id: i for i, t in enumerate(sample.tracklets)}
+            gt_index = {t.id: j for j, t in enumerate(sample.gt_objects)}
             for rel in sample.gt_relations:
                 for gid in (rel.subject_gt_id, rel.object_gt_id):
-                    det = next(t for t in sample.tracklets if t.id == gid)
-                    assert compute_viou(det, sample.gt_object(gid),
-                                        sample.frame_count) == 1.0
+                    assert viou[det_index[gid], gt_index[gid]] == 1.0
 
     def test_probs_are_exact_one_hot(self):
         samples, _ = synth_generate(noiseless_config(), seed=9)
@@ -148,9 +149,10 @@ class TestRules:
     def test_relation_slots_are_frame_aligned_intersections(self):
         samples, _ = synth_generate(noiseless_config(), seed=31)
         for sample in samples:
+            gts = {t.id: t for t in sample.gt_objects}
             for rel in sample.gt_relations:
-                sub = sample.gt_object(rel.subject_gt_id)
-                obj = sample.gt_object(rel.object_gt_id)
+                sub = gts[rel.subject_gt_id]
+                obj = gts[rel.object_gt_id]
                 inter = sub.slot.intersect(obj.slot)
                 assert rel.slot.frame_span(sample.frame_count) == \
                     inter.frame_span(sample.frame_count)
