@@ -212,11 +212,21 @@ class VideoSample:
                         f"{vid}: {group_name} id {t.id}: slot covers "
                         f"{t.slot.frame_length(self.frame_count)} frames but has "
                         f"{t.length} boxes")
-        gt_ids = {t.id for t in self.gt_objects}
-        for rel in self.gt_relations:
+        gt_slots = {t.id: (t.slot.start, t.slot.end) for t in self.gt_objects}
+        for k, rel in enumerate(self.gt_relations):
+            start, end = rel.slot.start, rel.slot.end
             for role, rid in (("subject", rel.subject_gt_id), ("object", rel.object_gt_id)):
-                if rid not in gt_ids:
+                if rid not in gt_slots:
                     raise DataError(f"{vid}: relation {role} id {rid} not in gt_objects")
+                # No vIoU can localize a relation outside its object's slot, so
+                # no prediction could ever match it, yet it would count in every
+                # recall and AP. Two valid slots overlap iff each starts before
+                # the other ends: TimeSlot.intersect's test, without a new slot.
+                s, e = gt_slots[rid]
+                if not (s < end and start < e):
+                    raise DataError(
+                        f"{vid}: gt_relations[{k}]: slot ({start}, {end}) does not "
+                        f"overlap its {role} {rid}'s slot ({s}, {e})")
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,13 @@ TINY = {"seed": 5,
         "train": {"epochs": 2, "batch_size": 2, "lr": 1e-3}}
 
 
-# The exact manifest of every TINY checkpoint.
+# The exact manifest line of every TINY checkpoint, without its newline: 272
+# bytes of JSON and 47 spaces, so that the blob starts at byte 320 = 5 * 64.
 TINY_HEADER = (
-    b'{"format":"relformer-ckpt/3","model":{"L_d":1,"L_e":1,"d":8,"d_a":4,"d_q":8,'
+    b'{"format":"relformer-ckpt/4","model":{"L_d":1,"L_e":1,"d":8,"d_a":4,"d_q":8,'
     b'"d_v":8,"d_w":4,"heads":2,"l":2,"l_roi":3,"m_c":4,"m_d":2,"mlp_hidden":8},'
     b'"vocab":{"objects":["person","dog","cat"],"predicates":["approaching",'
-    b'"moving-away","above","beneath","faster","bigger"]}}')
+    b'"moving-away","above","beneath","faster","bigger"]}}' + b" " * 47)
 
 
 def blob_digest(path) -> str:
@@ -258,6 +259,20 @@ class TestCheckpointCompatibility:
         assert "'relformer-ckpt/1' is no longer read" in err
         assert "retrain" in err
         assert not (root / "old_report.json").exists()
+
+    def test_format_3_checkpoint_exits_3(self, tiny_run, capsys):
+        """A format-3 file is the same blob after an unpadded manifest, so it
+        may start anywhere; eval asks for retraining and exits 3."""
+        root = tiny_run[0]
+        header, _, blob = (root / "run1" / "model.ckpt").read_bytes().partition(b"\n")
+        old = root / "format3.ckpt"
+        old.write_bytes(header.rstrip(b" ").replace(b"relformer-ckpt/4", b"relformer-ckpt/3")
+                        + b"\n" + blob)
+        capsys.readouterr()
+        assert eval_exit_code(tiny_run, old, root / "format3_report.json") == 3
+        err = capsys.readouterr().err
+        assert "'relformer-ckpt/3' is no longer read; retrain" in err
+        assert not (root / "format3_report.json").exists()
 
     def test_checkpoint_with_attention_key_bias_exits_3(self, tiny_run, capsys):
         """Checkpoints written while attention still had a key bias are

@@ -153,6 +153,39 @@ class TestTrackletValidation:
                         gt_relations=[GtRelation(0, 1, 0, TimeSlot(0.0, 0.4))])
 
 
+class TestRelationSlots:
+    """A GT relation's slot must overlap its subject's and its object's: on
+    no shared frame could a prediction localize it, yet it would count in
+    every recall and AP denominator."""
+
+    BOX = (0.1, 0.1, 0.2, 0.2)
+
+    def sample(self, relation_slot, object_start=0):
+        gts = [make_gt(0, 0, 5, 12, self.BOX), make_gt(1, object_start, 5, 12, self.BOX)]
+        return VideoSample(video_id="v", frame_count=12, tracklets=[], gt_objects=gts,
+                           gt_relations=[GtRelation(1, 0, 0, TimeSlot(0.0, 1.0)),
+                                         GtRelation(0, 1, 0, relation_slot)])
+
+    def test_relation_after_both_objects_is_rejected(self):
+        """Objects on frames 0-4 of 12, the relation on frames 8-11."""
+        with pytest.raises(DataError, match=r"^video v: gt_relations\[1\]: slot "
+                                            r"\(0\.6666666666666666, 1\.0\) does not overlap "
+                                            r"its subject 0's slot \(0\.0, 0\.4166666666666667\)$"):
+            self.sample(TimeSlot(8 / 12, 1.0))
+
+    def test_the_object_side_is_checked_too(self):
+        with pytest.raises(DataError, match=r"gt_relations\[1\]: .* its object 1's slot"):
+            self.sample(TimeSlot(0.0, 5 / 12), object_start=7)
+
+    def test_a_slot_that_only_touches_is_rejected(self):
+        with pytest.raises(DataError, match="does not overlap its subject 0"):
+            self.sample(TimeSlot(5 / 12, 1.0))
+
+    def test_any_overlap_is_accepted(self):
+        sample = self.sample(TimeSlot(np.nextafter(5 / 12, 0.0), 1.0))
+        assert len(sample.gt_relations) == 2
+
+
 class TestViou:
     def test_identical_tracklets_give_one(self):
         a = make_gt(0, 2, 5, 10, (0.1, 0.2, 0.4, 0.5))

@@ -307,6 +307,19 @@ class TestValidation:
                                              "invalid predicate id -1$")):
             load_dataset(path)
 
+    def test_relation_outside_its_objects_names_file_video_and_relation(self, tmp_path):
+        """The GT objects cover frames 0-1 of 10; a relation on frames 5-9
+        could never be matched."""
+        def add_rel(doc):
+            doc["gt_objects"].append(dict(doc["gt_objects"][0], id=1))
+            doc["gt_relations"].append(
+                {"subject": 0, "object": 1, "predicate": 0, "start": 0.5, "end": 1.0})
+        path = self._write_minimal(tmp_path, add_rel)
+        with pytest.raises(DataError, match=(r"^video_v0.json: video v0: gt_relations\[0\]: "
+                                             r"slot \(0.5, 1.0\) does not overlap its subject "
+                                             r"0's slot \(0.0, 0.2\)$")):
+            load_dataset(path)
+
     @pytest.mark.parametrize("field,value", [("frame_count", "ten"), ("frame_count", 10.5),
                                              ("predicate", "0"), ("predicate", True),
                                              ("category", 0.0)])

@@ -50,8 +50,9 @@ def rank(preds):
 
 def random_video(rng, video_id: str, with_preds: bool = True):
     """A small video drawn from few labels, slots and boxes, so that labels
-    repeat across GT relations, many pairs agree on labels, some slots miss
-    each other, and some vIoUs land exactly on 0.5."""
+    repeat across GT relations, many pairs agree on labels, some prediction
+    slots miss their tracklets or the GT slots, and some vIoUs land exactly
+    on 0.5."""
     spans = [(0, 4), (0, 8), (2, 6), (4, 12), (6, 12), (0, 12), (8, 12)]
     gts = []
     for gid in range(int(rng.integers(2, 5))):
@@ -72,7 +73,11 @@ def random_video(rng, video_id: str, with_preds: bool = True):
     rels = []
     for _ in range(int(rng.integers(1, 7))):
         s, o = rng.choice(len(gts), size=2, replace=False)
-        a, b = spans[rng.integers(len(spans))]
+        # A GT relation's slot overlaps both of its objects' slots; (0, 12)
+        # always does, so there is always a span to draw.
+        fits = [(a, b) for a, b in spans
+                if all(slot(a, b).intersect(gts[k].slot) for k in (s, o))]
+        a, b = fits[rng.integers(len(fits))]
         rels.append(GtRelation(subject_gt_id=int(s), object_gt_id=int(o),
                                predicate=int(rng.integers(2)), slot=slot(a, b)))
     sample = VideoSample(video_id=video_id, frame_count=FRAMES, tracklets=tracklets,

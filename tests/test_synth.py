@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relformer.data import GtObject, TimeSlot, tracklet_gt_vious
+from relformer.data import GtObject, TimeSlot, restrict_track, tracklet_gt_vious
 from relformer.errors import ConfigError
 from relformer.synth import (MIN_SHARED_FRAMES, SynthConfig, derive_relations,
                              rule_approaching, synth_generate)
@@ -156,6 +156,21 @@ class TestRules:
                 inter = sub.slot.intersect(obj.slot)
                 assert rel.slot.frame_span(sample.frame_count) == \
                     inter.frame_span(sample.frame_count)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relation_slots_overlap_both_objects(self, seed):
+        """Default-noise scenes, dense and sparse, over several seeds: every
+        relation keeps frames on both of its objects, so ``VideoSample``'s
+        check never trips on synth output."""
+        for cfg in (SynthConfig(videos=4, d_a=8), SynthConfig(
+                videos=2, d_a=8, object_categories=8, objects_min=9, objects_max=10,
+                distractors=6, max_relations=120)):
+            samples, _ = synth_generate(cfg, seed=seed)
+            for sample in samples:
+                gts = {t.id: t for t in sample.gt_objects}
+                for rel in sample.gt_relations:
+                    for gid in (rel.subject_gt_id, rel.object_gt_id):
+                        assert restrict_track(gts[gid], rel.slot, sample.frame_count)
 
     def test_every_rule_fires_somewhere(self):
         cfg = SynthConfig(videos=24, d_a=8, object_categories=8, objects_min=4,
