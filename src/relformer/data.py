@@ -33,6 +33,12 @@ import numpy as np
 from .errors import DataError
 
 FRAME_GUARD = 1e-9
+# The largest frame count a video may have. (k / F) * F is within F * 2**-52 of
+# k, which stays below FRAME_GUARD only while F < 1e-9 * 2**52 (about 4.5e6);
+# 2**21 keeps a factor of two to spare. It also keeps the model's integer
+# pooling keys, n * (F + 2)**2 over n tracklets, inside int64 for any video
+# of fewer than 2**20 tracklets.
+MAX_FRAME_COUNT = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,12 @@ class TimeSlot:
         s = max(self.start, other.start)
         e = min(self.end, other.end)
         return TimeSlot(s, e) if s < e else None
+
+
+def check_frame_count(frame_count: int) -> None:
+    """A ``DataError`` unless 2 <= ``frame_count`` <= ``MAX_FRAME_COUNT``."""
+    if not 2 <= frame_count <= MAX_FRAME_COUNT:
+        raise DataError(f"frame_count must lie in [2, {MAX_FRAME_COUNT}], got {frame_count}")
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -198,8 +210,10 @@ class VideoSample:
         object.__setattr__(self, "gt_objects", tuple(self.gt_objects))
         object.__setattr__(self, "gt_relations", tuple(self.gt_relations))
         vid = f"video {self.video_id}"
-        if self.frame_count < 2:
-            raise DataError(f"{vid}: frame_count must be >= 2")
+        try:
+            check_frame_count(self.frame_count)
+        except DataError as exc:
+            raise DataError(f"{vid}: {exc}") from None
         for group_name, group in (("tracklets", self.tracklets),
                                   ("gt_objects", self.gt_objects)):
             seen: set[int] = set()

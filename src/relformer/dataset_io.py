@@ -3,25 +3,38 @@
 Layout:
   vocab.json                {"objects": [...], "predicates": [...]}
   video_<id>.json           one per video (see below)
-  video_<id>.trkf           feature matrix file referenced by the JSON
+  video_<id>.trkf           the video's feature matrix, referenced by its JSON
+  video_<id>.trkb           the video's box matrix, referenced by its JSON
 
 A video JSON holds {video_id, frame_count, tracklets, gt_objects,
 gt_relations}, and its video_id is the <id> of its file name. Each tracklet
-entry is {id, start, end, category, probs, boxes, features}; ``features`` is
-"video_<id>.trkf#<row>", pointing at consecutive rows of the video's own
-feature file, which holds the tracklets' rows only. A reference naming any
-other file, such as a path out of the dataset directory, is a ``DataError``
-naming the JSON file and the field; each video's feature file is read once.
-gt_objects entries are {id, start, end, category, boxes}: GT objects carry
-no features or probs, and the GT ``features`` references of older files are
-ignored. gt_relations entries are {subject, object, predicate, start, end}.
+entry is {id, start, end, category, probs, boxes, features}; gt_objects
+entries are {id, start, end, category, boxes}: GT objects carry no features
+or probs. gt_relations entries are {subject, object, predicate, start, end}.
 
-Feature files are little-endian float32 matrices, row-major, with a 16-byte
-header: magic "TRKF", uint32 rows, uint32 cols, 4 reserved zero bytes.
-``read_feature_file`` checks the file size against the header and reads the
-payload straight into the returned float32 array, with no second copy. A NaN
-or infinite value is a ``DataError`` naming the file, so no command runs on
-it; the reader serves both the datasets and ``train --embeddings``.
+``features`` is "video_<id>.trkf#<row>" and ``boxes`` is
+"video_<id>.trkb#<row>": an entry's data is the consecutive rows from <row>
+of its own video's file, one per frame of its slot (``frame_length``). The
+feature file holds the tracklets' rows; the box file holds the tracklets'
+boxes and then the GT objects', so a tracklet's box row is its feature row.
+<row> is a plain ASCII decimal without leading zeros, as the writer makes
+it. A reference of any other form, one naming any other file (such as a
+path out of the dataset directory), or one out of range, is a ``DataError``
+naming the JSON file and the field. A ``boxes`` field that is still a list
+of boxes, the layout of older datasets, is a ``DataError`` that asks for the
+dataset to be regenerated. Each video's two files are read once, and every
+array of a loaded sample is a view of its video's matrix, so loading parses
+no box or feature value from JSON. Extra fields, such as the GT
+``features`` references older layouts wrote, are ignored.
+
+Both files are little-endian row-major matrices with a 16-byte header: a
+4-byte magic, uint32 rows, uint32 cols, 4 reserved zero bytes. Feature files
+("TRKF") hold float32 values, box files ("TRKB") hold float64 (x1, y1, x2,
+y2) rows, so every box keeps all its bits. One reader, ``read_matrix_file``,
+checks the magic and the file size against the header and reads the payload
+straight into the returned array, with no second copy. A NaN or infinite
+value is a ``DataError`` naming the file, so no command runs on it;
+``read_feature_file`` also serves ``train --embeddings``.
 
 All JSON this package writes is canonical: sorted keys, compact separators,
 floats via repr (shortest round-trip), trailing newline. Identical data
@@ -32,50 +45,86 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab, all_finite
+from .data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab, all_finite,
+                   check_frame_count)
 from .errors import DataError
 
-TRKF_MAGIC = b"TRKF"
-TRKF_HEADER_BYTES = 16
+HEADER_BYTES = 16
+
+
+class MatrixKind(NamedTuple):
+    magic: bytes
+    dtype: str
+    what: str               # names the kind in errors
+    cols: int | None = None  # the column count every file of the kind has, if fixed
+
+
+FEATURES = MatrixKind(b"TRKF", "<f4", "feature")
+BOXES = MatrixKind(b"TRKB", "<f8", "box", cols=4)
+_ROW = re.compile(r"0|[1-9][0-9]*")  # the canonical rows the writer makes, ASCII only
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
 
-def write_feature_file(path: str, matrix: np.ndarray) -> None:
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
+@contextmanager
+def _named(where: str):
+    """Prefix ``where`` to the message of a ``DataError`` raised inside."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def write_matrix_file(path: str, matrix: np.ndarray, kind: MatrixKind) -> None:
+    arr = np.ascontiguousarray(matrix, dtype=kind.dtype)
     if arr.ndim != 2:
-        raise DataError(f"{path}: feature matrix must be 2-d, got {arr.shape}")
+        raise DataError(f"{path}: {kind.what} matrix must be 2-d, got {arr.shape}")
     rows, cols = arr.shape
-    header = TRKF_MAGIC + np.array([rows, cols, 0], dtype="<u4").tobytes()
+    header = kind.magic + np.array([rows, cols, 0], dtype="<u4").tobytes()
     with open(path, "wb") as f:
         f.write(header)
         f.write(arr.tobytes())
 
 
-def read_feature_file(path: str) -> np.ndarray:
-    """The (rows, cols) float32 matrix of a TRKF file, read straight into the
-    returned array. A wrong magic or size, or a NaN or infinite value, is a
-    ``DataError`` naming the file."""
+def read_matrix_file(path: str, kind: MatrixKind) -> np.ndarray:
+    """The (rows, cols) matrix of a feature or box file, read straight into
+    the returned array. A wrong magic, column count or size, or a NaN or
+    infinite value, is a ``DataError`` naming the file."""
+    what, itemsize = kind.what, np.dtype(kind.dtype).itemsize
     try:
         with open(path, "rb") as f:
-            header = f.read(TRKF_HEADER_BYTES)
-            if len(header) < TRKF_HEADER_BYTES or header[:4] != TRKF_MAGIC:
-                raise DataError(f"{path}: not a TRKF feature file")
+            header = f.read(HEADER_BYTES)
+            if len(header) < HEADER_BYTES or header[:4] != kind.magic:
+                raise DataError(f"{path}: not a {kind.magic.decode()} {what} file")
             rows, cols, _ = (int(v) for v in np.frombuffer(header, dtype="<u4", offset=4))
-            size, expect = os.fstat(f.fileno()).st_size, TRKF_HEADER_BYTES + rows * cols * 4
+            if kind.cols is not None and cols != kind.cols:
+                raise DataError(f"{path}: {what} rows must have {kind.cols} values, got {cols}")
+            size, expect = os.fstat(f.fileno()).st_size, HEADER_BYTES + rows * cols * itemsize
             if size != expect:
                 raise DataError(f"{path}: size {size} != expected {expect} for {rows}x{cols}")
-            matrix = np.fromfile(f, dtype="<f4", count=rows * cols).reshape(rows, cols)
+            matrix = np.fromfile(f, dtype=kind.dtype, count=rows * cols).reshape(rows, cols)
     except OSError as exc:
-        raise DataError(f"{path}: cannot read feature file: {exc}") from exc
+        raise DataError(f"{path}: cannot read {what} file: {exc}") from exc
     if not all_finite(matrix):
-        raise DataError(f"{path}: feature values must be finite (found NaN or infinity)")
+        raise DataError(f"{path}: {what} values must be finite (found NaN or infinity)")
     return matrix
+
+
+def write_feature_file(path: str, matrix: np.ndarray) -> None:
+    write_matrix_file(path, matrix, FEATURES)
+
+
+def read_feature_file(path: str) -> np.ndarray:
+    """The (rows, cols) float32 matrix of a TRKF file (``read_matrix_file``)."""
+    return read_matrix_file(path, FEATURES)
 
 
 def _require(obj: dict, key: str, where: str):
@@ -101,8 +150,8 @@ def _require_number(obj: dict, key: str, where: str) -> int | float:
 
 
 def _require_array(obj: dict, key: str, where: str) -> np.ndarray:
-    """A float64 array from a (nested) list of JSON numbers. ``Tracklet``
-    rejects NaN and infinities."""
+    """A float64 array from a list of JSON numbers. ``Tracklet`` rejects NaN
+    and infinities."""
     try:
         arr = np.asarray(_require(obj, key, where))
     except ValueError:  # ragged rows
@@ -119,50 +168,37 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _gt_object_to_json(g: GtObject) -> dict:
+def _require_rows(obj: dict, key: str, matrix: np.ndarray, file_name: str, rows: int,
+                  where: str) -> np.ndarray:
+    """The ``rows`` rows of ``matrix`` that the reference field ``key``,
+    "<file_name>#<row>", names: a view, not a copy."""
+    ref = _require(obj, key, where)
+    if key == "boxes" and isinstance(ref, list):
+        raise DataError(f"{where}: field 'boxes' is a list of boxes, a dataset layout that "
+                        "is no longer read; regenerate the dataset with relformer synth")
+    name, sep, row = ref.rpartition("#") if isinstance(ref, str) else ("", "", "")
+    if not (sep and _ROW.fullmatch(row)):
+        raise DataError(f"{where}: bad {key} reference {ref!r}")
+    if name != file_name:
+        raise DataError(f"{where}: {key} reference {ref!r} must name this video's "
+                        f"file {file_name}")
+    # A header counts rows in uint32, so a row of more than 10 digits is past
+    # the end; int() would refuse a row of thousands of digits.
+    first = int(row) if len(row) <= 10 else len(matrix)
+    if first + rows > len(matrix):
+        raise DataError(f"{where}: {key} reference {ref!r} out of range")
+    return matrix[first:first + rows]
+
+
+def _gt_object_to_json(g: GtObject, box_ref: str) -> dict:
     return {"id": g.id, "start": g.slot.start, "end": g.slot.end, "category": g.category,
-            "boxes": [[float(v) for v in row] for row in g.boxes]}
+            "boxes": box_ref}
 
 
-def _track_to_json(t: Tracklet, feature_ref: str) -> dict:
-    return {**_gt_object_to_json(t), "features": feature_ref,
+def _track_to_json(t: Tracklet, stem: str, row: int) -> dict:
+    """A tracklet's box row is its feature row."""
+    return {**_gt_object_to_json(t, f"{stem}.trkb#{row}"), "features": f"{stem}.trkf#{row}",
             "probs": [float(v) for v in t.probs]}
-
-
-def _gt_fields(obj: dict, where: str) -> dict:
-    """The GtObject fields of a GT or tracklet entry, slot as start and end."""
-    fields = {key: _require_number(obj, key, where) for key in ("start", "end")}
-    fields.update((key, _require_int(obj, key, where)) for key in ("id", "category"))
-    fields["boxes"] = _require_array(obj, "boxes", where)
-    if fields["boxes"].ndim != 2 or fields["boxes"].shape[1] != 4:
-        raise DataError(f"{where}: boxes must be a list of 4-vectors")
-    return fields
-
-
-def _construct(cls, where: str, start, end, **fields):
-    try:
-        return cls(slot=TimeSlot(start, end), **fields)
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from None
-
-
-def _track_from_json(obj: dict, features: np.ndarray, feature_file: str,
-                     where: str) -> Tracklet:
-    fields = _gt_fields(obj, where)
-    ref = _require(obj, "features", where)
-    try:
-        file_name, row_str = ref.rsplit("#", 1)
-        row = int(row_str)
-    except (AttributeError, ValueError):
-        raise DataError(f"{where}: bad features reference {ref!r}") from None
-    if file_name != feature_file:
-        raise DataError(f"{where}: features reference {ref!r} must name this video's "
-                        f"file {feature_file}")
-    rows = len(fields["boxes"])
-    if row < 0 or row + rows > len(features):
-        raise DataError(f"{where}: features reference {ref!r} out of range")
-    return _construct(Tracklet, where, **fields, appearance=features[row:row + rows],
-                      probs=_require_array(obj, "probs", where))
 
 
 def save_dataset(directory: str, samples: list[VideoSample], vocab: Vocab,
@@ -175,34 +211,31 @@ def save_dataset(directory: str, samples: list[VideoSample], vocab: Vocab,
         raise DataError(f"{directory}: not empty (use force to overwrite)")
     for name in existing:
         if name == "vocab.json" or (name.startswith("video_")
-                                    and name.endswith((".json", ".trkf"))):
+                                    and name.endswith((".json", ".trkf", ".trkb"))):
             os.remove(os.path.join(directory, name))
     with open(os.path.join(directory, "vocab.json"), "w", encoding="utf-8") as f:
         f.write(canonical_json({"objects": list(vocab.objects),
                                 "predicates": list(vocab.predicates)}))
     for sample in samples:
-        feat_name = f"video_{sample.video_id}.trkf"
-        rows: list[np.ndarray] = []
-        offset = 0
+        stem = f"video_{sample.video_id}"
+        tracks = sample.tracklets + sample.gt_objects
+        first = np.cumsum([0] + [t.length for t in tracks]).tolist()
+        n = len(sample.tracklets)
         doc = {"video_id": sample.video_id, "frame_count": sample.frame_count,
-               "tracklets": [], "gt_objects": list(map(_gt_object_to_json, sample.gt_objects)),
-               "gt_relations": []}
-        for t in sample.tracklets:
-            doc["tracklets"].append(_track_to_json(t, f"{feat_name}#{offset}"))
-            rows.append(t.appearance)
-            offset += t.length
-        for rel in sample.gt_relations:
-            doc["gt_relations"].append({
-                "subject": rel.subject_gt_id, "object": rel.object_gt_id,
-                "predicate": rel.predicate,
-                "start": rel.slot.start, "end": rel.slot.end})
-        if rows:
-            matrix = np.concatenate(rows, axis=0)
-        else:
-            matrix = np.zeros((0, 1), dtype=np.float32)
-        write_feature_file(os.path.join(directory, feat_name), matrix)
-        with open(os.path.join(directory, f"video_{sample.video_id}.json"),
-                  "w", encoding="utf-8") as f:
+               "tracklets": [_track_to_json(t, stem, row)
+                             for t, row in zip(sample.tracklets, first)],
+               "gt_objects": [_gt_object_to_json(g, f"{stem}.trkb#{row}")
+                              for g, row in zip(sample.gt_objects, first[n:])],
+               "gt_relations": [{"subject": rel.subject_gt_id, "object": rel.object_gt_id,
+                                 "predicate": rel.predicate,
+                                 "start": rel.slot.start, "end": rel.slot.end}
+                                for rel in sample.gt_relations]}
+        features = (np.concatenate([t.appearance for t in sample.tracklets])
+                    if n else np.zeros((0, 1), dtype=np.float32))
+        boxes = np.concatenate([t.boxes for t in tracks]) if tracks else np.zeros((0, 4))
+        write_feature_file(os.path.join(directory, f"{stem}.trkf"), features)
+        write_matrix_file(os.path.join(directory, f"{stem}.trkb"), boxes, BOXES)
+        with open(os.path.join(directory, f"{stem}.json"), "w", encoding="utf-8") as f:
             f.write(canonical_json(doc))
 
 
@@ -218,10 +251,8 @@ def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
         raise DataError(f"{vocab_path}: invalid JSON: {exc}") from exc
     objects = _require_list(vocab_doc, "objects", "vocab.json")
     predicates = _require_list(vocab_doc, "predicates", "vocab.json")
-    try:
+    with _named(vocab_path):
         vocab = Vocab(objects=objects, predicates=predicates)
-    except DataError as exc:
-        raise DataError(f"{vocab_path}: {exc}") from None
 
     samples = []
     names = sorted(p for p in os.listdir(directory)
@@ -245,14 +276,19 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
     if video_id != name[len("video_"):-len(".json")]:
         raise DataError(f"{name}: video_id {video_id!r} does not match the file name")
     frame_count = _require_int(doc, "frame_count", name)
+    with _named(name):  # before any slot's rows are counted by it
+        check_frame_count(frame_count)
 
-    feature_file = f"video_{video_id}.trkf"
+    feature_file, box_file = f"video_{video_id}.trkf", f"video_{video_id}.trkb"
+    entries = {key: _require_list(doc, key, name) for key in ("tracklets", "gt_objects")}
     features = (read_feature_file(os.path.join(directory, feature_file))
-                if _require_list(doc, "tracklets", name) else None)
+                if entries["tracklets"] else None)
+    boxes = (read_matrix_file(os.path.join(directory, box_file), BOXES)
+             if entries["tracklets"] or entries["gt_objects"] else None)
 
     def objects(key: str, parse) -> list:
         out = []
-        for i, entry in enumerate(_require_list(doc, key, name)):
+        for i, entry in enumerate(entries[key]):
             where = f"{name}: {key}[{i}]"
             obj = parse(entry, where)
             if obj.category >= len(vocab.objects):
@@ -260,15 +296,32 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
             out.append(obj)
         return out
 
+    def gt_fields(entry: dict, where: str) -> dict:
+        """The GtObject fields of a GT or tracklet entry."""
+        start, end = (_require_number(entry, key, where) for key in ("start", "end"))
+        fields = {key: _require_int(entry, key, where) for key in ("id", "category")}
+        with _named(where):
+            fields["slot"] = TimeSlot(start, end)
+        fields["boxes"] = _require_rows(entry, "boxes", boxes, box_file,
+                                        fields["slot"].frame_length(frame_count), where)
+        return fields
+
     def tracklet(entry: dict, where: str) -> Tracklet:
-        track = _track_from_json(entry, features, feature_file, where)
+        fields = gt_fields(entry, where)
+        appearance = _require_rows(entry, "features", features, feature_file,
+                                   len(fields["boxes"]), where)
+        probs = _require_array(entry, "probs", where)
+        with _named(where):
+            track = Tracklet(**fields, appearance=appearance, probs=probs)
         if len(track.probs) != len(vocab.objects):
             raise DataError(f"{where}: probs length {len(track.probs)} != "
                             f"|object vocab| {len(vocab.objects)}")
         return track
 
     def gt_object(entry: dict, where: str) -> GtObject:
-        return _construct(GtObject, where, **_gt_fields(entry, where))
+        fields = gt_fields(entry, where)
+        with _named(where):
+            return GtObject(**fields)
 
     relations = []
     for i, entry in enumerate(_require_list(doc, "gt_relations", name)):
@@ -278,17 +331,13 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
         start, end = (_require_number(entry, key, where) for key in ("start", "end"))
         if predicate >= len(vocab.predicates):  # GtRelation rejects negative ids
             raise DataError(f"{where}: predicate {predicate} outside vocab")
-        try:
+        with _named(where):
             relations.append(GtRelation(
                 subject_gt_id=subject, object_gt_id=object_, predicate=predicate,
                 slot=TimeSlot(start, end)))
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
 
     tracklets, gt_objects = objects("tracklets", tracklet), objects("gt_objects", gt_object)
-    try:
+    with _named(name):
         return VideoSample(video_id=video_id, frame_count=frame_count,
                            tracklets=tracklets, gt_objects=gt_objects,
                            gt_relations=relations)
-    except DataError as exc:
-        raise DataError(f"{name}: {exc}") from None

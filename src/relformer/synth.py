@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab,
-                   restrict_track)
+from .data import (MAX_FRAME_COUNT, GtObject, GtRelation, TimeSlot, Tracklet, VideoSample,
+                   Vocab, restrict_track)
 from .errors import ConfigError
 
 MIN_SHARED_FRAMES = 4
@@ -107,8 +107,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.videos < 0:
             raise ConfigError(f"synth.videos must be >= 0, got {self.videos}")
-        if self.frame_count < 8:
-            raise ConfigError(f"synth.frame_count must be >= 8, got {self.frame_count}")
+        if not 8 <= self.frame_count <= MAX_FRAME_COUNT:
+            raise ConfigError(f"synth.frame_count must lie in [8, {MAX_FRAME_COUNT}], "
+                              f"got {self.frame_count}")
         if not (1 <= self.objects_min <= self.objects_max):
             raise ConfigError("synth.objects_min/objects_max must satisfy "
                               f"1 <= {self.objects_min} <= {self.objects_max}")

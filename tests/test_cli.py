@@ -16,7 +16,8 @@ from relformer import nn, training
 from relformer.checkpoint import load_checkpoint
 from relformer.cli import _load_model, main
 from relformer.config import load_config
-from relformer.data import GtObject, GtRelation, TimeSlot, Tracklet, VideoSample, Vocab
+from relformer.data import (MAX_FRAME_COUNT, GtObject, GtRelation, TimeSlot, Tracklet,
+                            VideoSample, Vocab)
 from relformer.dataset_io import canonical_json, load_dataset, save_dataset, write_feature_file
 from relformer.head import RelationTriplet, infer_triplets
 from relformer.metrics import evaluate
@@ -510,6 +511,29 @@ class TestExitCodes:
         assert f"{bad}: feature values must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case,edit,message", [
+        ("list_boxes", lambda doc: doc["tracklets"][0].update(boxes=[[0.1, 0.1, 0.2, 0.2]] * 2),
+         "regenerate the dataset with relformer synth"),
+        ("frame_count", lambda doc: doc.update(frame_count=10 ** 9),
+         f"frame_count must lie in [2, {MAX_FRAME_COUNT}], got 1000000000"),
+    ], ids=["list_boxes", "frame_count"])
+    def test_video_json_the_reader_refuses_exits_3_naming_the_file(self, tiny_run, capsys,
+                                                                   case, edit, message):
+        root, cfg, data = tiny_run
+        work = root / f"refused_{case}"
+        shutil.copytree(data, work / "data")
+        video = sorted((work / "data").glob("video_*.json"))[0]
+        doc = json.loads(video.read_text())
+        edit(doc)
+        video.write_text(json.dumps(doc))
+        out = work / "report.json"
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--data", str(work / "data"),
+                     "--ckpt", str(root / "run1" / "model.ckpt"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{video.name}: " in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "infer"])
     def test_video_id_differing_from_its_file_name_exits_3(self, tiny_run, capsys, command):
         """Two videos with one id would write one predictions file and be
@@ -600,6 +624,13 @@ class TestSynthOutput:
         for name in names:
             assert (forced / name).read_bytes() == (fresh / name).read_bytes(), name
         assert len(load_dataset(str(forced))[0]) == 3
+
+    def test_frames_above_the_video_bound_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        capsys.readouterr()
+        assert self.synth(tmp_path, out, 1, 1, "--frames", str(MAX_FRAME_COUNT + 1)) == 2
+        assert "synth.frame_count must lie in" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_empty_directory_without_force_exits_2_and_changes_nothing(
             self, tmp_path, capsys):

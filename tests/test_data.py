@@ -4,7 +4,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relformer import data
-from relformer.data import (GtObject, GtRelation, TimeSlot, Tracklet, VideoSample,
+from relformer.data import (MAX_FRAME_COUNT, GtObject, GtRelation, TimeSlot, Tracklet,
+                            VideoSample,
                             assign_tracklets_to_gt, box_iou, compute_viou, pair_vious,
                             restrict_track)
 from relformer.errors import DataError
@@ -77,6 +78,17 @@ class TestTimeSlot:
         assert valid[0, 0]
         assert TimeSlot(start, end).frame_span(frame_count) == (int(f0[0, 0]), int(f1[0, 0]))
 
+    @given(st.integers(0, MAX_FRAME_COUNT - 1), st.integers(1, MAX_FRAME_COUNT))
+    @example(MAX_FRAME_COUNT - 1, 1)
+    @example(0, MAX_FRAME_COUNT)
+    @settings(max_examples=300, deadline=None)
+    def test_frame_span_is_exact_at_the_largest_frame_count(self, first, length):
+        """The frame guard still absorbs the rounding of (k / F) * F at
+        F = MAX_FRAME_COUNT, so frame fractions name their frames."""
+        frames = MAX_FRAME_COUNT
+        last = min(first + length, frames)
+        assert TimeSlot(first / frames, last / frames).frame_span(frames) == (first, last)
+
     def test_intersect(self):
         assert TimeSlot(0.0, 0.5).intersect(TimeSlot(0.5, 1.0)) is None
         got = TimeSlot(0.0, 0.6).intersect(TimeSlot(0.4, 1.0))
@@ -110,6 +122,20 @@ class TestGtObjectValidation:
         g = make_gt(0, 0, 3, 10, (0.1, 0.1, 0.2, 0.2))
         assert not hasattr(g, "appearance") and not hasattr(g, "probs")
         assert g.length == 3 and g.boxes.dtype == np.float64
+
+
+class TestFrameCountBound:
+    @pytest.mark.parametrize("frame_count", [1, MAX_FRAME_COUNT + 1, 3 * 10 ** 9])
+    def test_video_sample_rejects_the_count(self, frame_count):
+        with pytest.raises(DataError, match=(rf"^video v: frame_count must lie in "
+                                             rf"\[2, {MAX_FRAME_COUNT}\], got {frame_count}$")):
+            VideoSample(video_id="v", frame_count=frame_count, tracklets=[], gt_objects=[])
+
+    def test_largest_count_is_accepted(self):
+        g = make_gt(0, MAX_FRAME_COUNT - 3, 3, MAX_FRAME_COUNT, (0.1, 0.1, 0.2, 0.2))
+        sample = VideoSample(video_id="v", frame_count=MAX_FRAME_COUNT, tracklets=[],
+                             gt_objects=[g])
+        assert sample.gt_objects[0].slot.frame_span(MAX_FRAME_COUNT)[1] == MAX_FRAME_COUNT
 
 
 class TestTrackletValidation:

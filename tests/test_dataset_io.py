@@ -1,14 +1,17 @@
 import json
 import os
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relformer.data import GtObject, Vocab
-from relformer.dataset_io import (load_dataset, read_feature_file, save_dataset,
-                                  write_feature_file)
+from relformer.data import MAX_FRAME_COUNT, GtObject, Vocab
+from relformer.dataset_io import (BOXES, load_dataset, read_feature_file, read_matrix_file,
+                                  save_dataset, write_feature_file, write_matrix_file)
 from relformer.errors import DataError
+from relformer.synth import SynthConfig, synth_generate
 
 
 def structurally_equal(a, b) -> bool:
@@ -81,7 +84,6 @@ class TestFeatureFiles:
     def test_payload_is_read_in_one_copy(self, rng, tmp_path):
         """The reader's peak is the returned matrix, not the file's bytes and
         a copy of them."""
-        import tracemalloc
         path = tmp_path / "x.trkf"
         write_feature_file(str(path), rng.normal(size=(2000, 256)))
         payload = 2000 * 256 * 4
@@ -161,8 +163,9 @@ class TestRoundTrip:
         assert all(type(g) is GtObject for s in loaded for g in s.gt_objects)
 
     def test_older_layout_with_gt_feature_rows_loads_the_same(self, toy_dataset, tmp_path):
-        """Older files give each GT object a ``features`` reference to rows
-        after the tracklets' rows; the reader ignores both."""
+        """Older layouts gave each GT object a ``features`` reference to rows
+        after the tracklets' rows; the reader ignores both, as it ignores any
+        extra field."""
         samples, vocab = toy_dataset
         new, old = tmp_path / "new", tmp_path / "old"
         save_dataset(str(new), samples, vocab)
@@ -187,6 +190,77 @@ class TestRoundTrip:
             assert structurally_equal(a, b)
 
 
+# The synth fields of the benchmark's three workloads (perfbench/workloads.py).
+WORKLOAD_SHAPES = {
+    "ref_train": dict(objects_min=3, objects_max=4, distractors=4),
+    "dense_eval": dict(objects_min=9, objects_max=10, distractors=6, max_relations=120),
+    "long_tracks": dict(frame_count=240, objects_min=4, objects_max=5, distractors=8),
+}
+
+
+class TestBoxFileRoundTrip:
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES.values(), ids=list(WORKLOAD_SHAPES))
+    def test_loaded_samples_are_bit_identical_views_of_one_box_matrix(self, tmp_path,
+                                                                      shape):
+        """Boxes, appearance, probs, slots and relations come back with every
+        bit, and each video's boxes are views of the one matrix its box file
+        holds, tracklets' rows first."""
+        samples, vocab = synth_generate(SynthConfig(videos=2, d_a=8, **shape), seed=29)
+        save_dataset(str(tmp_path), samples, vocab)
+        loaded, _ = load_dataset(str(tmp_path))
+        assert [s.video_id for s in loaded] == [s.video_id for s in samples]
+        for a, b in zip(samples, loaded):
+            assert b.frame_count == a.frame_count
+            tracks_a, tracks_b = a.tracklets + a.gt_objects, b.tracklets + b.gt_objects
+            assert [(type(t), t.id, t.category) for t in tracks_b] == [
+                (type(t), t.id, t.category) for t in tracks_a]
+            for ta, tb in zip(tracks_a, tracks_b):
+                assert (ta.slot.start.hex(), ta.slot.end.hex()) == (
+                    tb.slot.start.hex(), tb.slot.end.hex())
+                assert tb.boxes.dtype == np.float64
+                assert tb.boxes.tobytes() == ta.boxes.tobytes()
+            for ta, tb in zip(a.tracklets, b.tracklets):
+                assert tb.appearance.tobytes() == ta.appearance.tobytes()
+                assert tb.probs.tobytes() == ta.probs.tobytes()
+            assert [(r.subject_gt_id, r.object_gt_id, r.predicate, r.slot.start.hex(),
+                     r.slot.end.hex()) for r in b.gt_relations] == [
+                (r.subject_gt_id, r.object_gt_id, r.predicate, r.slot.start.hex(),
+                 r.slot.end.hex()) for r in a.gt_relations]
+
+            matrix = read_matrix_file(str(tmp_path / f"video_{b.video_id}.trkb"), BOXES)
+            base = tracks_b[0].boxes.base
+            assert base is not None and base.size == matrix.size
+            assert all(t.boxes.base is base for t in tracks_b)
+            assert np.concatenate([t.boxes for t in tracks_b]).tobytes() == matrix.tobytes()
+
+    def test_video_json_holds_no_box_values(self, toy_dataset, tmp_path):
+        samples, vocab = toy_dataset
+        save_dataset(str(tmp_path), samples, vocab)
+        for sample in samples:
+            stem = f"video_{sample.video_id}"
+            doc = json.loads((tmp_path / f"{stem}.json").read_text())
+            refs = [e["boxes"] for e in doc["tracklets"] + doc["gt_objects"]]
+            rows = np.cumsum([0] + [t.length for t in sample.tracklets
+                                    + sample.gt_objects])[:-1]
+            assert refs == [f"{stem}.trkb#{row}" for row in rows]
+            assert [e["features"] for e in doc["tracklets"]] == [
+                f"{stem}.trkf#{row}" for row in rows[:len(sample.tracklets)]]
+
+    def test_box_payload_is_read_in_one_copy(self, rng, tmp_path):
+        path = str(tmp_path / "x.trkb")
+        write_matrix_file(path, rng.uniform(size=(50_000, 4)), BOXES)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            matrix = read_matrix_file(path, BOXES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (50_000, 4) and matrix.dtype == np.float64
+        assert peak - start < 1.5 * matrix.nbytes
+
+
 def with_relation(doc, **fields):
     """Add a second GT object and one relation between the two."""
     doc["gt_objects"].append(dict(doc["gt_objects"][0], id=1))
@@ -194,25 +268,36 @@ def with_relation(doc, **fields):
         {"subject": 0, "object": 1, "predicate": 0, "start": 0.0, "end": 0.2, **fields})
 
 
+def set_box(ds, row, box):
+    """Overwrite row ``row`` of video v0's box file."""
+    path = str(Path(ds) / "video_v0.trkb")
+    boxes = read_matrix_file(path, BOXES)
+    boxes[row] = box
+    write_matrix_file(path, boxes, BOXES)
+
+
 class TestValidation:
     def _write_minimal(self, tmp_path, mutate=None):
+        """One video of 10 frames: tracklet 3 and GT object 0 on frames 0-1,
+        boxes in rows 0-1 and 2-3 of the box file, features in rows 0-1."""
         ds = tmp_path / "ds"
         ds.mkdir()
         (ds / "vocab.json").write_text(json.dumps(
             {"objects": ["a", "b"], "predicates": ["p"]}))
         write_feature_file(str(ds / "video_v0.trkf"),
-                           np.zeros((4, 3), dtype=np.float32))
+                           np.zeros((2, 3), dtype=np.float32))
+        write_matrix_file(str(ds / "video_v0.trkb"), np.tile([0.1, 0.1, 0.2, 0.2], (4, 1)),
+                          BOXES)
         doc = {
             "video_id": "v0", "frame_count": 10,
             "tracklets": [{
                 "id": 3, "start": 0.0, "end": 0.2, "category": 0,
                 "probs": [1.0, 0.0],
-                "boxes": [[0.1, 0.1, 0.2, 0.2], [0.1, 0.1, 0.2, 0.2]],
+                "boxes": "video_v0.trkb#0",
                 "features": "video_v0.trkf#0"}],
             "gt_objects": [{
                 "id": 0, "start": 0.0, "end": 0.2, "category": 0,
-                "boxes": [[0.1, 0.1, 0.2, 0.2], [0.1, 0.1, 0.2, 0.2]],
-                "features": "video_v0.trkf#2"}],
+                "boxes": "video_v0.trkb#2"}],
             "gt_relations": [],
         }
         if mutate:
@@ -253,9 +338,8 @@ class TestValidation:
             load_dataset(str(ds))
 
     def test_inverted_box_names_tracklet_id(self, tmp_path):
-        def flip(doc):
-            doc["tracklets"][0]["boxes"][0] = [0.3, 0.1, 0.2, 0.2]
-        path = self._write_minimal(tmp_path, flip)
+        path = self._write_minimal(tmp_path)
+        set_box(path, 0, [0.3, 0.1, 0.2, 0.2])
         with pytest.raises(DataError, match=r"tracklets\[0\].*tracklet 3"):
             load_dataset(path)
 
@@ -268,7 +352,7 @@ class TestValidation:
 
     def test_out_of_range_feature_ref(self, tmp_path):
         def bump(doc):
-            doc["tracklets"][0]["features"] = "video_v0.trkf#3"
+            doc["tracklets"][0]["features"] = "video_v0.trkf#1"
         path = self._write_minimal(tmp_path, bump)
         with pytest.raises(DataError, match="out of range"):
             load_dataset(path)
@@ -348,25 +432,26 @@ class TestValidation:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc, ds: doc["tracklets"][0].update(start="zero"),
-         r"video_v0.json: tracklets\[0\]: field 'start' must be a number"),
+         r"^video_v0.json: tracklets\[0\]: field 'start' must be a number"),
         (lambda doc, ds: with_relation(doc, start=None),
-         r"video_v0.json: gt_relations\[0\]: field 'start' must be a number"),
+         r"^video_v0.json: gt_relations\[0\]: field 'start' must be a number"),
         (lambda doc, ds: doc.update(tracklets=5),
-         "video_v0.json: field 'tracklets' must be a list"),
+         "^video_v0.json: field 'tracklets' must be a list"),
         (lambda doc, ds: doc["tracklets"].__setitem__(0, 7),
-         r"video_v0.json: tracklets\[0\]: must be a JSON object"),
-        (lambda doc, ds: doc["tracklets"][0]["boxes"][1].pop(),
-         r"video_v0.json: tracklets\[0\]: field 'boxes' must be an array"),
+         r"^video_v0.json: tracklets\[0\]: must be a JSON object"),
+        (lambda doc, ds: (ds / "video_v0.trkb").write_bytes(
+            (ds / "video_v0.trkb").read_bytes()[:-8]),
+         r"video_v0.trkb: size 136 != expected 144 for 4x4$"),
         (lambda doc, ds: doc["tracklets"][0].update(boxes="abc"),
-         r"video_v0.json: tracklets\[0\]: field 'boxes' must be an array"),
+         r"^video_v0.json: tracklets\[0\]: bad boxes reference 'abc'$"),
         (lambda doc, ds: doc["tracklets"][0].update(probs=["a", "b"]),
-         r"video_v0.json: tracklets\[0\]: field 'probs' must be an array"),
+         r"^video_v0.json: tracklets\[0\]: field 'probs' must be an array"),
         (lambda doc, ds: doc["tracklets"][0].update(probs=[float("nan"), 1.0]),
          r"^video_v0.json: tracklets\[0\]: tracklet \d+: probs must be a finite probability"),
-        (lambda doc, ds: doc["tracklets"][0]["boxes"][0].__setitem__(2, float("inf")),
-         r"^video_v0.json: tracklets\[0\]: tracklet \d+: box coordinates must be finite"),
-        (lambda doc, ds: doc["gt_objects"][0]["boxes"][1].__setitem__(0, float("nan")),
-         r"^video_v0.json: gt_objects\[0\]: gt object \d+: box coordinates must be finite"),
+        (lambda doc, ds: set_box(ds, 0, [0.1, 0.1, np.inf, 0.2]),
+         r"video_v0.trkb: box values must be finite \(found NaN or infinity\)$"),
+        (lambda doc, ds: set_box(ds, 3, [np.nan, 0.1, 0.2, 0.2]),
+         r"video_v0.trkb: box values must be finite \(found NaN or infinity\)$"),
         (lambda doc, ds: (ds / "video_zz.json").mkdir(), "video_zz.json: cannot read"),
     ], ids=["track_start_string", "relation_start_null", "tracklets_not_a_list",
             "track_not_an_object", "ragged_boxes", "boxes_string", "probs_strings",
@@ -378,3 +463,117 @@ class TestValidation:
         (ds / "video_v0.json").write_text(json.dumps(doc))
         with pytest.raises(DataError, match=message):
             load_dataset(str(ds))
+
+    def test_list_boxes_ask_to_regenerate_the_dataset(self, tmp_path):
+        """Datasets written before the box files held boxes as JSON lists."""
+        def old_layout(doc):
+            doc["gt_objects"][0]["boxes"] = [[0.1, 0.1, 0.2, 0.2], [0.1, 0.1, 0.2, 0.2]]
+        path = self._write_minimal(tmp_path, old_layout)
+        with pytest.raises(DataError, match=(
+                r"^video_v0.json: gt_objects\[0\]: field 'boxes' is a list of boxes, a "
+                "dataset layout that is no longer read; regenerate the dataset with "
+                "relformer synth$")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: b"TRKF" + raw[4:], "not a TRKB box file"),
+        (lambda raw: raw + b"\0" * 8, "size 152 != expected 144 for 4x4"),
+        (lambda raw: raw[:-1], "size 143 != expected 144 for 4x4"),
+    ], ids=["feature_magic", "long_payload", "short_payload"])
+    def test_bad_box_file_names_the_file(self, tmp_path, edit, message):
+        path = Path(self._write_minimal(tmp_path))
+        box_file = path / "video_v0.trkb"
+        box_file.write_bytes(edit(box_file.read_bytes()))
+        with pytest.raises(DataError, match=f"^{re.escape(str(box_file))}: {message}$"):
+            load_dataset(str(path))
+
+    def test_missing_box_file_names_the_file(self, tmp_path):
+        path = Path(self._write_minimal(tmp_path))
+        (path / "video_v0.trkb").unlink()
+        with pytest.raises(DataError, match=f"^{re.escape(str(path / 'video_v0.trkb'))}: "
+                                            "cannot read box file"):
+            load_dataset(str(path))
+
+    def test_box_file_needs_four_columns(self, tmp_path):
+        path = Path(self._write_minimal(tmp_path))
+        write_matrix_file(str(path / "video_v0.trkb"), np.full((4, 3), 0.1), BOXES)
+        with pytest.raises(DataError, match="video_v0.trkb: box rows must have 4 values, "
+                                            "got 3$"):
+            load_dataset(str(path))
+
+    def test_box_outside_the_unit_square_names_the_gt_object(self, tmp_path):
+        path = self._write_minimal(tmp_path)
+        set_box(path, 3, [0.1, 0.1, 1.5, 0.2])
+        with pytest.raises(DataError, match=(r"^video_v0.json: gt_objects\[0\]: gt object 0: "
+                                             "box coordinates must be finite and lie in")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("ref", ["video_v1.trkb#0", "../elsewhere/video_v0.trkb#0",
+                                     "video_v0.trkf#0"],
+                             ids=["other_video", "parent_dir", "feature_file"])
+    def test_boxes_must_name_the_videos_own_box_file(self, tmp_path, ref):
+        path = Path(self._write_minimal(tmp_path))
+        write_matrix_file(str(path / "video_v1.trkb"), np.full((4, 4), 0.5), BOXES)
+        (path / "video_v1.json").write_text(
+            (path / "video_v0.json").read_text().replace("v0", "v1"))
+        doc = json.loads((path / "video_v0.json").read_text())
+        doc["gt_objects"][0]["boxes"] = ref
+        (path / "video_v0.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=(
+                rf"^video_v0.json: gt_objects\[0\]: boxes reference {re.escape(repr(ref))} "
+                "must name this video's file video_v0.trkb$")):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize("ref", ["video_v0.trkb#3", "video_v0.trkb#4",
+                                     "video_v0.trkb#99999999999999999999",
+                                     "video_v0.trkb#" + "9" * 5000],
+                             ids=["overlap_end", "past_end", "20_digits", "5000_digits"])
+    def test_out_of_range_box_ref(self, tmp_path, ref):
+        path = self._write_minimal(tmp_path, lambda doc: doc["gt_objects"][0].update(boxes=ref))
+        with pytest.raises(DataError, match=(rf"^video_v0.json: gt_objects\[0\]: boxes "
+                                             rf"reference {re.escape(repr(ref))} out of range$")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key,file_name", [("boxes", "video_v0.trkb"),
+                                               ("features", "video_v0.trkf")])
+    @pytest.mark.parametrize("row", ["+0", " 0", "0 ", "0\n", "0_0", "\u0660", "00", "-0",
+                                     "", "0x0", "0.0", "\u00b2"],
+                             ids=["plus", "lead_space", "trail_space", "newline",
+                                  "underscore", "arabic_zero", "leading_zero", "minus",
+                                  "empty", "hex", "float", "superscript"])
+    def test_non_canonical_row_names_file_and_field(self, tmp_path, key, file_name, row):
+        """Rows are the plain ASCII decimals the writer makes; ``int`` would
+        read each of these forms as row 0 (or fail some other way)."""
+        ref = f"{file_name}#{row}"
+        path = self._write_minimal(tmp_path, lambda doc: doc["tracklets"][0].update(
+            {key: ref}))
+        with pytest.raises(DataError, match=(rf"^video_v0.json: tracklets\[0\]: bad {key} "
+                                             rf"reference {re.escape(repr(ref))}$")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("ref", [0, None, ["video_v0.trkf", 0], "video_v0.trkf"],
+                             ids=["int", "null", "list", "no_row"])
+    def test_malformed_features_ref_names_file_and_field(self, tmp_path, ref):
+        path = self._write_minimal(tmp_path, lambda doc: doc["tracklets"][0].update(
+            features=ref))
+        with pytest.raises(DataError, match=(r"^video_v0.json: tracklets\[0\]: bad features "
+                                             rf"reference {re.escape(repr(ref))}$")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("frame_count", [MAX_FRAME_COUNT + 1, 10 ** 9, 1, 0, -5])
+    def test_frame_count_out_of_bounds_names_file_and_field(self, tmp_path, frame_count):
+        path = self._write_minimal(tmp_path, lambda doc: doc.update(frame_count=frame_count))
+        with pytest.raises(DataError, match=(
+                rf"^video_v0.json: frame_count must lie in \[2, {MAX_FRAME_COUNT}\], "
+                rf"got {frame_count}$")):
+            load_dataset(path)
+
+    def test_largest_frame_count_loads(self, tmp_path):
+        """At 2**21 frames the two-frame slots still name their frames."""
+        def longest(doc):
+            doc["frame_count"] = MAX_FRAME_COUNT
+            for entry in doc["tracklets"] + doc["gt_objects"]:
+                entry.update(start=(MAX_FRAME_COUNT - 2) / MAX_FRAME_COUNT, end=1.0)
+        [sample], _ = load_dataset(self._write_minimal(tmp_path, longest))
+        assert sample.tracklets[0].slot.frame_span(MAX_FRAME_COUNT) == (
+            MAX_FRAME_COUNT - 2, MAX_FRAME_COUNT)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from relformer import autodiff as ad
 from relformer.autodiff import Tensor, backward
 from relformer.config import ModelConfig
-from relformer.data import TimeSlot, Tracklet, VideoSample
+from relformer.data import MAX_FRAME_COUNT, TimeSlot, Tracklet, VideoSample
 from relformer.errors import ConfigError, DataError
 from relformer.features import init_tracklet_feature
 from relformer.model import (RelationModel, build_anchors, cross_attend, init_store,
@@ -140,6 +140,9 @@ class TestVideoPoolRows:
     @given(pooling_cases())
     @example((36, [(0, 15), (0, 36)], (16, 12), [], 8))  # an anchor starts an ulp below 15/36
     @example((7, [(2, 4)], (3, 2), [[0.0, 0.1]], 8))     # disjoint pairs, bins with no centre
+    # 16 two-frame tracklets at the largest frame count: the keys stay in int64.
+    @example((MAX_FRAME_COUNT, [(k * 2 ** 17, k * 2 ** 17 + 2) for k in range(16)], (16, 12),
+              [[0.0, 1.0]], 8))
     @settings(max_examples=100, deadline=None)
     def test_pooled_features_match_the_oracle(self, case):
         frame_count, tracks, grid, extra, l_roi = case

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relformer.data import GtObject, TimeSlot, restrict_track, tracklet_gt_vious
+from relformer.data import (MAX_FRAME_COUNT, GtObject, TimeSlot, restrict_track,
+                            tracklet_gt_vious)
 from relformer.errors import ConfigError
 from relformer.synth import (MIN_SHARED_FRAMES, SynthConfig, derive_relations,
                              rule_approaching, synth_generate)
@@ -26,6 +27,13 @@ class TestConfigValidation:
     def test_tiny_frame_count_rejected(self):
         with pytest.raises(ConfigError, match="frame_count"):
             SynthConfig(frame_count=0)
+
+    def test_frame_count_above_the_video_bound_rejected(self):
+        with pytest.raises(ConfigError, match=(rf"^synth.frame_count must lie in "
+                                               rf"\[8, {MAX_FRAME_COUNT}\], got "
+                                               rf"{MAX_FRAME_COUNT + 1}$")):
+            SynthConfig(frame_count=MAX_FRAME_COUNT + 1)
+        assert SynthConfig(frame_count=MAX_FRAME_COUNT).frame_count == MAX_FRAME_COUNT
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError, match="unknown rule"):
