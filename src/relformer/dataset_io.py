@@ -3,29 +3,27 @@
 Layout:
   vocab.json                {"objects": [...], "predicates": [...]}
   video_<id>.json           one per video (see below)
-  video_<id>.trkf           the video's feature matrix, referenced by its JSON
-  video_<id>.trkb           the video's box matrix, referenced by its JSON
+  video_<id>.trkf           the video's feature matrix
+  video_<id>.trkb           the video's box matrix
 
 A video JSON holds {video_id, frame_count, tracklets, gt_objects,
 gt_relations}, and its video_id is the <id> of its file name. Each tracklet
-entry is {id, start, end, category, probs, boxes, features}; gt_objects
-entries are {id, start, end, category, boxes}: GT objects carry no features
-or probs. gt_relations entries are {subject, object, predicate, start, end}.
+entry is {id, start, end, category, probs}; gt_objects entries are {id,
+start, end, category}: GT objects carry no features or probs. gt_relations
+entries are {subject, object, predicate, start, end}.
 
-``features`` is "video_<id>.trkf#<row>" and ``boxes`` is
-"video_<id>.trkb#<row>": an entry's data is the consecutive rows from <row>
-of its own video's file, one per frame of its slot (``frame_length``). The
-feature file holds the tracklets' rows; the box file holds the tracklets'
-boxes and then the GT objects', so a tracklet's box row is its feature row.
-<row> is a plain ASCII decimal without leading zeros, as the writer makes
-it. A reference of any other form, one naming any other file (such as a
-path out of the dataset directory), or one out of range, is a ``DataError``
-naming the JSON file and the field. A ``boxes`` field that is still a list
-of boxes, the layout of older datasets, is a ``DataError`` that asks for the
-dataset to be regenerated. Each video's two files are read once, and every
-array of a loaded sample is a view of its video's matrix, so loading parses
-no box or feature value from JSON. Extra fields, such as the GT
-``features`` references older layouts wrote, are ignored.
+An entry's rows follow from its place: one per frame of its slot
+(``frame_length``), tracklets first, then the GT objects, so entry k takes
+rows first[k]:first[k + 1] of the running sum. The feature file holds the
+tracklets' rows, the box file the tracklets' and then the GT objects'. A
+file whose row count is not the sum its entries cover is a ``DataError``
+naming the file. An entry with a ``features`` or ``boxes`` field, a row
+reference or a list of boxes, was written by an older layout and is a
+``DataError`` that asks for the dataset to be regenerated; the reader
+checks that before it opens either file, since the oldest layouts have no
+box file. Each video's two files are read once, and every array of a loaded
+sample is a view of its video's matrix, so loading parses no box or feature
+value from JSON.
 
 Both files are little-endian row-major matrices with a 16-byte header: a
 4-byte magic, uint32 rows, uint32 cols, 4 reserved zero bytes. Feature files
@@ -45,8 +43,8 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +65,6 @@ class MatrixKind(NamedTuple):
 
 FEATURES = MatrixKind(b"TRKF", "<f4", "feature")
 BOXES = MatrixKind(b"TRKB", "<f8", "box", cols=4)
-_ROW = re.compile(r"0|[1-9][0-9]*")  # the canonical rows the writer makes, ASCII only
 
 
 def canonical_json(obj) -> str:
@@ -168,37 +165,12 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _require_rows(obj: dict, key: str, matrix: np.ndarray, file_name: str, rows: int,
-                  where: str) -> np.ndarray:
-    """The ``rows`` rows of ``matrix`` that the reference field ``key``,
-    "<file_name>#<row>", names: a view, not a copy."""
-    ref = _require(obj, key, where)
-    if key == "boxes" and isinstance(ref, list):
-        raise DataError(f"{where}: field 'boxes' is a list of boxes, a dataset layout that "
-                        "is no longer read; regenerate the dataset with relformer synth")
-    name, sep, row = ref.rpartition("#") if isinstance(ref, str) else ("", "", "")
-    if not (sep and _ROW.fullmatch(row)):
-        raise DataError(f"{where}: bad {key} reference {ref!r}")
-    if name != file_name:
-        raise DataError(f"{where}: {key} reference {ref!r} must name this video's "
-                        f"file {file_name}")
-    # A header counts rows in uint32, so a row of more than 10 digits is past
-    # the end; int() would refuse a row of thousands of digits.
-    first = int(row) if len(row) <= 10 else len(matrix)
-    if first + rows > len(matrix):
-        raise DataError(f"{where}: {key} reference {ref!r} out of range")
-    return matrix[first:first + rows]
+def _gt_object_to_json(g: GtObject) -> dict:
+    return {"id": g.id, "start": g.slot.start, "end": g.slot.end, "category": g.category}
 
 
-def _gt_object_to_json(g: GtObject, box_ref: str) -> dict:
-    return {"id": g.id, "start": g.slot.start, "end": g.slot.end, "category": g.category,
-            "boxes": box_ref}
-
-
-def _track_to_json(t: Tracklet, stem: str, row: int) -> dict:
-    """A tracklet's box row is its feature row."""
-    return {**_gt_object_to_json(t, f"{stem}.trkb#{row}"), "features": f"{stem}.trkf#{row}",
-            "probs": [float(v) for v in t.probs]}
+def _track_to_json(t: Tracklet) -> dict:
+    return {**_gt_object_to_json(t), "probs": [float(v) for v in t.probs]}
 
 
 def save_dataset(directory: str, samples: list[VideoSample], vocab: Vocab,
@@ -219,24 +191,46 @@ def save_dataset(directory: str, samples: list[VideoSample], vocab: Vocab,
     for sample in samples:
         stem = f"video_{sample.video_id}"
         tracks = sample.tracklets + sample.gt_objects
-        first = np.cumsum([0] + [t.length for t in tracks]).tolist()
-        n = len(sample.tracklets)
         doc = {"video_id": sample.video_id, "frame_count": sample.frame_count,
-               "tracklets": [_track_to_json(t, stem, row)
-                             for t, row in zip(sample.tracklets, first)],
-               "gt_objects": [_gt_object_to_json(g, f"{stem}.trkb#{row}")
-                              for g, row in zip(sample.gt_objects, first[n:])],
+               "tracklets": [_track_to_json(t) for t in sample.tracklets],
+               "gt_objects": [_gt_object_to_json(g) for g in sample.gt_objects],
                "gt_relations": [{"subject": rel.subject_gt_id, "object": rel.object_gt_id,
                                  "predicate": rel.predicate,
                                  "start": rel.slot.start, "end": rel.slot.end}
                                 for rel in sample.gt_relations]}
         features = (np.concatenate([t.appearance for t in sample.tracklets])
-                    if n else np.zeros((0, 1), dtype=np.float32))
+                    if sample.tracklets else np.zeros((0, 1), dtype=np.float32))
         boxes = np.concatenate([t.boxes for t in tracks]) if tracks else np.zeros((0, 4))
         write_feature_file(os.path.join(directory, f"{stem}.trkf"), features)
         write_matrix_file(os.path.join(directory, f"{stem}.trkb"), boxes, BOXES)
         with open(os.path.join(directory, f"{stem}.json"), "w", encoding="utf-8") as f:
             f.write(canonical_json(doc))
+
+
+def _entry_fields(entry: dict, where: str, tracklet: bool) -> dict:
+    """The fields of a tracklet or GT entry, less its rows. A ``features``
+    or ``boxes`` field, a row reference or a list of boxes, is the mark of
+    an older layout."""
+    start, end = (_require_number(entry, key, where) for key in ("start", "end"))
+    for key in ("features", "boxes"):
+        if key in entry:
+            raise DataError(f"{where}: field {key!r} belongs to a dataset layout that is no "
+                            "longer read; regenerate the dataset with relformer synth")
+    fields = {key: _require_int(entry, key, where) for key in ("id", "category")}
+    if tracklet:
+        fields["probs"] = _require_array(entry, "probs", where)
+    with _named(where):
+        fields["slot"] = TimeSlot(start, end)
+    return fields
+
+
+def _read_covered_rows(path: str, kind: MatrixKind, rows: int) -> np.ndarray:
+    """The matrix of ``path``, which must hold ``rows`` rows: the frames its
+    entries cover."""
+    matrix = read_matrix_file(path, kind)
+    if len(matrix) != rows:
+        raise DataError(f"{path}: holds {len(matrix)} rows, but its entries cover {rows}")
+    return matrix
 
 
 def load_dataset(directory: str) -> tuple[list[VideoSample], Vocab]:
@@ -279,49 +273,30 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
     with _named(name):  # before any slot's rows are counted by it
         check_frame_count(frame_count)
 
-    feature_file, box_file = f"video_{video_id}.trkf", f"video_{video_id}.trkb"
-    entries = {key: _require_list(doc, key, name) for key in ("tracklets", "gt_objects")}
-    features = (read_feature_file(os.path.join(directory, feature_file))
-                if entries["tracklets"] else None)
-    boxes = (read_matrix_file(os.path.join(directory, box_file), BOXES)
-             if entries["tracklets"] or entries["gt_objects"] else None)
+    # Each entry's fields less its rows, parsed before either matrix file is
+    # opened: a dataset of an older layout may have no box file.
+    entries = [(f"{name}: {key}[{i}]", entry) for key in ("tracklets", "gt_objects")
+               for i, entry in enumerate(_require_list(doc, key, name))]
+    n = len(doc["tracklets"])
+    fields = [_entry_fields(entry, where, k < n) for k, (where, entry) in enumerate(entries)]
+    # Entry k's rows are first[k]:first[k + 1], tracklets first.
+    first = [0, *accumulate(f["slot"].frame_length(frame_count) for f in fields)]
+    stem = os.path.join(directory, f"video_{video_id}")
+    features = _read_covered_rows(f"{stem}.trkf", FEATURES, first[n])
+    boxes = _read_covered_rows(f"{stem}.trkb", BOXES, first[-1])
 
-    def objects(key: str, parse) -> list:
-        out = []
-        for i, entry in enumerate(entries[key]):
-            where = f"{name}: {key}[{i}]"
-            obj = parse(entry, where)
-            if obj.category >= len(vocab.objects):
-                raise DataError(f"{where}: category {obj.category} outside vocab")
-            out.append(obj)
-        return out
-
-    def gt_fields(entry: dict, where: str) -> dict:
-        """The GtObject fields of a GT or tracklet entry."""
-        start, end = (_require_number(entry, key, where) for key in ("start", "end"))
-        fields = {key: _require_int(entry, key, where) for key in ("id", "category")}
+    tracklets, gt_objects = [], []
+    for k, ((where, _), f) in enumerate(zip(entries, fields)):
+        rows = slice(first[k], first[k + 1])
         with _named(where):
-            fields["slot"] = TimeSlot(start, end)
-        fields["boxes"] = _require_rows(entry, "boxes", boxes, box_file,
-                                        fields["slot"].frame_length(frame_count), where)
-        return fields
-
-    def tracklet(entry: dict, where: str) -> Tracklet:
-        fields = gt_fields(entry, where)
-        appearance = _require_rows(entry, "features", features, feature_file,
-                                   len(fields["boxes"]), where)
-        probs = _require_array(entry, "probs", where)
-        with _named(where):
-            track = Tracklet(**fields, appearance=appearance, probs=probs)
-        if len(track.probs) != len(vocab.objects):
-            raise DataError(f"{where}: probs length {len(track.probs)} != "
+            obj = (Tracklet(**f, boxes=boxes[rows], appearance=features[rows]) if k < n
+                   else GtObject(**f, boxes=boxes[rows]))
+        if obj.category >= len(vocab.objects):
+            raise DataError(f"{where}: category {obj.category} outside vocab")
+        if k < n and len(obj.probs) != len(vocab.objects):
+            raise DataError(f"{where}: probs length {len(obj.probs)} != "
                             f"|object vocab| {len(vocab.objects)}")
-        return track
-
-    def gt_object(entry: dict, where: str) -> GtObject:
-        fields = gt_fields(entry, where)
-        with _named(where):
-            return GtObject(**fields)
+        (tracklets if k < n else gt_objects).append(obj)
 
     relations = []
     for i, entry in enumerate(_require_list(doc, "gt_relations", name)):
@@ -336,7 +311,6 @@ def _sample_from_json(doc: dict, directory: str, name: str, vocab: Vocab) -> Vid
                 subject_gt_id=subject, object_gt_id=object_, predicate=predicate,
                 slot=TimeSlot(start, end)))
 
-    tracklets, gt_objects = objects("tracklets", tracklet), objects("gt_objects", gt_object)
     with _named(name):
         return VideoSample(video_id=video_id, frame_count=frame_count,
                            tracklets=tracklets, gt_objects=gt_objects,

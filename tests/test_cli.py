@@ -101,6 +101,21 @@ def write_format_1(path, tiny_run, extra: dict) -> None:
         tensors[name].astype("<f8").tobytes() for name in sorted(tensors)))
 
 
+def to_layout_without_box_files(doc, data) -> None:
+    """Rewrite ``doc`` as datasets were written before the box files: each
+    entry's boxes as a JSON list, each tracklet's first feature row as a
+    reference. Then delete every ``.trkb`` file of ``data``."""
+    sample, = (s for s in load_dataset(str(data))[0] if s.video_id == doc["video_id"])
+    stem, row = f"video_{sample.video_id}", 0
+    for entry, t in zip(doc["tracklets"], sample.tracklets):
+        entry.update(boxes=t.boxes.tolist(), features=f"{stem}.trkf#{row}")
+        row += t.length
+    for entry, g in zip(doc["gt_objects"], sample.gt_objects):
+        entry["boxes"] = g.boxes.tolist()
+    for path in data.glob("video_*.trkb"):
+        path.unlink()
+
+
 def eval_exit_code(tiny_run, ckpt, out) -> int:
     root, cfg, data = tiny_run
     return main(["eval", "--config", cfg, "--data", data, "--ckpt", str(ckpt),
@@ -512,11 +527,14 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("case,edit,message", [
-        ("list_boxes", lambda doc: doc["tracklets"][0].update(boxes=[[0.1, 0.1, 0.2, 0.2]] * 2),
+        ("list_boxes", lambda doc, data: doc["tracklets"][0].update(
+            boxes=[[0.1, 0.1, 0.2, 0.2]] * 2),
          "regenerate the dataset with relformer synth"),
-        ("frame_count", lambda doc: doc.update(frame_count=10 ** 9),
+        ("no_box_files", to_layout_without_box_files,
+         "regenerate the dataset with relformer synth"),
+        ("frame_count", lambda doc, data: doc.update(frame_count=10 ** 9),
          f"frame_count must lie in [2, {MAX_FRAME_COUNT}], got 1000000000"),
-    ], ids=["list_boxes", "frame_count"])
+    ], ids=["list_boxes", "no_box_files", "frame_count"])
     def test_video_json_the_reader_refuses_exits_3_naming_the_file(self, tiny_run, capsys,
                                                                    case, edit, message):
         root, cfg, data = tiny_run
@@ -524,7 +542,7 @@ class TestExitCodes:
         shutil.copytree(data, work / "data")
         video = sorted((work / "data").glob("video_*.json"))[0]
         doc = json.loads(video.read_text())
-        edit(doc)
+        edit(doc, work / "data")
         video.write_text(json.dumps(doc))
         out = work / "report.json"
         capsys.readouterr()
